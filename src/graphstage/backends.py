@@ -9,14 +9,18 @@ and stage from the bracketed metadata line the pipeline puts in each prompt.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
+import json
 import random
+import ssl
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
-
-import requests
+from typing import Dict, Iterable, List, Optional, Tuple
+from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .codec import render_edge_list
 from .generator import SizeClass, TaskInstance
@@ -61,54 +65,155 @@ class CompletionConfig:
 
 _SYSTEM_MESSAGE = "You are a careful assistant for graph reasoning tasks."
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+_RETRY_AFTER_STATUS = {429, 503}
+_MAX_BACKOFF_S = 8.0
+# what a reused connection raises when the server closed it while it sat idle
+_IDLE_CLOSE_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
+    """Seconds a ``Retry-After`` header asks for, capped at the backoff
+    ceiling; None unless the header is a whole number of seconds."""
+    value = (value or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), _MAX_BACKOFF_S)
 
 
 class HttpBackend:
-    """Chat-completions client: system+user messages, first choice's content."""
+    """Chat-completions client: system+user messages, first choice's content.
+
+    Built on the standard library alone. Each thread that calls
+    ``complete`` (one per ``--workers`` thread) keeps one persistent HTTP/1.1
+    connection to the endpoint and reuses it across calls; ``close`` closes
+    them all once no call is in flight. Proxies come from the environment
+    (``HTTP_PROXY``/``HTTPS_PROXY``, honouring ``NO_PROXY``) and are resolved
+    once, when the backend is made: http requests go through the proxy with
+    the absolute URL as target, https requests through a CONNECT tunnel with
+    the certificate still verified against the endpoint host.
+    """
 
     def __init__(self, config: CompletionConfig):
         self.config = config
+        url = urlsplit(config.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint must be an http(s) URL, got {config.endpoint!r}")
+        self._https = url.scheme == "https"
+        # explicit ports: http.client would read the tail of a bare IPv6 host as one
+        self._host, self._port = url.hostname, url.port or (443 if self._https else 80)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        if config.api_key:
+            self._headers["Authorization"] = f"Bearer {config.api_key}"
+        self._ssl = ssl.create_default_context() if self._https else None
+
+        self._proxy: Optional[Tuple[str, int]] = None
+        self._tunnel_headers: Dict[str, str] = {}
+        netloc = url.netloc.rpartition("@")[2]
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(netloc):
+            purl = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            self._proxy = (purl.hostname, purl.port or 80)
+            auth = {}
+            if purl.username is not None:
+                creds = f"{unquote(purl.username)}:{unquote(purl.password or '')}"
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(creds.encode()).decode("ascii")
+            if self._https:
+                self._tunnel_headers = auth
+            else:
+                self._headers.update(auth)
+                self._target = urlunsplit((url.scheme, netloc, url.path or "/", url.query, ""))
+
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._opened: List[http.client.HTTPConnection] = []
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; it reconnects by itself once closed."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            timeout = self.config.timeout_ms / 1000.0
+            host, port = self._proxy or (self._host, self._port)
+            if self._https:
+                conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self._ssl)
+                if self._proxy:
+                    conn.set_tunnel(self._host, self._port, headers=self._tunnel_headers)
+            else:
+                conn = http.client.HTTPConnection(host, port, timeout=timeout)
+            with self._lock:
+                self._opened.append(conn)
+            self._local.conn = conn
+        return conn
+
+    def _exchange(self, conn: http.client.HTTPConnection, body: bytes):
+        try:
+            conn.request("POST", self._target, body, self._headers)
+            response = conn.getresponse()
+            return response.status, response.getheader("Retry-After"), response.read()
+        except BaseException:
+            conn.close()  # the connection is mid-exchange; the next request opens a new one
+            raise
+
+    def _post(self, body: bytes):
+        """(status, Retry-After header, body bytes) of one POST."""
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            return self._exchange(conn, body)
+        except _IDLE_CLOSE_ERRORS:
+            if not reused:
+                raise
+        return self._exchange(conn, body)  # once, on a fresh connection
+
+    def close(self) -> None:
+        """Close every connection this backend opened; a later call reconnects."""
+        with self._lock:
+            for conn in self._opened:
+                conn.close()
 
     def complete(self, prompt: str) -> str:
         cfg = self.config
-        headers = {"Content-Type": "application/json"}
-        if cfg.api_key:
-            headers["Authorization"] = f"Bearer {cfg.api_key}"
-        body = {
-            "model": cfg.model,
-            "messages": [
-                {"role": "system", "content": _SYSTEM_MESSAGE},
-                {"role": "user", "content": prompt},
-            ],
-            "temperature": cfg.temperature,
-            "top_p": cfg.top_p,
-            "max_tokens": cfg.max_new_tokens,
-        }
+        body = json.dumps(
+            {
+                "model": cfg.model,
+                "messages": [
+                    {"role": "system", "content": _SYSTEM_MESSAGE},
+                    {"role": "user", "content": prompt},
+                ],
+                "temperature": cfg.temperature,
+                "top_p": cfg.top_p,
+                "max_tokens": cfg.max_new_tokens,
+            },
+            allow_nan=False,
+        ).encode("utf-8")
         attempts = cfg.retry_count + 1
         last_error: Optional[Exception] = None
         timed_out = False
+        wait: Optional[float] = None
         for attempt in range(attempts):
             if attempt:
-                time.sleep(min(0.5 * 2 ** (attempt - 1), 8.0))
+                time.sleep(wait if wait is not None else min(0.5 * 2 ** (attempt - 1), _MAX_BACKOFF_S))
+            wait = None
             try:
-                response = requests.post(
-                    cfg.endpoint, json=body, headers=headers, timeout=cfg.timeout_ms / 1000.0
-                )
-            except requests.Timeout as exc:
+                status, retry_after, payload = self._post(body)
+            except TimeoutError as exc:
                 last_error, timed_out = exc, True
                 continue
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if response.status_code in (401, 403):
-                raise AuthError(f"endpoint rejected credentials (HTTP {response.status_code})")
-            if response.status_code in _RETRYABLE_STATUS:
-                last_error = BackendError(f"HTTP {response.status_code}")
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected credentials (HTTP {status})")
+            if status in _RETRYABLE_STATUS:
+                last_error = BackendError(f"HTTP {status}")
+                if status in _RETRY_AFTER_STATUS:
+                    wait = _retry_after_seconds(retry_after)
                 continue
-            if response.status_code != 200:
-                raise BackendError(f"HTTP {response.status_code}: {response.text[:200]}")
+            if status != 200:
+                text = payload.decode("utf-8", "replace")
+                raise BackendError(f"HTTP {status}: {text[:200]}")
             try:
-                return response.json()["choices"][0]["message"]["content"]
+                return json.loads(payload)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion body: {exc}") from exc
         if timed_out:

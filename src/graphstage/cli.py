@@ -152,7 +152,11 @@ def _cmd_run(args) -> int:
     corpus = load_corpus(args.corpus)
     backend = _make_backend(args, file_cfg, corpus)
     base_dir = Path(args.corpus).parent
-    traces = run_corpus(corpus, backend, _default_registry(), workers=args.workers, base_dir=base_dir)
+    try:
+        traces = run_corpus(corpus, backend, _default_registry(), workers=args.workers, base_dir=base_dir)
+    finally:
+        if isinstance(backend, HttpBackend):
+            backend.close()
     write_jsonl(args.out, (trace_to_json(t) for t in traces))
     if args.fault_labels and isinstance(backend, FaultBackend):
         atomic_write_text(

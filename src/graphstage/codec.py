@@ -120,11 +120,6 @@ def extract_tool_name(text: str) -> ExtractionResult:
     return ExtractionResult.of_name(m.group(1).strip())
 
 
-def named_parameter_template(names: Sequence[str]) -> str:
-    """The in-order named template instantiated for the given parameter names."""
-    return "(?:" + r"[,\s]*".join(rf"{re.escape(n)}\s*=\s*(\d+)" for n in names) + ")"
-
-
 def positional_parameter_template(arity: int) -> str:
     return r"(?:G" + r",\s*(\d+)" * arity + ")"
 

@@ -13,6 +13,7 @@ short-circuits tool execution but the trace still records every stage.
 
 from __future__ import annotations
 
+import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -219,11 +220,17 @@ def run_pipeline(
         parsed = extract_file_path(raw)
         if parsed.ok:
             file_path = parsed.path
-            try:
-                loaded = read_el_graph_file(base_dir / file_path, instance.graph.weight_kind)
-                parsed = ExtractionResult.of_graph(loaded)
-            except (OSError, MalformedLine, ValueError) as exc:
-                parsed = ExtractionResult.failure(f"file read: {exc}")
+            # the path is model output: it may name only files inside base_dir.
+            # Resolved lexically: the model writes text, not symlinks.
+            relative = Path(os.path.normpath(file_path))
+            if relative.anchor or relative.parts[:1] == ("..",):
+                parsed = ExtractionResult.failure(f"file path escapes the corpus directory: {file_path}")
+            else:
+                try:
+                    loaded = read_el_graph_file(base_dir / relative, instance.graph.weight_kind)
+                    parsed = ExtractionResult.of_graph(loaded)
+                except (OSError, MalformedLine, ValueError) as exc:
+                    parsed = ExtractionResult.failure(f"file read: {exc}")
     else:
         parsed = extract_graph(raw, instance.graph.weight_kind, instance.kind.directed)
     stages.append(StageRecord(StageKind.GRAPH, g_text, g_prompt, raw, parsed, latency, file_path))

@@ -1,7 +1,9 @@
 import http.server
 import json
 import random
+import socket
 import threading
+import time
 
 import pytest
 
@@ -21,7 +23,7 @@ from graphstage import (
     make_fault_backend,
     make_oracle_backend,
 )
-from graphstage.backends import AuthError, BackendError, CompletionTimeout
+from graphstage.backends import AuthError, BackendError, CompletionTimeout, _retry_after_seconds
 from graphstage.codec import extract_file_path
 from graphstage.pipeline import StageKind, assemble_prompt
 
@@ -167,39 +169,74 @@ class TestFault:
 
 
 class _StubHandler(http.server.BaseHTTPRequestHandler):
-    script = []  # list of (status, payload) consumed per request
+    """HTTP/1.0: the server closes the connection after every response."""
+
+    script = []  # list of (status, payload[, headers]) consumed per request
     requests_seen = []
+    targets_seen = []  # request targets, as sent on the request line
+    prompts_by_connection = {}  # client (host, port) -> user prompts it carried
+    close_after_reply = False  # HTTP/1.1: close without telling the client
+    lock = threading.Lock()
+    disable_nagle_algorithm = True  # headers and body are separate writes
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        _StubHandler.requests_seen.append(json.loads(self.rfile.read(length)))
-        status, payload = (
-            _StubHandler.script.pop(0) if _StubHandler.script else (200, _ok("fallback"))
-        )
+        sent = json.loads(self.rfile.read(length))
+        prompt = sent["messages"][-1]["content"]
+        with _StubHandler.lock:
+            _StubHandler.requests_seen.append(sent)
+            _StubHandler.targets_seen.append(self.path)
+            _StubHandler.prompts_by_connection.setdefault(self.client_address, []).append(prompt)
+            entry = _StubHandler.script.pop(0) if _StubHandler.script else (200, _ok(prompt))
+        status, payload, headers = (*entry, {})[:3]
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+        if _StubHandler.close_after_reply:
+            self.close_connection = True
 
     def log_message(self, *args):
         pass
+
+
+class _KeepAliveHandler(_StubHandler):
+    """HTTP/1.1: the connection stays open until the client closes it."""
+
+    protocol_version = "HTTP/1.1"
 
 
 def _ok(text):
     return {"choices": [{"message": {"content": text}}]}
 
 
-@pytest.fixture()
-def stub_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+def _serve(handler):
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _StubHandler.script = []
     _StubHandler.requests_seen = []
+    _StubHandler.targets_seen = []
+    _StubHandler.prompts_by_connection = {}
+    _StubHandler.close_after_reply = False
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+
+
+@pytest.fixture()
+def stub_server():
+    yield from _serve(_StubHandler)
+
+
+@pytest.fixture()
+def keepalive_server():
+    yield from _serve(_KeepAliveHandler)
 
 
 class TestHttpBackend:
@@ -258,3 +295,110 @@ class TestHttpBackend:
             CompletionConfig(top_p=0)
         with pytest.raises(ValueError):
             CompletionConfig(temperature=-1)
+
+    @pytest.mark.parametrize(
+        "retry_after, low, high",
+        [
+            ("1", 0.95, 2.0),  # the header's whole seconds replace the backoff
+            ("Wed, 21 Oct 2015 07:28:00 GMT", 0.45, 0.95),  # not seconds: 0.5 s backoff
+        ],
+    )
+    def test_retry_after_sets_the_wait(self, stub_server, retry_after, low, high):
+        _StubHandler.script = [(503, {}, {"Retry-After": retry_after}), (200, _ok("ok"))]
+        backend = HttpBackend(CompletionConfig(endpoint=stub_server, retry_count=1))
+        start = time.perf_counter()
+        assert backend.complete("x") == "ok"
+        assert low <= time.perf_counter() - start < high
+        assert len(_StubHandler.requests_seen) == 2
+
+    def test_retry_after_is_capped_at_the_backoff_ceiling(self):
+        assert _retry_after_seconds("120") == 8.0
+        assert _retry_after_seconds(" 3 ") == 3.0
+        for value in (None, "", "-1", "1.5", "soon", "\u0663"):
+            assert _retry_after_seconds(value) is None
+
+    def test_timeout_raises_completion_timeout(self):
+        # the listener queues the connection and never answers it
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            endpoint = f"http://127.0.0.1:{silent.getsockname()[1]}/v1/chat/completions"
+            backend = HttpBackend(CompletionConfig(endpoint=endpoint, retry_count=0, timeout_ms=200))
+            with pytest.raises(CompletionTimeout):
+                backend.complete("x")
+            backend.close()
+
+    def test_rejects_non_http_endpoint(self):
+        for endpoint in ("localhost:8000/v1/chat/completions", "ftp://host/x", "http:///x"):
+            with pytest.raises(ValueError):
+                HttpBackend(CompletionConfig(endpoint=endpoint))
+
+
+class TestHttpConnections:
+    def test_sequential_calls_share_one_connection(self, keepalive_server):
+        backend = HttpBackend(CompletionConfig(endpoint=keepalive_server))
+        try:
+            for k in range(20):
+                assert backend.complete(f"call {k}") == f"call {k}"
+        finally:
+            backend.close()
+        assert len(_StubHandler.prompts_by_connection) == 1
+
+    def test_idle_connection_closed_by_server_is_resent_once(self, keepalive_server):
+        backend = HttpBackend(CompletionConfig(endpoint=keepalive_server, retry_count=0))
+        _StubHandler.close_after_reply = True
+        try:
+            assert backend.complete("first") == "first"
+            # the kept connection is now closed at the server's end
+            assert backend.complete("second") == "second"
+        finally:
+            backend.close()
+        assert len(_StubHandler.prompts_by_connection) == 2
+        assert [r["messages"][1]["content"] for r in _StubHandler.requests_seen] == ["first", "second"]
+
+    def test_each_thread_uses_its_own_connection(self, keepalive_server):
+        backend = HttpBackend(CompletionConfig(endpoint=keepalive_server))
+        barrier = threading.Barrier(2, timeout=10)
+        answers = {}
+
+        def work(name):
+            barrier.wait()
+            answers[name] = [backend.complete(f"{name}-{k}") for k in range(10)]
+
+        threads = [threading.Thread(target=work, args=(name,)) for name in ("a", "b")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        backend.close()
+        assert not any(t.is_alive() for t in threads)
+        for name in ("a", "b"):
+            assert answers[name] == [f"{name}-{k}" for k in range(10)]
+        carried = sorted(_StubHandler.prompts_by_connection.values())
+        assert carried == [[f"{name}-{k}" for k in range(10)] for name in ("a", "b")]
+
+    def test_http_proxy_from_environment(self, keepalive_server, monkeypatch):
+        proxy = keepalive_server.rsplit("/v1/", 1)[0]
+        for name in ("http_proxy", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        endpoint = "http://completions.example.invalid:8000/v1/chat/completions?v=1"
+        backend = HttpBackend(CompletionConfig(endpoint=endpoint))
+        try:
+            assert [backend.complete(f"via proxy {k}") for k in range(3)] == [
+                f"via proxy {k}" for k in range(3)
+            ]
+        finally:
+            backend.close()
+        assert _StubHandler.targets_seen == [endpoint] * 3
+        assert len(_StubHandler.prompts_by_connection) == 1
+
+    def test_no_proxy_bypasses_the_proxy(self, keepalive_server, monkeypatch):
+        for name in ("http_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:1")
+        monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+        backend = HttpBackend(CompletionConfig(endpoint=keepalive_server, retry_count=0))
+        try:
+            assert backend.complete("direct") == "direct"
+        finally:
+            backend.close()
+        assert _StubHandler.targets_seen == ["/v1/chat/completions"]

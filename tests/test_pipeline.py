@@ -217,3 +217,43 @@ def test_el_pipeline_missing_file_is_parse_failure(tmp_path):
     assert not graph_stage.parsed.ok
     assert "file read" in graph_stage.parsed.reason
     assert trace.tool_result is None
+
+
+
+@pytest.mark.parametrize(
+    "answer, failure",
+    [
+        ("{outside}", "escapes the corpus directory"),  # absolute
+        ("graphs/../../outside.edges", "escapes the corpus directory"),
+        ("graphs/\x00.edges", "file read"),  # a path the OS cannot take
+        ("graphs/../{graph_file}", None),  # dot segments that stay in the directory
+    ],
+)
+def test_el_path_must_stay_in_corpus_dir(tmp_path, answer, failure):
+    from graphstage import write_el_graph_file
+    from graphstage.evaluation import Category, score_trace
+
+    inst = _instance("maximum_flow:directed", size=SizeClass.EL)
+    corpus_dir = tmp_path / "corpus"
+    (corpus_dir / "graphs").mkdir(parents=True)
+    write_el_graph_file(inst.graph, corpus_dir / inst.graph_file)
+    outside = tmp_path / "outside.edges"
+    write_el_graph_file(inst.graph, outside)  # readable and well formed: only the path is wrong
+    path = answer.format(outside=outside, graph_file=inst.graph_file)
+    oracle = make_oracle_backend([inst])
+
+    class PathAnswer:
+        def complete(self, prompt):
+            if parse_prompt_meta(prompt)[1] is StageKind.GRAPH:
+                return f"The graph file path is: {path}"
+            return oracle.complete(prompt)
+
+    trace = run_pipeline(inst, PathAnswer(), REGISTRY, base_dir=corpus_dir)
+    graph_stage = trace.stage(StageKind.GRAPH)
+    assert graph_stage.file_path == path
+    if failure is None:
+        assert trace.tool_result == inst.gold_answer
+    else:
+        assert failure in graph_stage.parsed.reason
+        assert trace.tool_result is None
+        assert score_trace(trace, inst).category is Category.SYNTAX
