@@ -7,18 +7,18 @@ real chat-completions endpoint with the same code.
 import random
 
 from graphstage import (
+    OracleBackend,
     SizeClass,
     TaskKind,
     default_registry,
     generate_instance,
-    make_oracle_backend,
     run_pipeline,
 )
 
 instance = generate_instance(
     TaskKind.parse("shortest_path:undirected"), SizeClass.WL, random.Random(3), index=0
 )
-backend = make_oracle_backend([instance])
+backend = OracleBackend([instance])
 trace = run_pipeline(instance, backend, default_registry())
 
 print(f"instance {instance.id}: {instance.task_text}\n")

@@ -8,15 +8,15 @@ import random
 
 from graphstage import (
     ALL_KINDS,
+    FaultBackend,
     FaultPlan,
+    OracleBackend,
     SizeClass,
     aggregate,
     build_dataset,
     default_registry,
     evaluate_traces,
     generate_instance,
-    make_fault_backend,
-    make_oracle_backend,
     render_report,
     run_corpus,
 )
@@ -26,9 +26,9 @@ corpus = [
     for i, kind in enumerate(ALL_KINDS)
     for j in range(5)
 ]
-oracle = make_oracle_backend(corpus)
+oracle = OracleBackend(corpus)
 plan = FaultPlan(drop_graph_edges=0.25, wrong_tool_name=0.25, swap_parameters=0.25)
-fault = make_fault_backend(oracle, plan, seed=1)
+fault = FaultBackend(oracle, plan, seed=1)
 
 traces = run_corpus(corpus, fault, default_registry(), workers=4)
 entries, stats = build_dataset(traces, corpus)

@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .graphs import Graph, WeightKind, build_graph, canonical_edge_set, graphs_equal
 from .tools import Answer, dispatch, TOOL_NAMES
-from .toolset import ToolRegistry, ToolSpec, default_registry, retrieve_tool_template
+from .toolset import ToolRegistry, ToolSpec, default_registry
 from .codec import (
     ExtractionResult,
     extract_file_path,
@@ -25,15 +25,11 @@ from .generator import (
     TaskKind,
     classify_size,
     generate_corpus,
-    generate_graph,
     generate_instance,
 )
 from .pipeline import (
     PipelineTrace,
     StageKind,
-    build_graph_instruction,
-    build_parameter_instruction,
-    build_task_instruction,
     run_corpus,
     run_pipeline,
 )
@@ -43,10 +39,8 @@ from .backends import (
     FaultPlan,
     HttpBackend,
     OracleBackend,
-    make_fault_backend,
-    make_oracle_backend,
 )
-from .dataset import DatasetEntry, build_dataset, export_alpaca, matching_function
+from .dataset import DatasetEntry, build_dataset, export_alpaca
 from .evaluation import (
     Category,
     EvalRecord,

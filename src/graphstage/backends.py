@@ -25,6 +25,7 @@ from urllib.parse import unquote, urlsplit, urlunsplit
 from .codec import render_edge_list
 from .generator import SizeClass, TaskInstance
 from .graphs import build_graph
+from .pipeline import parse_prompt_meta
 from .tools import ToolError, dispatch
 from .toolset import ToolRegistry, default_registry
 
@@ -222,8 +223,6 @@ class HttpBackend:
 
 
 def _prompt_meta(prompt: str) -> Tuple[str, str]:
-    from .pipeline import parse_prompt_meta
-
     meta = parse_prompt_meta(prompt)
     if meta is None:
         raise BackendError("prompt carries no task metadata line")
@@ -408,11 +407,3 @@ class FaultBackend:
         spec = self.oracle.registry.get(instance.gold_tool)
         names = spec.parameter_names()
         return f"{names[0]}={b}, {names[1]}={a}"
-
-
-def make_oracle_backend(corpus: Iterable[TaskInstance], registry=None) -> OracleBackend:
-    return OracleBackend(corpus, registry)
-
-
-def make_fault_backend(oracle: OracleBackend, plan: FaultPlan, seed: int = 0) -> FaultBackend:
-    return FaultBackend(oracle, plan, seed)

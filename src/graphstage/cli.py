@@ -36,6 +36,7 @@ from .generator import (
 )
 from .pipeline import run_corpus
 from .codec import format_el_graph
+from .toolset import default_registry
 from .serialize import (
     atomic_write_text,
     instance_to_json,
@@ -153,7 +154,7 @@ def _cmd_run(args) -> int:
     backend = _make_backend(args, file_cfg, corpus)
     base_dir = Path(args.corpus).parent
     try:
-        traces = run_corpus(corpus, backend, _default_registry(), workers=args.workers, base_dir=base_dir)
+        traces = run_corpus(corpus, backend, default_registry(), workers=args.workers, base_dir=base_dir)
     finally:
         if isinstance(backend, HttpBackend):
             backend.close()
@@ -164,12 +165,6 @@ def _cmd_run(args) -> int:
         )
     print(f"wrote {len(traces)} traces to {args.out}")
     return 0
-
-
-def _default_registry():
-    from .toolset import default_registry
-
-    return default_registry()
 
 
 def _cmd_build_dataset(args) -> int:
@@ -193,8 +188,6 @@ def _cmd_build_dataset(args) -> int:
 def _fill_quota(args, corpus, traces, entries, stats):
     """Regenerate-and-retry until each kind holds the requested number of
     retained instances (oracle backend only; bounded rounds)."""
-    from .dataset import build_dataset as rebuild
-
     quota = args.fill_quota
     base_config = GenConfig(seed=args.seed, sizes=args.size)
     corpus = list(corpus)
@@ -220,10 +213,10 @@ def _fill_quota(args, corpus, traces, entries, stats):
                 rng = _derived_rng(base_config.seed, kind, size, index)
                 fresh.append(generate_instance(kind, size, rng, base_config, index=index))
         backend = OracleBackend(fresh)
-        fresh_traces = run_corpus(fresh, backend, _default_registry(), workers=args.workers)
+        fresh_traces = run_corpus(fresh, backend, default_registry(), workers=args.workers)
         corpus.extend(fresh)
         traces.extend(fresh_traces)
-        entries, stats = rebuild(traces, corpus)
+        entries, stats = build_dataset(traces, corpus)
         kind_counts = {k: v["retained"] for k, v in stats["per_kind"].items()}
     return entries, stats
 

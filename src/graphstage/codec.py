@@ -12,7 +12,7 @@ Exported patterns:
     EDGE_PATTERNS["weight"]   = \\((\\d+), (\\d+), \\{'weight':\\s*(\\d+)\\}\\)
     EDGE_PATTERNS["capacity"] = \\((\\d+), (\\d+), \\{'capacity':\\s*(\\d+)\\}\\)
     TOOL_NAME_PATTERN         = API_name:\\s*(\\w+|\\n\\s*\\w+)
-    named parameter template  = <name>\\s*=\\s*(\\d+), joined by [,\\s]*
+    named parameter           = <name>\\s*=\\s*(\\d+), one search per parameter name
     positional fallback       = G,\\s*(\\d+)(,\\s*(\\d+))...
 
 The published unweighted pattern opens with a stray "$" and the tool-name

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .evaluation import Category, score_trace
 from .generator import TaskInstance
-from .graphs import graphs_equal
+# unused here, but the traced benchmark run wraps `graphstage.dataset.graphs_equal`
+# and fails on a missing name; it can go when that wrap site does
+from .graphs import graphs_equal  # noqa: F401
 from .pipeline import PipelineTrace, StageKind
 from .serialize import atomic_write_text
 
@@ -35,31 +38,11 @@ class DatasetEntry:
 _STAGE_RANK = {StageKind.GRAPH: 0, StageKind.NAME: 1, StageKind.PARAMS: 2}
 
 
-def matching_function(trace: PipelineTrace, instance: TaskInstance) -> bool:
-    """True iff every subtask label matches and the tool reproduced the answer."""
-    graph_stage = trace.stage(StageKind.GRAPH)
-    name_stage = trace.stage(StageKind.NAME)
-    if graph_stage is None or not graph_stage.parsed.ok:
-        return False
-    if not graphs_equal(graph_stage.parsed.graph, instance.gold_graph):
-        return False
-    if name_stage is None or not name_stage.parsed.ok:
-        return False
-    if name_stage.parsed.name.strip().lower() != instance.gold_tool:
-        return False
-    if instance.kind.parametric:
-        param_stage = trace.stage(StageKind.PARAMS)
-        if param_stage is None or not param_stage.parsed.ok:
-            return False
-        if tuple(param_stage.parsed.params) != tuple(instance.gold_params):
-            return False
-    return trace.tool_result is not None and trace.tool_result == instance.gold_answer
-
-
 def build_dataset(
     traces: Iterable[PipelineTrace], corpus: Sequence[TaskInstance]
 ) -> Tuple[List[DatasetEntry], Dict]:
-    """Entries for every matching trace, plus retention statistics."""
+    """Entries for every trace that scores Correct with the gold answer, plus
+    retention statistics."""
     by_id = {inst.id: inst for inst in corpus}
     entries: List[DatasetEntry] = []
     total = 0
@@ -72,7 +55,8 @@ def build_dataset(
         total += 1
         kind_stats = per_kind.setdefault(instance.kind.label, {"total": 0, "retained": 0})
         kind_stats["total"] += 1
-        if not matching_function(trace, instance):
+        record = score_trace(trace, instance)
+        if record.category is not Category.CORRECT or not record.answer_match:
             continue
         retained += 1
         kind_stats["retained"] += 1

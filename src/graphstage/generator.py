@@ -21,26 +21,16 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import templates
 from .codec import GRAPH_FILE_SUFFIX, render_edge_list
-from .graphs import Graph, WeightKind, build_graph, max_referenced_node
-from .tools import (
-    Answer,
-    NoTriangle,
-    TOOL_NAMES,
-    dispatch,
-    has_unique_topological_order,
-    tool_arity,
-)
+from .graphs import Graph, WeightKind, build_graph
+from .tools import Answer, NoTriangle, TOOL_NAMES, dispatch, tool_arity
 
-PARAM_FREE_TOOLS = frozenset(
-    ("cycle_detection", "max_triangle_sum", "edge_count", "node_count", "topological_sort")
-)
 BOOLEAN_TOOLS = frozenset(
     ("cycle_detection", "edge_existence", "node_existence", "path_existence")
 )
@@ -84,7 +74,7 @@ class TaskKind:
     @property
     def parametric(self) -> bool:
         """True when the task takes query parameters beyond the graph."""
-        return self.tool not in PARAM_FREE_TOOLS
+        return self.arity > 0
 
     @property
     def weight_kind(self) -> WeightKind:
@@ -325,28 +315,6 @@ def _node_range(kind: TaskKind, size: SizeClass) -> Tuple[int, int]:
     if kind.tool == "max_triangle_sum":
         lo = max(lo, 3)
     return lo, hi
-
-
-def generate_graph(
-    kind: TaskKind,
-    size: SizeClass,
-    rng: random.Random,
-    config: GenConfig | None = None,
-) -> Graph:
-    """A graph satisfying the kind's weighting and the size-class bounds."""
-    config = config or GenConfig()
-    lo, hi = _node_range(kind, size)
-    cap = SIZE_EDGE_CAP[size]
-    for _ in range(config.retry_cap):
-        n = rng.randint(lo, hi)
-        p = rng.uniform(*config.edge_probability)
-        if kind.tool == "topological_sort":
-            g = _unique_order_dag(n, p, rng, cap)
-        else:
-            g = _random_graph(n, p, kind.directed, kind.weight_kind, rng, cap, config.weight_range)
-        if g is not None:
-            return g
-    raise ExhaustedRetries(f"could not draw a graph for {kind.label} ({size.value})")
 
 
 def _pick_absent_pair(g: Graph, rng: random.Random) -> Optional[Tuple[int, int]]:

@@ -17,7 +17,7 @@ import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -34,7 +34,7 @@ from .codec import (
 from .generator import SizeClass, TaskInstance
 from .graphs import WeightKind
 from .tools import Answer, ToolError, UnknownTool, dispatch
-from .toolset import ToolRegistry, ToolSpec, retrieve_tool_template
+from .toolset import ToolRegistry, ToolSpec
 
 
 class StageKind(str, Enum):
@@ -135,11 +135,6 @@ def graph_instruction_text(size_class: SizeClass, weight_kind: WeightKind) -> st
     )
 
 
-def build_graph_instruction(instance: TaskInstance) -> str:
-    text = graph_instruction_text(instance.size_class, instance.graph.weight_kind)
-    return assemble_prompt(text, instance, StageKind.GRAPH)
-
-
 def serialize_registry(registry: ToolRegistry) -> str:
     blocks = []
     for spec in registry:
@@ -166,10 +161,6 @@ def task_instruction_text(registry: ToolRegistry) -> str:
     )
 
 
-def build_task_instruction(instance: TaskInstance, registry: ToolRegistry) -> str:
-    return assemble_prompt(task_instruction_text(registry), instance, StageKind.NAME)
-
-
 def required_parameter_format(spec: ToolSpec) -> str:
     return ", ".join(f"{name}=<{kind}>" for name, kind in spec.parameters)
 
@@ -182,10 +173,6 @@ def parameter_instruction_text(spec: ToolSpec) -> str:
         "Reply with exactly one line in the required format, filled with the "
         "values taken from the task."
     )
-
-
-def build_parameter_instruction(instance: TaskInstance, spec: ToolSpec) -> str:
-    return assemble_prompt(parameter_instruction_text(spec), instance, StageKind.PARAMS)
 
 
 def _call_backend(backend, prompt: str) -> Tuple[str, Optional[str], float]:
@@ -251,7 +238,7 @@ def run_pipeline(
             reason = "tool template unavailable: name stage failed"
         else:
             try:
-                spec = retrieve_tool_template(name_record.parsed.name, registry)
+                spec = registry.get(name_record.parsed.name)
                 reason = f"tool template for {spec.name!r} takes no parameters"
             except UnknownTool as exc:
                 reason = f"tool template unavailable: {exc}"

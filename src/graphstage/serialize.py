@@ -10,11 +10,12 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from .codec import ExtractionResult
 from .generator import SizeClass, TaskInstance, TaskKind
 from .graphs import Graph, WeightKind, build_graph
+from .pipeline import PipelineTrace, StageKind, StageRecord
 from .tools import Answer
 
 
@@ -53,19 +54,15 @@ def answer_from_json(obj: dict) -> Answer:
 
 
 def instance_to_json(inst: TaskInstance) -> dict:
-    graph = graph_to_json(inst.graph)
     return {
         "id": inst.id,
         "kind": {"tool": inst.kind.tool, "directed": inst.kind.directed},
-        "graph": graph,
+        "graph": graph_to_json(inst.graph),
         "params": list(inst.params),
         "description_variant": inst.description_variant,
         "size_class": inst.size_class.value,
         "task_text": inst.task_text,
         "graph_file": inst.graph_file,
-        "gold_graph": graph,
-        "gold_tool": inst.gold_tool,
-        "gold_params": list(inst.gold_params),
         "gold_answer": answer_to_json(inst.gold_answer),
     }
 
@@ -181,9 +178,7 @@ def trace_to_json(trace) -> dict:
     }
 
 
-def trace_from_json(obj: dict):
-    from .pipeline import PipelineTrace, StageKind, StageRecord
-
+def trace_from_json(obj: dict) -> PipelineTrace:
     stages = [
         StageRecord(
             stage=StageKind(rec["stage"]),

@@ -6,7 +6,7 @@ be registered to extend the name-identification prompt without code changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from .tools import UnknownTool
@@ -54,11 +54,6 @@ class ToolRegistry:
 
     def contains(self, name: str) -> bool:
         return name.strip().lower() in self._by_name
-
-
-def retrieve_tool_template(name: str, registry: ToolRegistry) -> ToolSpec:
-    """The template retriever: map an extracted tool name to its registered spec."""
-    return registry.get(name)
 
 
 def default_registry() -> ToolRegistry:

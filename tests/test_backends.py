@@ -10,8 +10,10 @@ import pytest
 from graphstage import (
     ALL_KINDS,
     CompletionConfig,
+    FaultBackend,
     FaultPlan,
     HttpBackend,
+    OracleBackend,
     SizeClass,
     TaskKind,
     default_registry,
@@ -20,8 +22,6 @@ from graphstage import (
     extract_tool_name,
     generate_instance,
     graphs_equal,
-    make_fault_backend,
-    make_oracle_backend,
 )
 from graphstage.backends import AuthError, BackendError, CompletionTimeout, _retry_after_seconds
 from graphstage.codec import extract_file_path
@@ -47,7 +47,7 @@ def _prompt(instance, stage):
 class TestOracle:
     def test_graph_stage_embeds_gold_render(self):
         corpus = _corpus(1)
-        oracle = make_oracle_backend(corpus)
+        oracle = OracleBackend(corpus)
         for inst in corpus:
             out = oracle.complete(_prompt(inst, StageKind.GRAPH))
             res = extract_graph(out, inst.graph.weight_kind, inst.kind.directed)
@@ -55,7 +55,7 @@ class TestOracle:
 
     def test_name_stage_emits_gold_anchor(self):
         inst = _corpus(1)[0]
-        oracle = make_oracle_backend([inst])
+        oracle = OracleBackend([inst])
         out = oracle.complete(_prompt(inst, StageKind.NAME))
         assert extract_tool_name(out).name == inst.gold_tool
 
@@ -63,7 +63,7 @@ class TestOracle:
         inst = generate_instance(
             TaskKind.parse("shortest_path:directed"), SizeClass.WL, random.Random(9), index=0
         )
-        oracle = make_oracle_backend([inst])
+        oracle = OracleBackend([inst])
         out = oracle.complete(_prompt(inst, StageKind.PARAMS))
         res = extract_parameters(out, REGISTRY.get("shortest_path"))
         assert res.params == inst.gold_params
@@ -72,13 +72,13 @@ class TestOracle:
         inst = generate_instance(
             TaskKind.parse("edge_count:directed"), SizeClass.EL, random.Random(4), index=0
         )
-        oracle = make_oracle_backend([inst])
+        oracle = OracleBackend([inst])
         out = oracle.complete(_prompt(inst, StageKind.GRAPH))
         assert extract_file_path(out).path == inst.graph_file
 
     def test_unknown_instance_and_determinism(self):
         corpus = _corpus(1)
-        oracle = make_oracle_backend(corpus)
+        oracle = OracleBackend(corpus)
         inst = corpus[0]
         prompt = _prompt(inst, StageKind.GRAPH)
         assert oracle.complete(prompt) == oracle.complete(prompt)
@@ -92,8 +92,8 @@ class TestOracle:
 class TestFault:
     def test_zero_probabilities_match_oracle(self):
         corpus = _corpus(2)
-        oracle = make_oracle_backend(corpus)
-        fault = make_fault_backend(oracle, FaultPlan(), seed=3)
+        oracle = OracleBackend(corpus)
+        fault = FaultBackend(oracle, FaultPlan(), seed=3)
         for inst in corpus:
             for stage in (StageKind.GRAPH, StageKind.NAME):
                 prompt = _prompt(inst, stage)
@@ -102,8 +102,8 @@ class TestFault:
 
     def test_drop_removes_edges_but_stays_executable(self):
         corpus = _corpus(2)
-        oracle = make_oracle_backend(corpus)
-        fault = make_fault_backend(oracle, FaultPlan(drop_graph_edges=1.0), seed=5)
+        oracle = OracleBackend(corpus)
+        fault = FaultBackend(oracle, FaultPlan(drop_graph_edges=1.0), seed=5)
         from graphstage.tools import dispatch
 
         dropped = 0
@@ -122,8 +122,8 @@ class TestFault:
 
     def test_wrong_name_is_another_registered_tool(self):
         corpus = _corpus(2)
-        oracle = make_oracle_backend(corpus)
-        fault = make_fault_backend(oracle, FaultPlan(wrong_tool_name=1.0), seed=5)
+        oracle = OracleBackend(corpus)
+        fault = FaultBackend(oracle, FaultPlan(wrong_tool_name=1.0), seed=5)
         by_id = {i.id: i for i in corpus}
         flipped = 0
         for inst in corpus:
@@ -140,8 +140,8 @@ class TestFault:
         inst = generate_instance(
             TaskKind.parse("maximum_flow:undirected"), SizeClass.WL, random.Random(7), index=0
         )
-        oracle = make_oracle_backend([inst])
-        fault = make_fault_backend(oracle, FaultPlan(swap_parameters=1.0), seed=1)
+        oracle = OracleBackend([inst])
+        fault = FaultBackend(oracle, FaultPlan(swap_parameters=1.0), seed=1)
         out = fault.complete(_prompt(inst, StageKind.PARAMS))
         res = extract_parameters(out, REGISTRY.get("maximum_flow"))
         assert res.params == (inst.gold_params[1], inst.gold_params[0])
@@ -149,8 +149,8 @@ class TestFault:
 
     def test_garbage_matches_no_pattern(self):
         inst = _corpus(1)[0]
-        oracle = make_oracle_backend([inst])
-        fault = make_fault_backend(
+        oracle = OracleBackend([inst])
+        fault = FaultBackend(
             oracle, FaultPlan(emit_garbage=1.0, garbage_stages=("graph",)), seed=2
         )
         out = fault.complete(_prompt(inst, StageKind.GRAPH))
@@ -160,10 +160,10 @@ class TestFault:
 
     def test_fault_decisions_are_reproducible_across_instances(self):
         corpus = _corpus(3)
-        oracle = make_oracle_backend(corpus)
+        oracle = OracleBackend(corpus)
         outs = []
         for _ in range(2):
-            fault = make_fault_backend(oracle, FaultPlan(drop_graph_edges=0.5), seed=9)
+            fault = FaultBackend(oracle, FaultPlan(drop_graph_edges=0.5), seed=9)
             outs.append([fault.complete(_prompt(i, StageKind.GRAPH)) for i in corpus])
         assert outs[0] == outs[1]
 

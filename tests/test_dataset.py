@@ -5,16 +5,15 @@ import pytest
 
 from graphstage import (
     ALL_KINDS,
+    FaultBackend,
     FaultPlan,
+    OracleBackend,
     SizeClass,
     TaskKind,
     build_dataset,
     default_registry,
     export_alpaca,
     generate_instance,
-    make_fault_backend,
-    make_oracle_backend,
-    matching_function,
     run_corpus,
     run_pipeline,
 )
@@ -35,11 +34,17 @@ def _corpus(per_kind=2):
     return out
 
 
+def _retained(trace, inst) -> bool:
+    """Whether build_dataset keeps the trace's instance."""
+    _, stats = build_dataset([trace], [inst])
+    return stats["retained_instances"] == 1
+
+
 class _Rewriter:
     """Oracle wrapper that rewrites one stage's output."""
 
     def __init__(self, corpus, stage, rewrite):
-        self.oracle = make_oracle_backend(corpus)
+        self.oracle = OracleBackend(corpus)
         self.stage = stage
         self.rewrite = rewrite
 
@@ -55,10 +60,10 @@ class _Rewriter:
 
 def test_oracle_traces_match():
     corpus = _corpus(1)
-    backend = make_oracle_backend(corpus)
+    backend = OracleBackend(corpus)
     for inst in corpus:
         trace = run_pipeline(inst, backend, REGISTRY)
-        assert matching_function(trace, inst)
+        assert _retained(trace, inst)
 
 
 def test_dropped_edge_with_correct_answer_is_rejected():
@@ -88,7 +93,7 @@ def test_dropped_edge_with_correct_answer_is_rejected():
     backend = _Rewriter([inst], StageKind.GRAPH, drop_last_edge)
     trace = run_pipeline(inst, backend, REGISTRY)
     assert trace.tool_result == inst.gold_answer  # answer is still right
-    assert not matching_function(trace, inst)  # but the graph label is not
+    assert not _retained(trace, inst)  # but the graph label is not
 
 
 def test_swapped_endpoints_same_answer_rejected():
@@ -103,19 +108,19 @@ def test_swapped_endpoints_same_answer_rejected():
     backend = _Rewriter([inst], StageKind.PARAMS, swap)
     trace = run_pipeline(inst, backend, REGISTRY)
     assert trace.tool_result == inst.gold_answer  # undirected distance is symmetric
-    assert not matching_function(trace, inst)
+    assert not _retained(trace, inst)
 
 
 def test_parse_failure_rejects():
     inst = _corpus(1)[0]
     backend = _Rewriter([inst], StageKind.GRAPH, lambda i, out: "nothing useful")
     trace = run_pipeline(inst, backend, REGISTRY)
-    assert not matching_function(trace, inst)
+    assert not _retained(trace, inst)
 
 
 def test_build_dataset_oracle_counts_and_order():
     corpus = _corpus(2)
-    backend = make_oracle_backend(corpus)
+    backend = OracleBackend(corpus)
     traces = run_corpus(corpus, backend, REGISTRY)
     entries, stats = build_dataset(traces, corpus)
     assert stats["retained_instances"] == len(corpus)
@@ -133,7 +138,7 @@ def test_build_dataset_empty():
 
 def test_orphan_trace_raises():
     corpus = _corpus(1)
-    backend = make_oracle_backend(corpus)
+    backend = OracleBackend(corpus)
     trace = run_pipeline(corpus[0], backend, REGISTRY)
     with pytest.raises(OrphanTrace):
         build_dataset([trace], corpus[1:])
@@ -166,9 +171,9 @@ def _reexecute_matches(trace, instance) -> bool:
 
 def test_fault_retention_matches_reexecution():
     corpus = _corpus(3)
-    oracle = make_oracle_backend(corpus)
+    oracle = OracleBackend(corpus)
     plan = FaultPlan(drop_graph_edges=0.3, wrong_tool_name=0.3, swap_parameters=0.3)
-    fault = make_fault_backend(oracle, plan, seed=13)
+    fault = FaultBackend(oracle, plan, seed=13)
     traces = run_corpus(corpus, fault, REGISTRY)
     entries, stats = build_dataset(traces, corpus)
     by_id = {i.id: i for i in corpus}
@@ -182,7 +187,7 @@ def test_fault_retention_matches_reexecution():
 
 def test_export_alpaca_shape_and_idempotence(tmp_path):
     corpus = _corpus(1)
-    backend = make_oracle_backend(corpus)
+    backend = OracleBackend(corpus)
     traces = run_corpus(corpus, backend, REGISTRY)
     entries, _ = build_dataset(traces, corpus)
     out = tmp_path / "alpaca.json"

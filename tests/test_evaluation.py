@@ -5,16 +5,16 @@ import pytest
 from graphstage import (
     ALL_KINDS,
     Category,
+    FaultBackend,
     FaultPlan,
+    OracleBackend,
     SizeClass,
     TaskKind,
     aggregate,
+    build_dataset,
     default_registry,
     evaluate_traces,
     generate_instance,
-    make_fault_backend,
-    make_oracle_backend,
-    matching_function,
     render_report,
     run_corpus,
     run_pipeline,
@@ -37,7 +37,7 @@ def _corpus(per_kind=2, seed=0):
 
 def test_oracle_trace_scores_correct():
     corpus = _corpus(1)
-    backend = make_oracle_backend(corpus)
+    backend = OracleBackend(corpus)
     for inst in corpus:
         record = score_trace(run_pipeline(inst, backend, REGISTRY), inst)
         assert record.category is Category.CORRECT
@@ -48,7 +48,7 @@ def test_oracle_trace_scores_correct():
 
 def test_unregistered_tool_name_is_syntax_error():
     inst = _corpus(1)[0]
-    oracle = make_oracle_backend([inst])
+    oracle = OracleBackend([inst])
 
     class Wrapper:
         def complete(self, prompt):
@@ -62,7 +62,7 @@ def test_unregistered_tool_name_is_syntax_error():
 
 def test_mismatched_ids_rejected():
     corpus = _corpus(1)
-    backend = make_oracle_backend(corpus)
+    backend = OracleBackend(corpus)
     trace = run_pipeline(corpus[0], backend, REGISTRY)
     with pytest.raises(ValueError):
         score_trace(trace, corpus[1])
@@ -70,8 +70,8 @@ def test_mismatched_ids_rejected():
 
 def _fault_records(plan, per_kind=3, seed=21):
     corpus = _corpus(per_kind, seed=seed)
-    oracle = make_oracle_backend(corpus)
-    fault = make_fault_backend(oracle, plan, seed=seed)
+    oracle = OracleBackend(corpus)
+    fault = FaultBackend(oracle, plan, seed=seed)
     traces = run_corpus(corpus, fault, REGISTRY)
     by_id = {i.id: i for i in corpus}
     return corpus, traces, fault, by_id
@@ -120,10 +120,12 @@ def test_priority_graph_beats_name_and_multi_fault_counted():
 def test_matching_implies_correct_category():
     plan = FaultPlan(drop_graph_edges=0.4, wrong_tool_name=0.4, swap_parameters=0.4, emit_garbage=0.2)
     corpus, traces, fault, by_id = _fault_records(plan, per_kind=4)
+    entries, _ = build_dataset(traces, corpus)
+    retained = {e.instance_id for e in entries}
+    assert retained and len(retained) < len(traces)
     for trace in traces:
-        inst = by_id[trace.instance_id]
-        record = score_trace(trace, inst)
-        if matching_function(trace, inst):
+        record = score_trace(trace, by_id[trace.instance_id])
+        if trace.instance_id in retained:
             assert record.category is Category.CORRECT
     records = [score_trace(t, by_id[t.instance_id]) for t in traces]
     answer_rate = sum(r.answer_match for r in records) / len(records)
@@ -133,7 +135,7 @@ def test_matching_implies_correct_category():
 
 def test_aggregate_all_correct():
     corpus = _corpus(2)
-    backend = make_oracle_backend(corpus)
+    backend = OracleBackend(corpus)
     traces = run_corpus(corpus, backend, REGISTRY)
     records = evaluate_traces(traces, corpus)
     report = aggregate(records, corpus)
@@ -153,8 +155,8 @@ def test_aggregate_all_correct():
 
 def test_aggregate_overall_is_unweighted_mean():
     corpus = _corpus(2)
-    oracle = make_oracle_backend(corpus)
-    fault = make_fault_backend(oracle, FaultPlan(drop_graph_edges=0.5), seed=3)
+    oracle = OracleBackend(corpus)
+    fault = FaultBackend(oracle, FaultPlan(drop_graph_edges=0.5), seed=3)
     traces = run_corpus(corpus, fault, REGISTRY)
     records = evaluate_traces(traces, corpus)
     report = aggregate(records, corpus)
@@ -169,7 +171,7 @@ def test_aggregate_empty_raises():
 
 def test_report_rendering_and_roundtrip():
     corpus = _corpus(1)
-    backend = make_oracle_backend(corpus)
+    backend = OracleBackend(corpus)
     traces = run_corpus(corpus, backend, REGISTRY)
     records = evaluate_traces(traces, corpus)
     report = aggregate(records, corpus)
@@ -185,6 +187,6 @@ def test_report_rendering_and_roundtrip():
 
 def test_record_json_roundtrip():
     corpus = _corpus(1)
-    backend = make_oracle_backend(corpus)
+    backend = OracleBackend(corpus)
     record = score_trace(run_pipeline(corpus[0], backend, REGISTRY), corpus[0])
     assert record_from_json(record_to_json(record)) == record

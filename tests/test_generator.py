@@ -12,14 +12,13 @@ from graphstage import (
     dispatch,
     extract_graph,
     generate_corpus,
-    generate_graph,
     generate_instance,
     graphs_equal,
 )
-from graphstage.generator import PARAM_FREE_TOOLS, BOOLEAN_TOOLS, render_task_text
+from graphstage.generator import BOOLEAN_TOOLS, render_task_text
 from graphstage.graphs import max_referenced_node
 from graphstage.tools import has_unique_topological_order
-from graphstage.serialize import dump_line, instance_to_json
+from graphstage.serialize import dump_line, instance_from_json, instance_to_json
 
 
 def test_exactly_twenty_kinds():
@@ -52,10 +51,10 @@ def test_classify_size_boundaries():
         classify_size("x", 0)
 
 
-def test_generate_graph_bounds_and_weights(rng):
+def test_generated_graph_bounds_and_weights(rng):
     for kind in ALL_KINDS:
         for size in (SizeClass.WL, SizeClass.EL):
-            g = generate_graph(kind, size, rng)
+            g = generate_instance(kind, size, rng).graph
             lo, hi = (2, 40) if size is SizeClass.WL else (41, 100)
             cap = 300 if size is SizeClass.WL else 1000
             assert lo <= g.node_count <= hi
@@ -66,7 +65,7 @@ def test_generate_graph_bounds_and_weights(rng):
 
 def test_generated_graphs_cover_top_node(rng):
     for kind in ALL_KINDS:
-        g = generate_graph(kind, SizeClass.WL, rng)
+        g = generate_instance(kind, SizeClass.WL, rng).graph
         assert max_referenced_node(g) == g.node_count - 1
 
 
@@ -78,9 +77,11 @@ def test_gold_answer_rechecks_through_dispatch(rng):
 
 
 def test_param_free_kinds_have_empty_params(rng):
+    param_free = {"cycle_detection", "max_triangle_sum", "edge_count", "node_count", "topological_sort"}
     for kind in ALL_KINDS:
         inst = generate_instance(kind, SizeClass.WL, rng, index=0)
-        if kind.tool in PARAM_FREE_TOOLS:
+        assert kind.parametric is (kind.tool not in param_free)
+        if kind.tool in param_free:
             assert inst.params == ()
         else:
             assert len(inst.params) == kind.arity
@@ -134,6 +135,18 @@ def test_corpus_is_deterministic():
     second = [dump_line(instance_to_json(i)) for i in generate_corpus(config)]
     assert first == second
     assert len(first) == 12
+
+
+def test_corpus_line_with_old_gold_copies_loads_the_same():
+    config = GenConfig(count=2, seed=5, sizes="both", kinds=("shortest_path:directed", "edge_count:undirected"))
+    for inst in generate_corpus(config):
+        line = instance_to_json(inst)
+        assert not {"gold_graph", "gold_tool", "gold_params"} & set(line)
+        old = dict(line)
+        old["gold_graph"] = line["graph"]
+        old["gold_tool"] = inst.kind.tool
+        old["gold_params"] = list(inst.params)
+        assert instance_from_json(old) == instance_from_json(line) == inst
 
 
 def test_corpus_counts_variants_and_balance():

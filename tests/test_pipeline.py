@@ -4,15 +4,11 @@ import pytest
 
 from graphstage import (
     ALL_KINDS,
+    OracleBackend,
     SizeClass,
     TaskKind,
-    build_graph_instruction,
-    build_parameter_instruction,
-    build_task_instruction,
     default_registry,
     generate_instance,
-    make_oracle_backend,
-    retrieve_tool_template,
     run_corpus,
     run_pipeline,
 )
@@ -22,7 +18,7 @@ from graphstage.pipeline import (
     parse_prompt_meta,
     serialize_registry,
 )
-from graphstage.tools import UnknownTool
+from graphstage.tools import TOOL_NAMES, UnknownTool, tool_arity
 
 REGISTRY = default_registry()
 
@@ -32,17 +28,22 @@ def _instance(label="shortest_path:undirected", index=0, size=SizeClass.WL):
     return generate_instance(kind, size, random.Random(42 + index), index=index)
 
 
+def _prompts(inst):
+    """The prompt run_pipeline records for each stage, under the oracle backend."""
+    trace = run_pipeline(inst, OracleBackend([inst]), REGISTRY)
+    return {record.stage: record.prompt for record in trace.stages}
+
+
 def test_prompt_builders_are_pure():
     inst = _instance()
-    assert build_graph_instruction(inst) == build_graph_instruction(inst)
-    assert build_task_instruction(inst, REGISTRY) == build_task_instruction(inst, REGISTRY)
-    spec = REGISTRY.get("shortest_path")
-    assert build_parameter_instruction(inst, spec) == build_parameter_instruction(inst, spec)
+    first = _prompts(inst)
+    assert set(first) == {StageKind.GRAPH, StageKind.NAME, StageKind.PARAMS}
+    assert _prompts(inst) == first
 
 
 def test_graph_prompt_has_both_exemplars_and_task():
     inst = _instance()
-    prompt = build_graph_instruction(inst)
+    prompt = _prompts(inst)[StageKind.GRAPH]
     assert "Example 1 (unweighted):" in prompt
     assert "Example 2 (weighted):" in prompt
     assert inst.task_text in prompt
@@ -50,7 +51,7 @@ def test_graph_prompt_has_both_exemplars_and_task():
 
 def test_el_graph_prompt_is_one_shot_path():
     inst = _instance("cycle_detection:directed", size=SizeClass.EL)
-    prompt = build_graph_instruction(inst)
+    prompt = _prompts(inst)[StageKind.GRAPH]
     assert "file path" in prompt.lower()
     assert "Example:" in prompt
     assert "Example 2" not in prompt
@@ -58,7 +59,7 @@ def test_el_graph_prompt_is_one_shot_path():
 
 def test_task_prompt_lists_every_tool_and_anchor():
     inst = _instance()
-    prompt = build_task_instruction(inst, REGISTRY)
+    prompt = _prompts(inst)[StageKind.NAME]
     for spec in REGISTRY:
         assert spec.name in prompt
         assert spec.description in prompt
@@ -77,15 +78,19 @@ def test_default_registry_has_exactly_eleven_tools():
     assert len(REGISTRY) == 11
 
 
+def test_default_registry_matches_the_tool_table():
+    assert [spec.name for spec in REGISTRY] == list(TOOL_NAMES)
+    for spec in REGISTRY:
+        assert len(spec.parameters) == tool_arity(spec.name), spec.name
+
+
 def test_prompts_do_not_leak_gold_labels():
     inst = _instance("topological_sort:directed")
     order = list(inst.gold_answer.value)
     assert len(order) >= 3
     rendered = [str(order), str(tuple(order))]
-    for prompt in (
-        build_graph_instruction(inst),
-        build_task_instruction(inst, REGISTRY),
-    ):
+    prompts = _prompts(inst)
+    for prompt in (prompts[StageKind.GRAPH], prompts[StageKind.NAME]):
         head, _, tail = prompt.rpartition(inst.task_text)
         assert tail == ""  # the task text is the suffix; nothing follows it
         for leak in rendered:
@@ -93,18 +98,17 @@ def test_prompts_do_not_leak_gold_labels():
 
 
 def test_parameter_prompt_demands_named_format():
-    inst = _instance()
-    prompt = build_parameter_instruction(inst, REGISTRY.get("shortest_path"))
+    prompt = _prompts(_instance())[StageKind.PARAMS]
     assert "source=<int>, target=<int>" in prompt
-    single = build_parameter_instruction(inst, REGISTRY.get("degree_count"))
+    single = _prompts(_instance("degree_count:directed"))[StageKind.PARAMS]
     assert "node=<int>" in single
 
 
-def test_retrieve_tool_template_case_folds():
-    assert retrieve_tool_template("shortest_path", REGISTRY).name == "shortest_path"
-    assert retrieve_tool_template(" Shortest_Path ", REGISTRY).name == "shortest_path"
+def test_registry_get_case_folds():
+    assert REGISTRY.get("shortest_path").name == "shortest_path"
+    assert REGISTRY.get(" Shortest_Path ").name == "shortest_path"
     with pytest.raises(UnknownTool):
-        retrieve_tool_template("dijkstra", REGISTRY)
+        REGISTRY.get("dijkstra")
 
 
 def test_prompt_meta_roundtrip():
@@ -116,7 +120,7 @@ def test_prompt_meta_roundtrip():
 
 def test_prompt_is_exactly_instruction_meta_task():
     inst = _instance()
-    prompt = build_task_instruction(inst, REGISTRY)
+    prompt = _prompts(inst)[StageKind.NAME]
     head, _, tail = prompt.rpartition(f"[task {inst.id} | stage N]\n")
     assert tail == inst.task_text
     assert head.endswith("\n\n")
@@ -127,7 +131,7 @@ def test_stage_counts_by_category():
         _instance("cycle_detection:undirected", 0),
         _instance("degree_count:directed", 1),
     ]
-    backend = make_oracle_backend(corpus)
+    backend = OracleBackend(corpus)
     traces = [run_pipeline(i, backend, REGISTRY) for i in corpus]
     assert len(traces[0].stages) == 2 and traces[0].skipped_parameter_stage
     assert len(traces[1].stages) == 3 and not traces[1].skipped_parameter_stage
@@ -136,7 +140,7 @@ def test_stage_counts_by_category():
 
 def test_oracle_run_reaches_gold_answer():
     corpus = [_instance(k.label, i) for i, k in enumerate(ALL_KINDS)]
-    backend = make_oracle_backend(corpus)
+    backend = OracleBackend(corpus)
     for inst in corpus:
         trace = run_pipeline(inst, backend, REGISTRY)
         assert trace.tool_result == inst.gold_answer
@@ -145,7 +149,7 @@ def test_oracle_run_reaches_gold_answer():
 
 def test_unregistered_name_short_circuits():
     inst = _instance("cycle_detection:undirected")
-    oracle = make_oracle_backend([inst])
+    oracle = OracleBackend([inst])
 
     class Wrapper:
         def complete(self, prompt):
@@ -159,7 +163,7 @@ def test_unregistered_name_short_circuits():
 
 def test_failed_name_stage_fails_parameter_stage_without_call():
     inst = _instance("shortest_path:directed")
-    oracle = make_oracle_backend([inst])
+    oracle = OracleBackend([inst])
     calls = []
 
     class Wrapper:
@@ -191,7 +195,7 @@ def test_backend_exception_recorded_not_raised():
 
 def test_run_corpus_parallel_preserves_order():
     corpus = [_instance(k.label, i) for i, k in enumerate(ALL_KINDS)]
-    backend = make_oracle_backend(corpus)
+    backend = OracleBackend(corpus)
     traces = run_corpus(corpus, backend, REGISTRY, workers=8)
     assert [t.instance_id for t in traces] == [i.id for i in corpus]
     assert all(t.tool_result == i.gold_answer for t, i in zip(traces, corpus))
@@ -203,7 +207,7 @@ def test_el_pipeline_reads_graph_file(tmp_path):
     inst = _instance("maximum_flow:directed", size=SizeClass.EL)
     (tmp_path / "graphs").mkdir()
     write_el_graph_file(inst.graph, tmp_path / inst.graph_file)
-    backend = make_oracle_backend([inst])
+    backend = OracleBackend([inst])
     trace = run_pipeline(inst, backend, REGISTRY, base_dir=tmp_path)
     assert trace.stage(StageKind.GRAPH).file_path == inst.graph_file
     assert trace.tool_result == inst.gold_answer
@@ -211,7 +215,7 @@ def test_el_pipeline_reads_graph_file(tmp_path):
 
 def test_el_pipeline_missing_file_is_parse_failure(tmp_path):
     inst = _instance("maximum_flow:directed", size=SizeClass.EL)
-    backend = make_oracle_backend([inst])
+    backend = OracleBackend([inst])
     trace = run_pipeline(inst, backend, REGISTRY, base_dir=tmp_path)
     graph_stage = trace.stage(StageKind.GRAPH)
     assert not graph_stage.parsed.ok
@@ -240,7 +244,7 @@ def test_el_path_must_stay_in_corpus_dir(tmp_path, answer, failure):
     outside = tmp_path / "outside.edges"
     write_el_graph_file(inst.graph, outside)  # readable and well formed: only the path is wrong
     path = answer.format(outside=outside, graph_file=inst.graph_file)
-    oracle = make_oracle_backend([inst])
+    oracle = OracleBackend([inst])
 
     class PathAnswer:
         def complete(self, prompt):
