@@ -28,11 +28,11 @@ from .evaluation import aggregate, evaluate_traces, record_to_json, render_repor
 from .generator import (
     ALL_KINDS,
     GenConfig,
+    SizeClass,
     TaskKind,
     generate_corpus,
     generate_instance,
     _derived_rng,
-    _size_plan,
 )
 from .pipeline import run_corpus
 from .codec import format_el_graph
@@ -98,22 +98,27 @@ def _cmd_generate(args) -> int:
         token_budget=args.budget,
     )
     out_dir = Path(args.out)
-    graphs_dir = out_dir / config.graph_dir
     corpus_path = out_dir / "corpus.jsonl"
     total = 0
 
     def lines():
         nonlocal total
         for instance in generate_corpus(config):
-            if instance.graph_file is not None:
-                graphs_dir.mkdir(parents=True, exist_ok=True)
-                atomic_write_text(out_dir / instance.graph_file, format_el_graph(instance.graph))
+            _write_graph_file(out_dir, instance)
             total += 1
             yield instance_to_json(instance)
 
     write_jsonl(corpus_path, lines())
     print(f"wrote {total} instances to {corpus_path}")
     return 0
+
+
+def _write_graph_file(corpus_dir: Path, instance) -> None:
+    """An EL instance's graph goes to its file, relative to the corpus directory."""
+    if instance.graph_file is not None:
+        path = corpus_dir / instance.graph_file
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(path, format_el_graph(instance.graph))
 
 
 def _make_backend(args, file_cfg: Dict, corpus):
@@ -187,9 +192,12 @@ def _cmd_build_dataset(args) -> int:
 
 def _fill_quota(args, corpus, traces, entries, stats):
     """Regenerate-and-retry until each kind holds the requested number of
-    retained instances (oracle backend only; bounded rounds)."""
+    retained instances (oracle backend only; bounded rounds). Fresh EL
+    instances get their graph files next to the corpus, and with --size both
+    the size alternates by plan index."""
     quota = args.fill_quota
     base_config = GenConfig(seed=args.seed, sizes=args.size)
+    corpus_dir = Path(args.corpus).parent
     corpus = list(corpus)
     traces = list(traces)
     kind_counts: Dict[str, int] = {}
@@ -209,11 +217,18 @@ def _fill_quota(args, corpus, traces, entries, stats):
             for _ in range(needed):
                 index = next_index.get(label, 0)
                 next_index[label] = index + 1
-                size = _size_plan(base_config.sizes, 1)[0]
+                if base_config.sizes == "both":
+                    size = (SizeClass.WL, SizeClass.EL)[index % 2]
+                else:
+                    size = SizeClass(base_config.sizes)
                 rng = _derived_rng(base_config.seed, kind, size, index)
-                fresh.append(generate_instance(kind, size, rng, base_config, index=index))
+                instance = generate_instance(kind, size, rng, base_config, index=index)
+                _write_graph_file(corpus_dir, instance)
+                fresh.append(instance)
         backend = OracleBackend(fresh)
-        fresh_traces = run_corpus(fresh, backend, default_registry(), workers=args.workers)
+        fresh_traces = run_corpus(
+            fresh, backend, default_registry(), workers=args.workers, base_dir=corpus_dir
+        )
         corpus.extend(fresh)
         traces.extend(fresh_traces)
         entries, stats = build_dataset(traces, corpus)

@@ -22,6 +22,8 @@ are anchored on the literal parentheses / dropped here.
 
 from __future__ import annotations
 
+import json
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,6 +180,11 @@ def format_el_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the whole body of a file that format_el_graph wrote: only "u, v" lines or
+# only "u, v, w" lines, each ending in a newline; group 1 is set for the latter
+_EL_BODY = re.compile(r"(?:[0-9]+, [0-9]+\n)*|((?:[0-9]+, [0-9]+, [0-9]+\n)+)")
+
+
 def read_el_graph_file(
     path: str | Path, weight_kind: WeightKind | str | None = None
 ) -> Graph:
@@ -186,8 +193,32 @@ def read_el_graph_file(
     weight_kind disambiguates weight vs capacity for three-column files
     (the file format itself does not record which); when omitted, three
     columns are read as plain weights.
+
+    A file in the exact form format_el_graph writes (a bare header line,
+    then "u, v" or "u, v, w" lines of ASCII numbers without leading zeros,
+    each ending in a newline, all of one width, no self-loop) is parsed in
+    one pass over the whole body. Any other file goes through the line
+    parser, which names the first bad line.
     """
     text = Path(path).read_text(encoding="utf-8")
+    header, newline, body = text.partition("\n")
+    match = _EL_BODY.fullmatch(body) if newline and header in ("directed", "undirected") else None
+    if match is not None:
+        width = 3 if match.group(1) else 2
+        try:  # one JSON array: the C scanner converts the digits without a string per number
+            numbers = json.loads("[" + body.replace("\n", ", ")[:-2] + "]")
+        except ValueError:  # a leading zero, or past int's digit limit: the line parser decides
+            return _read_el_lines(text, weight_kind)
+        us, vs = numbers[0::width], numbers[1::width]
+        if not any(map(operator.eq, us, vs)):
+            node_count = 1 + max(max(us), max(vs)) if numbers else 0
+            edges = list(zip(us, vs, numbers[2::3])) if width == 3 else list(zip(us, vs))
+            kind = _el_weight_kind({width}, weight_kind)
+            return build_graph(header == "directed", node_count, edges, kind)
+    return _read_el_lines(text, weight_kind)
+
+
+def _read_el_lines(text: str, weight_kind: WeightKind | str | None) -> Graph:
     lines = text.splitlines()
     if not lines or lines[0].strip() not in ("directed", "undirected"):
         raise MalformedLine(1, "expected 'directed' or 'undirected' header")
@@ -209,9 +240,11 @@ def read_el_graph_file(
         edges.append(tuple(nums))
     if len(widths) > 1:
         raise MalformedLine(1, "mixed weighted and unweighted edge lines")
-    if weight_kind is None:
-        kind = WeightKind.NONE if widths == {2} or not widths else WeightKind.WEIGHT
-    else:
-        kind = WeightKind(weight_kind)
     node_count = 1 + max(max(e[0], e[1]) for e in edges) if edges else 0
-    return build_graph(directed, node_count, edges, kind)
+    return build_graph(directed, node_count, edges, _el_weight_kind(widths, weight_kind))
+
+
+def _el_weight_kind(widths: set, weight_kind: WeightKind | str | None) -> WeightKind:
+    if weight_kind is None:
+        return WeightKind.NONE if widths == {2} or not widths else WeightKind.WEIGHT
+    return WeightKind(weight_kind)

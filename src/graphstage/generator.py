@@ -23,7 +23,6 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import templates
@@ -170,18 +169,26 @@ def _pair_count(n: int, directed: bool) -> int:
     return n * (n - 1) if directed else n * (n - 1) // 2
 
 
-def _decode_pair(k: int, n: int, directed: bool) -> Tuple[int, int]:
+def _decode_pairs(indexes: Sequence[int], n: int, directed: bool) -> List[Tuple[int, int]]:
+    """Node pairs for ascending pair indexes.
+
+    Undirected index k numbers the pairs (i, j), i < j, row by row; the
+    walk keeps the current row's first index instead of solving for it.
+    """
     if directed:
-        u, r = divmod(k, n - 1)
-        return u, r + 1 if r >= u else r
-    a = 2 * n - 1
-    i = (a - isqrt(a * a - 8 * k)) // 2
-    while i * (2 * n - i - 1) // 2 > k:
-        i -= 1
-    while (i + 1) * (2 * n - i - 2) // 2 <= k:
-        i += 1
-    j = k - i * (2 * n - i - 1) // 2 + i + 1
-    return i, j
+        out = []
+        for k in indexes:
+            u, r = divmod(k, n - 1)
+            out.append((u, r + 1 if r >= u else r))
+        return out
+    out = []
+    i, start, end = 0, 0, n - 1  # row i holds indexes start..end-1
+    for k in indexes:
+        while k >= end:
+            i += 1
+            start, end = end, end + n - 1 - i
+        out.append((i, k - start + i + 1))
+    return out
 
 
 def _bernoulli_indexes(count: int, p: float, rng: random.Random) -> List[int]:
@@ -238,7 +245,7 @@ def _random_graph(
     pairs = _bernoulli_indexes(_pair_count(n, directed), p, rng)
     if not pairs or len(pairs) > edge_cap:
         return None
-    edges = [_decode_pair(k, n, directed) for k in pairs]
+    edges = _decode_pairs(pairs, n, directed)
     edges = _cover_last_node(edges, n)
     return build_graph(directed, n, _attach_weights(edges, weight_kind, rng, weight_range), weight_kind)
 
@@ -263,10 +270,9 @@ def _random_dag(
         return None
     rank = list(range(n))
     rng.shuffle(rank)
-    edges = []
-    for k in pairs:
-        i, j = _decode_pair(k, n, False)
-        edges.append((i, j) if rank[i] < rank[j] else (j, i))
+    edges = [
+        (i, j) if rank[i] < rank[j] else (j, i) for i, j in _decode_pairs(pairs, n, False)
+    ]
     edges = _cover_last_node(edges, n)
     return build_graph(True, n, edges, WeightKind.NONE)
 

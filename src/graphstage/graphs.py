@@ -7,6 +7,7 @@ exactly when ``weight_kind`` says they should.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Tuple
@@ -65,13 +66,71 @@ def build_graph(
     Raises InvalidEdge for out-of-range ids, self-loops and duplicates
     (undirected duplicates are checked orientation-insensitively), and
     WeightMismatch when weight presence disagrees with ``weight_kind``.
+
+    The checks run column-wise with builtins first (min/max, set sizes,
+    counts), which accepts a valid edge list at builtin speed. If a column
+    check fails or a value does not convert, the per-edge loop runs instead
+    and raises for the first bad edge in list order, so the exception does
+    not depend on which check saw the fault.
     """
     kind = WeightKind(weight_kind)
     if node_count < 0:
         raise GraphError(f"node_count must be non-negative, got {node_count}")
+    rows = list(edges)
+    try:
+        checked = _checked_columns(directed, node_count, rows, kind)
+    except (TypeError, ValueError, OverflowError):  # a value that does not convert
+        checked = None
+    if checked is None:
+        checked = _checked_edges(directed, node_count, rows, kind)
+    return Graph(bool(directed), node_count, checked, kind)
+
+
+def _checked_columns(
+    directed: bool, node_count: int, rows: list, kind: WeightKind
+) -> Optional[Tuple[Edge, ...]]:
+    """The normalized edges when every edge passes, else None."""
+    if not rows:
+        return ()
+    widths = set(map(len, rows))  # mixed widths are left to the per-edge loop
+    if widths == {2}:
+        us, vs = zip(*rows)
+        ws = (None,) * len(rows)
+    elif widths == {3}:
+        us, vs, ws = zip(*rows)
+    else:
+        return None
+    us = list(map(int, us))
+    vs = list(map(int, vs))
+    if min(us) < 0 or min(vs) < 0 or max(us) >= node_count or max(vs) >= node_count:
+        return None
+    if any(map(operator.eq, us, vs)):
+        return None
+    if directed:
+        distinct = len(set(zip(us, vs)))
+    else:
+        distinct = len({(u, v) if u < v else (v, u) for u, v in zip(us, vs)})
+    if distinct != len(rows):
+        return None
+    if kind is WeightKind.NONE:
+        if ws.count(None) != len(ws):
+            return None
+    else:
+        if None in ws:
+            return None
+        ws = list(map(int, ws))
+        if min(ws) < 1:
+            return None
+    return tuple(zip(us, vs, ws))
+
+
+def _checked_edges(
+    directed: bool, node_count: int, rows: list, kind: WeightKind
+) -> Tuple[Edge, ...]:
+    """Edge by edge: raises for the first bad edge in list order."""
     normalized = []
     seen: set[Tuple[int, int]] = set()
-    for raw in edges:
+    for raw in rows:
         u, v, w = _normalize_edge(raw)
         if not (0 <= u < node_count) or not (0 <= v < node_count):
             raise InvalidEdge(f"edge ({u}, {v}) references a node outside 0..{node_count - 1}")
@@ -90,7 +149,7 @@ def build_graph(
             if w < 1:
                 raise WeightMismatch(f"edge ({u}, {v}) has non-positive {kind.value} {w}")
         normalized.append((u, v, w))
-    return Graph(bool(directed), node_count, tuple(normalized), kind)
+    return tuple(normalized)
 
 
 def canonical_edge_set(g: Graph) -> frozenset:
@@ -117,7 +176,7 @@ def graphs_equal(a: Graph, b: Graph) -> bool:
     return (
         a.directed == b.directed
         and a.weight_kind == b.weight_kind
-        and canonical_edge_set(a) == canonical_edge_set(b)
+        and (a.edges == b.edges or canonical_edge_set(a) == canonical_edge_set(b))
     )
 
 

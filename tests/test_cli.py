@@ -117,6 +117,53 @@ def test_fill_quota_reaches_target(tmp_path):
         assert kind_stats["retained"] >= quota
 
 
+def test_fill_quota_reaches_target_with_el_instances(tmp_path):
+    out = tmp_path / "d"
+    quota = 3
+    assert run_cli(
+        "generate", "--tasks", "degree_count:directed", "--count", "4", "--size", "el",
+        "--seed", "2", "--out", str(out),
+    ) == 0
+    assert run_cli(
+        "run", "--corpus", str(out / "corpus.jsonl"), "--backend", "fault",
+        "--fault-garbage", "1.0", "--seed", "4", "--out", str(out / "traces.jsonl"),
+    ) == 0
+    assert run_cli(
+        "build-dataset", "--traces", str(out / "traces.jsonl"),
+        "--corpus", str(out / "corpus.jsonl"),
+        "--out", str(out / "alpaca.json"), "--stats", str(out / "stats.json"),
+        "--fill-quota", str(quota), "--size", "el", "--seed", "2",
+    ) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["per_kind"]["degree_count:directed"]["retained"] >= quota
+    # every retained instance is a fresh EL one whose graph file was written
+    inputs = {entry["input"] for entry in json.loads((out / "alpaca.json").read_text())}
+    assert len(inputs) == stats["retained_instances"]
+    for text in inputs:
+        path = text.split("graphs/", 1)[1].split(".edges", 1)[0]
+        assert "-el-" in path
+        assert (out / "graphs" / f"{path}.edges").exists()
+
+
+def test_fill_quota_with_both_sizes_alternates_size(tmp_path):
+    out = tmp_path / "d"
+    assert run_cli("generate", "--tasks", "node_count:directed", "--count", "2", "--out", str(out)) == 0
+    assert run_cli(
+        "run", "--corpus", str(out / "corpus.jsonl"), "--backend", "fault",
+        "--fault-garbage", "1.0", "--out", str(out / "traces.jsonl"),
+    ) == 0
+    assert run_cli(
+        "build-dataset", "--traces", str(out / "traces.jsonl"),
+        "--corpus", str(out / "corpus.jsonl"), "--out", str(out / "alpaca.json"),
+        "--stats", str(out / "stats.json"), "--fill-quota", "4", "--size", "both",
+    ) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["per_kind"]["node_count:directed"]["retained"] == 4
+    inputs = [entry["input"] for entry in json.loads((out / "alpaca.json").read_text())]
+    file_backed = {text for text in inputs if ".edges" in text}
+    assert len(file_backed) == 2  # plan indexes 3 and 5 of fresh indexes 2..5
+
+
 def test_run_http_without_endpoint_is_usage_error(tmp_path):
     out = tmp_path / "d"
     run_cli("generate", "--tasks", "node_count:directed", "--count", "1", "--out", str(out))

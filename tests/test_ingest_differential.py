@@ -1,0 +1,361 @@
+"""Differential tests for graph ingest.
+
+`build_graph`, `read_el_graph_file` and the generator's pair decoder each
+have a fast path. The references below are the plain per-edge validator,
+the line-by-line EL parser and the closed-form pair decode, kept here
+verbatim so the fast code is always compared against them: same result,
+or the same exception type and message, on every input.
+"""
+
+from __future__ import annotations
+
+import random
+from math import isqrt
+from pathlib import Path
+
+import pytest
+
+from graphstage.codec import MalformedLine, format_el_graph, read_el_graph_file
+from graphstage.generator import _bernoulli_indexes, _decode_pairs, _pair_count
+from graphstage.graphs import (
+    Graph,
+    GraphError,
+    InvalidEdge,
+    WeightKind,
+    WeightMismatch,
+    _normalize_edge,
+    build_graph,
+    canonical_edge_set,
+    graphs_equal,
+)
+
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def reference_build_graph(directed, node_count, edges, weight_kind=WeightKind.NONE):
+    kind = WeightKind(weight_kind)
+    if node_count < 0:
+        raise GraphError(f"node_count must be non-negative, got {node_count}")
+    normalized = []
+    seen = set()
+    for raw in edges:
+        u, v, w = _normalize_edge(raw)
+        if not (0 <= u < node_count) or not (0 <= v < node_count):
+            raise InvalidEdge(f"edge ({u}, {v}) references a node outside 0..{node_count - 1}")
+        if u == v:
+            raise InvalidEdge(f"self-loop ({u}, {v}) is not allowed")
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in seen:
+            raise InvalidEdge(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        if kind is WeightKind.NONE:
+            if w is not None:
+                raise WeightMismatch(f"edge ({u}, {v}) carries a weight but weight_kind is none")
+        else:
+            if w is None:
+                raise WeightMismatch(f"edge ({u}, {v}) is missing a {kind.value}")
+            if w < 1:
+                raise WeightMismatch(f"edge ({u}, {v}) has non-positive {kind.value} {w}")
+        normalized.append((u, v, w))
+    return Graph(bool(directed), node_count, tuple(normalized), kind)
+
+
+def reference_read_el_graph_file(path, weight_kind=None):
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if not lines or lines[0].strip() not in ("directed", "undirected"):
+        raise MalformedLine(1, "expected 'directed' or 'undirected' header")
+    directed = lines[0].strip() == "directed"
+    edges = []
+    widths = set()
+    for i, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) not in (2, 3) or not all(p.lstrip("-").isdigit() for p in parts):
+            raise MalformedLine(i, f"expected 'u, v' or 'u, v, w', got {line!r}")
+        nums = [int(p) for p in parts]
+        if nums[0] == nums[1]:
+            raise MalformedLine(i, f"self-loop ({nums[0]}, {nums[1]})")
+        if min(nums[:2]) < 0:
+            raise MalformedLine(i, f"negative node id in {line!r}")
+        widths.add(len(parts))
+        edges.append(tuple(nums))
+    if len(widths) > 1:
+        raise MalformedLine(1, "mixed weighted and unweighted edge lines")
+    if weight_kind is None:
+        kind = WeightKind.NONE if widths == {2} or not widths else WeightKind.WEIGHT
+    else:
+        kind = WeightKind(weight_kind)
+    node_count = 1 + max(max(e[0], e[1]) for e in edges) if edges else 0
+    return reference_build_graph(directed, node_count, edges, kind)
+
+
+def closed_form_decode_pair(k, n, directed):
+    if directed:
+        u, r = divmod(k, n - 1)
+        return u, r + 1 if r >= u else r
+    a = 2 * n - 1
+    i = (a - isqrt(a * a - 8 * k)) // 2
+    while i * (2 * n - i - 1) // 2 > k:
+        i -= 1
+    while (i + 1) * (2 * n - i - 2) // 2 <= k:
+        i += 1
+    j = k - i * (2 * n - i - 1) // 2 + i + 1
+    return i, j
+
+
+def outcome(fn, *args):
+    """repr of the result (so True and 1 differ), or the exception's type and text."""
+    try:
+        return ("ok", repr(fn(*args)))
+    except Exception as exc:  # every exception is part of the contract
+        return ("raised", type(exc).__name__, str(exc))
+
+
+# ---------------------------------------------------------------------------
+# build_graph
+
+KINDS = (WeightKind.NONE, WeightKind.WEIGHT, WeightKind.CAPACITY)
+ODD_VALUES = ("2", 1.0, True, "x", None, 2.5, -1, float("inf"), " 3 ")
+
+
+def _valid_rows(rng, n, directed, kind):
+    pairs = set()
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and (u, v) not in pairs and (directed or (v, u) not in pairs):
+            pairs.add((u, v))
+    order = sorted(pairs)
+    rng.shuffle(order)
+    if kind is WeightKind.NONE:
+        return [(u, v) if rng.random() < 0.9 else (u, v, None) for u, v in order]
+    return [(u, v, rng.randint(1, 10)) for u, v in order]
+
+
+def _corrupt(rng, rows, n):
+    """One to three faults of the kinds the validator must name."""
+    base, rows = rows, list(rows)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(rows) + 1)
+        fault = rng.randrange(9)
+        if fault == 0:  # out-of-range id
+            rows.insert(at, (rng.choice((-1, n, n + 5)), rng.randrange(n)))
+        elif fault == 1:  # self-loop
+            x = rng.randrange(n)
+            rows.insert(at, (x, x) if rng.random() < 0.5 else (x, x, 3))
+        elif fault == 2 and base:  # duplicate, either orientation
+            u, v, *rest = rng.choice(base)
+            rows.insert(at, (v, u, *rest) if rng.random() < 0.5 else (u, v, *rest))
+        elif fault == 3 and base:  # weight added, dropped or None
+            u, v, *_ = rng.choice(base)
+            rows[rng.randrange(len(rows))] = rng.choice(((u, v), (u, v, None), (u, v, 4)))
+        elif fault == 4 and base:  # non-positive weight
+            u, v, *_ = rng.choice(base)
+            rows[rng.randrange(len(rows))] = (u, v, rng.choice((0, -2)))
+        elif fault == 5 and rows:  # a value of another type
+            i = rng.randrange(len(rows))
+            row = list(rows[i])
+            if row:
+                row[rng.randrange(len(row))] = rng.choice(ODD_VALUES)
+                rows[i] = tuple(row)
+        elif fault == 6:  # wrong width
+            rows.insert(at, rng.choice(((1,), (0, 1, 2, 3), ())))
+        elif fault == 7 and rows:  # a list row instead of a tuple, as JSON gives
+            i = rng.randrange(len(rows))
+            rows[i] = list(rows[i])
+        else:  # a valid-looking row with a string id
+            rows.insert(at, (str(rng.randrange(n)), str(rng.randrange(n))))
+    return rows
+
+
+def test_build_graph_matches_per_edge_reference():
+    rng = random.Random(20240605)
+    raised = 0
+    for case in range(4000):
+        n = rng.randint(1, 12)
+        directed = rng.random() < 0.5
+        kind = rng.choice(KINDS)
+        rows = _valid_rows(rng, n, directed, kind)
+        if case % 4:
+            rows = _corrupt(rng, rows, n)
+        node_count = n if rng.random() < 0.95 else rng.choice((0, -1))
+        want = outcome(reference_build_graph, directed, node_count, rows, kind)
+        got = outcome(build_graph, directed, node_count, rows, kind)
+        assert got == want, (directed, node_count, rows, kind)
+        raised += want[0] == "raised"
+    # both the accepting and the rejecting paths are exercised
+    assert 1000 < raised < 3500
+
+
+@pytest.mark.parametrize(
+    "rows, kind",
+    [
+        ([(0, 1), (1, 2, 3)], WeightKind.NONE),  # mixed widths: the weight is named
+        ([(0, 1, None), (1, 2)], WeightKind.NONE),  # mixed widths, all unweighted
+        ([(0, 1, 2), (1, 2)], WeightKind.WEIGHT),  # mixed widths: the missing weight
+        ([(0, 5), (0, "x")], WeightKind.NONE),  # range error precedes the bad value
+        ([(0, "x"), (0, 5)], WeightKind.NONE),  # the bad value comes first
+        ([(0, 1, 2), (0, 1, float("inf"))], WeightKind.WEIGHT),  # duplicate before overflow
+        ([(True, 2), (1, 2)], WeightKind.NONE),  # bool ids convert, then duplicate
+        ([("1", "2"), (2.0, 0)], WeightKind.NONE),  # converted ids build a graph
+        ([(0, 1, True)], WeightKind.CAPACITY),
+        ([(0, 1), 7], WeightKind.NONE),  # a row without a length
+        ([iter((0, 1)), iter((1, 2))], WeightKind.NONE),  # iterable rows without a length
+        ([], WeightKind.WEIGHT),
+    ],
+)
+def test_build_graph_edge_cases_match_reference(rows, kind):
+    for directed in (False, True):
+        want = outcome(reference_build_graph, directed, 3, rows, kind)
+        assert outcome(build_graph, directed, 3, rows, kind) == want
+
+
+def test_build_graph_accepts_any_iterable_once():
+    rows = [(0, 1, 2), (1, 2, 3)]
+    g = build_graph(False, 3, iter(rows), WeightKind.WEIGHT)
+    assert g == reference_build_graph(False, 3, rows, WeightKind.WEIGHT)
+
+
+def test_graphs_equal_ignores_edge_order():
+    rng = random.Random(7)
+    for _ in range(300):
+        directed = rng.random() < 0.5
+        kind = rng.choice(KINDS)
+        rows = _valid_rows(rng, 8, directed, kind)
+        a = build_graph(directed, 8, rows, kind)
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        if not directed:
+            shuffled = [(v, u, *rest) if rng.random() < 0.5 else (u, v, *rest) for u, v, *rest in shuffled]
+        if shuffled and rng.random() < 0.3:
+            shuffled.pop()
+        b = build_graph(directed, 8, shuffled, kind)
+        assert graphs_equal(a, b) == (canonical_edge_set(a) == canonical_edge_set(b))
+
+
+# ---------------------------------------------------------------------------
+# read_el_graph_file
+
+BAD_HEADERS = ("Directed", "directed ", " undirected", "", "﻿directed", "graph", "directed,")
+
+
+def _el_variant(rng, text):
+    """format_el_graph output with zero or more of the deviations a file may have."""
+    header, _, body = text.partition("\n")
+    lines = body.splitlines()
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        change = rng.randrange(11)
+        at = rng.randrange(len(lines) + 1)
+        if change == 0:
+            lines.insert(at, rng.choice(("", "  ", "\t")))
+        elif change == 1 and lines:  # extra spaces
+            i = rng.randrange(len(lines))
+            lines[i] = rng.choice((" ", "")) + lines[i].replace(", ", " ,  ") + rng.choice((" ", ""))
+        elif change == 2 and lines:  # negative id
+            i = rng.randrange(len(lines))
+            lines[i] = "-" + lines[i]
+        elif change == 3:  # self-loop
+            x = rng.randrange(5)
+            lines.insert(at, rng.choice((f"{x}, {x}", f"{x}, {x}, 2")))
+        elif change == 4 and lines:  # width changed on one line
+            i = rng.randrange(len(lines))
+            parts = lines[i].split(", ")
+            lines[i] = ", ".join(parts[:2]) if len(parts) == 3 else lines[i] + ", 5"
+        elif change == 5 and lines:  # Unicode digits: decimal ones convert, superscripts do not
+            i = rng.randrange(len(lines))
+            lines[i] = lines[i].replace("1", rng.choice(("１", "١", "¹")), 1)
+        elif change == 6:
+            header = rng.choice(BAD_HEADERS)
+        elif change == 7:
+            lines.insert(at, rng.choice(("a, b", "1, 2, 3, 4", "1", "1,2", "1 2", "+1, 2", "1, 2,")))
+        elif change == 8 and lines:  # duplicate line
+            lines.insert(at, lines[rng.randrange(len(lines))])
+        elif change == 9 and lines:  # zero weight
+            i = rng.randrange(len(lines))
+            parts = lines[i].split(", ")
+            if len(parts) == 3:
+                lines[i] = f"{parts[0]}, {parts[1]}, 0"
+        else:  # an extra edge, perhaps with a leading zero
+            lines.insert(at, f"{rng.choice(('', '0'))}{rng.randrange(9)}, {rng.randrange(9)}")
+    ending = rng.choice(("\n", "\n", "\r\n", "\r"))
+    out = ending.join([header] + lines)
+    return out if rng.random() < 0.2 else out + ending
+
+
+def test_read_el_graph_file_matches_line_parser(tmp_path):
+    rng = random.Random(20240606)
+    path = tmp_path / "g.edges"
+    raised = 0
+    for case in range(1500):
+        n = rng.randint(2, 15)
+        directed = rng.random() < 0.5
+        kind = rng.choice(KINDS)
+        g = build_graph(directed, n, _valid_rows(rng, n, directed, kind), kind)
+        text = format_el_graph(g) if case % 3 == 0 else _el_variant(rng, format_el_graph(g))
+        path.write_bytes(text.encode("utf-8"))
+        weight_kind = rng.choice((None, None, WeightKind.NONE, WeightKind.WEIGHT, WeightKind.CAPACITY))
+        want = outcome(reference_read_el_graph_file, path, weight_kind)
+        got = outcome(read_el_graph_file, path, weight_kind)
+        assert got == want, (text, weight_kind)
+        raised += want[0] == "raised"
+    assert 300 < raised < 1200
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "undirected\n",
+        "directed",
+        "",
+        "undirected\n0, 1\n1, 2\n",
+        "undirected\n0, 1\n1, 0\n",  # duplicate, named by build_graph
+        "directed\n0, 1, 4\n1, 2, 0\n",  # non-positive weight
+        "directed\n0, 1, 4\n1, 2\n",  # mixed widths
+        "directed\n0, 1\n\n1, 2\n",  # blank line
+        "directed\r\n0, 1\r\n1, 2\r\n",  # CRLF
+        "directed\n0, 1\n1, 2",  # no final newline
+        "directed\n0,  1\n",  # extra space
+        "directed\n-1, 2\n",  # negative
+        "directed\n0, 1\n3, 3\n",  # self-loop on line 3
+        "directed\n0, 1\n3, 3\n-1, 2\n",  # the first bad line is named
+        "directed\n007, 1\n",  # leading zeros
+        "directed\n0, 1\n1, 00\n",
+        "directed\n０, 1\n",  # fullwidth digit
+        "directed\n², 1\n",  # superscript digit
+        "Directed\n0, 1\n",
+        "undirected \n0, 1\n",
+        "directed\n0, 1\n2, 2\n" + "9" * 5000 + ", 1\n",  # self-loop before a too-long number
+        "directed\n" + "9" * 5000 + ", 1\n",
+    ],
+)
+def test_read_el_graph_file_edge_cases_match_line_parser(tmp_path, text):
+    path = tmp_path / "g.edges"
+    path.write_bytes(text.encode("utf-8"))
+    for weight_kind in (None, WeightKind.NONE, WeightKind.CAPACITY):
+        want = outcome(reference_read_el_graph_file, path, weight_kind)
+        assert outcome(read_el_graph_file, path, weight_kind) == want
+
+
+# ---------------------------------------------------------------------------
+# pair decode
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_decode_pairs_matches_closed_form_for_every_index(directed):
+    for n in range(2, 101):
+        count = _pair_count(n, directed)
+        want = [closed_form_decode_pair(k, n, directed) for k in range(count)]
+        assert _decode_pairs(range(count), n, directed) == want, n
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_decode_pairs_matches_closed_form_on_sparse_draws(directed):
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(2, 100)
+        picked = _bernoulli_indexes(_pair_count(n, directed), rng.uniform(0.01, 0.3), rng)
+        want = [closed_form_decode_pair(k, n, directed) for k in picked]
+        assert _decode_pairs(picked, n, directed) == want
