@@ -188,7 +188,9 @@ class HttpBackend:
             allow_nan=False,
         ).encode("utf-8")
         attempts = cfg.retry_count + 1
-        last_error: Optional[Exception] = None
+        # the text, not the exception: its traceback holds this frame, which
+        # would hold it back, one reference cycle per failed attempt
+        last_error: Optional[str] = None
         timed_out = False
         wait: Optional[float] = None
         for attempt in range(attempts):
@@ -198,15 +200,15 @@ class HttpBackend:
             try:
                 status, retry_after, payload = self._post(body)
             except TimeoutError as exc:
-                last_error, timed_out = exc, True
+                last_error, timed_out = str(exc), True
                 continue
             except (OSError, http.client.HTTPException) as exc:
-                last_error = exc
+                last_error = str(exc)
                 continue
             if status in (401, 403):
                 raise AuthError(f"endpoint rejected credentials (HTTP {status})")
             if status in _RETRYABLE_STATUS:
-                last_error = BackendError(f"HTTP {status}")
+                last_error = f"HTTP {status}"
                 if status in _RETRY_AFTER_STATUS:
                     wait = _retry_after_seconds(retry_after)
                 continue

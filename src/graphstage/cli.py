@@ -9,6 +9,7 @@ the optional JSON config file passed with --config.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -158,8 +159,11 @@ def _cmd_run(args) -> int:
     corpus = load_corpus(args.corpus)
     backend = _make_backend(args, file_cfg, corpus)
     base_dir = Path(args.corpus).parent
+    # threads overlap only the wait on an endpoint; the in-process backends are
+    # pure Python, which the GIL runs slower on a pool than serially
+    workers = args.workers if isinstance(backend, HttpBackend) else 1
     try:
-        traces = run_corpus(corpus, backend, default_registry(), workers=args.workers, base_dir=base_dir)
+        traces = run_corpus(corpus, backend, default_registry(), workers=workers, base_dir=base_dir)
     finally:
         if isinstance(backend, HttpBackend):
             backend.close()
@@ -225,10 +229,7 @@ def _fill_quota(args, corpus, traces, entries, stats):
                 instance = generate_instance(kind, size, rng, base_config, index=index)
                 _write_graph_file(corpus_dir, instance)
                 fresh.append(instance)
-        backend = OracleBackend(fresh)
-        fresh_traces = run_corpus(
-            fresh, backend, default_registry(), workers=args.workers, base_dir=corpus_dir
-        )
+        fresh_traces = run_corpus(fresh, OracleBackend(fresh), default_registry(), base_dir=corpus_dir)
         corpus.extend(fresh)
         traces.extend(fresh_traces)
         entries, stats = build_dataset(traces, corpus)
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--api-key", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="concurrent requests (http backend only)")
     p.add_argument("--seed", type=int, default=0, help="fault backend seed")
     p.add_argument("--fault-drop", type=float, default=0.0)
     p.add_argument("--fault-name", type=float, default=0.0)
@@ -310,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fill-rounds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", choices=("wl", "el", "both"), default="wl")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_build_dataset)
 
     p = sub.add_parser("evaluate", help="score traces and write accuracy reports")
@@ -332,6 +332,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # a command builds no reference cycles (what it loads is freed by reference
+    # counting), so collector passes would only re-scan the loaded corpus
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except UsageError as exc:
@@ -340,6 +344,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # one actionable line, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -213,7 +213,7 @@ def _cover_last_node(edges: List[Tuple[int, int]], n: int) -> List[Tuple[int, in
     """Relabel so the highest node id participates in an edge (extraction
     reconstructs node_count as max id + 1, so a trailing isolated node would
     be unrecoverable)."""
-    top = max(max(u, v) for u, v in edges)
+    top = max(map(max, edges))
     if top == n - 1:
         return edges
     return [

@@ -23,6 +23,7 @@ from graphstage import (
     generate_instance,
     graphs_equal,
 )
+from graphstage import cli
 from graphstage.backends import AuthError, BackendError, CompletionTimeout, _retry_after_seconds
 from graphstage.codec import extract_file_path
 from graphstage.pipeline import StageKind, assemble_prompt
@@ -374,6 +375,15 @@ class TestHttpConnections:
             assert answers[name] == [f"{name}-{k}" for k in range(10)]
         carried = sorted(_StubHandler.prompts_by_connection.values())
         assert carried == [[f"{name}-{k}" for k in range(10)] for name in ("a", "b")]
+
+    def test_run_command_keeps_a_connection_per_worker(self, keepalive_server, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        assert cli.main(["generate", "--count", "2", "--out", str(tmp_path)]) == 0
+        assert cli.main([
+            "run", "--corpus", str(corpus), "--backend", "http", "--endpoint", keepalive_server,
+            "--workers", "2", "--out", str(tmp_path / "traces.jsonl"),
+        ]) == 0
+        assert len(_StubHandler.prompts_by_connection) == 2
 
     def test_http_proxy_from_environment(self, keepalive_server, monkeypatch):
         proxy = keepalive_server.rsplit("/v1/", 1)[0]

@@ -1,5 +1,8 @@
+import gc
 import json
+import threading
 
+from graphstage.backends import OracleBackend
 from graphstage.cli import main
 from graphstage.serialize import load_corpus, read_jsonl
 
@@ -172,3 +175,83 @@ def test_run_http_without_endpoint_is_usage_error(tmp_path):
         "--out", str(out / "traces.jsonl"),
     )
     assert code == 2
+
+
+def _traces_without_latency(path):
+    traces = list(read_jsonl(path))
+    for trace in traces:
+        for stage in trace["stages"]:
+            del stage["latency_ms"]
+    return traces
+
+
+def test_in_process_backends_run_serially_whatever_the_workers(tmp_path, monkeypatch):
+    out = tmp_path / "d"
+    assert run_cli("generate", "--count", "2", "--size", "both", "--seed", "6", "--out", str(out)) == 0
+    threads = set()
+    gold_output = OracleBackend.gold_output
+
+    def recording_gold_output(self, instance, stage):
+        threads.add(threading.current_thread())
+        return gold_output(self, instance, stage)
+
+    monkeypatch.setattr(OracleBackend, "gold_output", recording_gold_output)
+    for backend in (["oracle"], ["fault", "--fault-drop", "0.4", "--fault-swap", "0.4", "--seed", "8"]):
+        traces = {}
+        for workers in ("1", "4"):
+            path = out / f"traces-{backend[0]}-{workers}.jsonl"
+            assert run_cli(
+                "run", "--corpus", str(out / "corpus.jsonl"), "--backend", *backend,
+                "--workers", workers, "--out", str(path),
+            ) == 0
+            traces[workers] = _traces_without_latency(path)
+        assert traces["4"] == traces["1"]
+    assert threads == {threading.current_thread()}
+
+
+def test_cyclic_garbage_does_not_grow_with_the_corpus(tmp_path):
+    """Every command leaves the same cyclic garbage (argparse's) at N and 4N
+    instances, so pausing the collector for a command cannot grow memory."""
+
+    def garbage_left(*argv):
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_cli(*argv) == 0
+        finally:
+            found = gc.collect()
+            gc.enable()
+        return found
+
+    def per_command(count):
+        out = tmp_path / f"n{count}"
+        corpus = str(out / "corpus.jsonl")
+        faults = ["--fault-drop", "0.3", "--fault-name", "0.3", "--fault-garbage", "0.3", "--seed", "5"]
+        closed = "http://127.0.0.1:1/v1/chat/completions"
+        return {
+            "generate": garbage_left(
+                "generate", "--count", str(count), "--size", "both", "--seed", "3", "--out", str(out)
+            ),
+            "run oracle": garbage_left(
+                "run", "--corpus", corpus, "--backend", "oracle", "--out", str(out / "oracle.jsonl")
+            ),
+            "run fault": garbage_left(
+                "run", "--corpus", corpus, "--backend", "fault", *faults,
+                "--fault-labels", str(out / "labels.json"), "--out", str(out / "fault.jsonl"),
+            ),
+            "run http": garbage_left(
+                "run", "--corpus", corpus, "--backend", "http", "--endpoint", closed,
+                "--retries", "0", "--out", str(out / "http.jsonl"),
+            ),
+            "build-dataset": garbage_left(
+                "build-dataset", "--traces", str(out / "fault.jsonl"), "--corpus", corpus,
+                "--out", str(out / "alpaca.json"), "--fill-quota", str(count), "--size", "both",
+                "--seed", "3",
+            ),
+            "evaluate": garbage_left(
+                "evaluate", "--traces", str(out / "fault.jsonl"), "--corpus", corpus,
+                "--out", str(out / "eval"),
+            ),
+        }
+
+    assert per_command(4) == per_command(1)
