@@ -155,6 +155,11 @@ def _make_backend(args, file_cfg: Dict, corpus):
 
 
 def _cmd_run(args) -> int:
+    if args.backend != "fault" and (
+        any((args.fault_drop, args.fault_name, args.fault_swap, args.fault_garbage))
+        or args.fault_labels
+    ):
+        raise UsageError(f"--fault-* flags need --backend fault, not {args.backend}")
     file_cfg = _load_config_file(args.config)
     corpus = load_corpus(args.corpus)
     backend = _make_backend(args, file_cfg, corpus)
@@ -168,7 +173,7 @@ def _cmd_run(args) -> int:
         if isinstance(backend, HttpBackend):
             backend.close()
     write_jsonl(args.out, (trace_to_json(t) for t in traces))
-    if args.fault_labels and isinstance(backend, FaultBackend):
+    if args.fault_labels:
         atomic_write_text(
             args.fault_labels, json.dumps(backend.injected, indent=2, sort_keys=True) + "\n"
         )

@@ -122,10 +122,6 @@ def extract_tool_name(text: str) -> ExtractionResult:
     return ExtractionResult.of_name(m.group(1).strip())
 
 
-def positional_parameter_template(arity: int) -> str:
-    return r"(?:G" + r",\s*(\d+)" * arity + ")"
-
-
 def extract_parameters(text: str, spec) -> ExtractionResult:
     """Parameter values in spec order.
 
@@ -145,7 +141,7 @@ def extract_parameters(text: str, spec) -> ExtractionResult:
         values.append(int(m.group(1)))
     if values is not None:
         return ExtractionResult.of_params(values)
-    m = re.search(positional_parameter_template(len(names)), text)
+    m = re.search(r"(?:G" + r",\s*(\d+)" * len(names) + ")", text)
     if m is not None:
         return ExtractionResult.of_params(int(v) for v in m.groups())
     return ExtractionResult.failure(

@@ -39,6 +39,9 @@ TOOL_WEIGHT_KIND = {
     "maximum_flow": WeightKind.CAPACITY,
 }
 
+# tools whose tasks exist in one direction only -> whether that one is directed
+_ONE_WAY_TOOLS = {"max_triangle_sum": False, "topological_sort": True}
+
 
 class ExhaustedRetries(RuntimeError):
     """Constraint resampling hit the retry cap."""
@@ -61,10 +64,9 @@ class TaskKind:
     def __post_init__(self):
         if self.tool not in TOOL_NAMES:
             raise ValueError(f"unknown tool {self.tool!r}")
-        if self.tool == "max_triangle_sum" and self.directed:
-            raise ValueError("triangle tasks exist for undirected graphs only")
-        if self.tool == "topological_sort" and not self.directed:
-            raise ValueError("topological sorting exists for directed graphs only")
+        if _ONE_WAY_TOOLS.get(self.tool, self.directed) != self.directed:
+            direction = "undirected" if self.directed else "directed"
+            raise ValueError(f"{self.tool} tasks exist for {direction} graphs only")
 
     @property
     def label(self) -> str:
@@ -91,18 +93,12 @@ class TaskKind:
         return TaskKind(tool, direction == "directed")
 
 
-def all_kinds() -> List[TaskKind]:
-    kinds = []
-    for tool in TOOL_NAMES:
-        for directed in (False, True):
-            try:
-                kinds.append(TaskKind(tool, directed))
-            except ValueError:
-                continue
-    return kinds
-
-
-ALL_KINDS = tuple(all_kinds())
+ALL_KINDS = tuple(
+    TaskKind(tool, directed)
+    for tool in TOOL_NAMES
+    for directed in (False, True)
+    if _ONE_WAY_TOOLS.get(tool, directed) == directed
+)
 
 
 @dataclass(frozen=True)

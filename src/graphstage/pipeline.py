@@ -5,7 +5,10 @@ Prompt layout is instruction text, a bracketed metadata line naming the
 instance id and stage, then the task text. The metadata line is transport
 plumbing: it lets self-contained backends (oracle, fault injection) look up
 which instance and stage a prompt belongs to without a side channel, and it
-carries no gold labels.
+carries no gold labels. A prompt is thus a function of the instruction text,
+the instance id, the stage and the task text (:func:`layout_prompt`), and the
+instruction texts of the default registry are few (:data:`INSTRUCTION_TEXTS`),
+so a stored trace can keep a short key and the task text and rebuild the rest.
 
 Each stage is attempted exactly once; a parse failure in any stage
 short-circuits tool execution but the trace still records every stage.
@@ -20,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .codec import (
     ExtractionResult,
@@ -34,7 +37,7 @@ from .codec import (
 from .generator import SizeClass, TaskInstance
 from .graphs import WeightKind
 from .tools import Answer, ToolError, UnknownTool, dispatch
-from .toolset import ToolRegistry, ToolSpec
+from .toolset import ToolRegistry, ToolSpec, default_registry
 
 
 class StageKind(str, Enum):
@@ -65,6 +68,8 @@ class PipelineTrace:
     tool_result: Optional[Answer]
     tool_error: Optional[str]
     skipped_parameter_stage: bool
+    # the instance's task text, which every prompt of the trace ends with
+    task_text: Optional[str] = None
 
     def stage(self, kind: StageKind) -> Optional[StageRecord]:
         for record in self.stages:
@@ -73,9 +78,13 @@ class PipelineTrace:
         return None
 
 
+def layout_prompt(instruction_text: str, instance_id: str, stage: StageKind, task_text: str) -> str:
+    meta = f"[task {instance_id} | stage {_STAGE_LETTER[stage]}]"
+    return f"{instruction_text}\n\n{meta}\n{task_text}"
+
+
 def assemble_prompt(instruction_text: str, instance: TaskInstance, stage: StageKind) -> str:
-    meta = f"[task {instance.id} | stage {_STAGE_LETTER[stage]}]"
-    return f"{instruction_text}\n\n{meta}\n{instance.task_text}"
+    return layout_prompt(instruction_text, instance.id, stage, instance.task_text)
 
 
 def parse_prompt_meta(prompt: str) -> Optional[Tuple[str, StageKind]]:
@@ -173,6 +182,23 @@ def parameter_instruction_text(spec: ToolSpec) -> str:
         "Reply with exactly one line in the required format, filled with the "
         "values taken from the task."
     )
+
+
+# key -> instruction text, one key per distinct text that the pipeline sends
+# with the default registry (WL graphs without weights get the weighted text).
+# The keys are part of the trace file format: a changed text needs a new
+# format version, or stored traces would load with the new text.
+INSTRUCTION_TEXTS: Dict[str, str] = {
+    "G:wl": graph_instruction_text(SizeClass.WL, WeightKind.WEIGHT),
+    "G:wl:capacity": graph_instruction_text(SizeClass.WL, WeightKind.CAPACITY),
+    "G:el": graph_instruction_text(SizeClass.EL, WeightKind.NONE),
+    "N": task_instruction_text(default_registry()),
+    **{
+        f"P:{spec.name}": parameter_instruction_text(spec)
+        for spec in default_registry()
+        if spec.parameters
+    },
+}
 
 
 def _call_backend(backend, prompt: str) -> Tuple[str, Optional[str], float]:
@@ -278,6 +304,7 @@ def run_pipeline(
         tool_result=tool_result,
         tool_error=tool_error,
         skipped_parameter_stage=skipped,
+        task_text=instance.task_text,
     )
 
 

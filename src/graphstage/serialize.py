@@ -2,6 +2,14 @@
 
 Corpus and trace files are line-delimited JSON, one object per line, with a
 fixed key order so that regeneration under the same seed is byte-identical.
+
+Trace lines are written in format 2 (``"format": 2``): the task text is
+stored once per trace, and a stage stores its instruction as a key of
+:data:`~graphstage.pipeline.INSTRUCTION_TEXTS` and no prompt, whenever the
+loader can rebuild the very same strings from them. Any other instruction
+text or prompt is stored verbatim under its format-1 name (``instruction_text``,
+``prompt``). Lines without a ``format`` key are format 1, which stored both
+verbatim in every stage; they still load.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Callable, Iterable, Iterator
 from .codec import ExtractionResult
 from .generator import SizeClass, TaskInstance, TaskKind
 from .graphs import Graph, WeightKind, build_graph
-from .pipeline import PipelineTrace, StageKind, StageRecord
+from .pipeline import INSTRUCTION_TEXTS, PipelineTrace, StageKind, StageRecord, layout_prompt
 from .tools import Answer
 
 
@@ -125,12 +133,21 @@ def write_jsonl(path: str | Path, objects: Iterable[dict]) -> int:
     return count
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
+def read_jsonl(path: str | Path, convert: Callable[[dict], object] | None = None) -> Iterator:
+    """Each non-blank line's object, passed through ``convert`` if given. A
+    line that is not JSON, or that ``convert`` rejects with ``ValueError``,
+    raises ``ValueError`` prefixed with ``<path>:<line number>:``."""
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if line:
-                yield json.loads(line)
+                try:
+                    obj = json.loads(line)
+                    if convert is not None:
+                        obj = convert(obj)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from exc
+                yield obj
 
 
 def atomic_write_text(path: str | Path, writer: Callable | str) -> None:
@@ -154,52 +171,103 @@ def atomic_write_text(path: str | Path, writer: Callable | str) -> None:
 
 
 def load_corpus(path: str | Path) -> list:
-    return [instance_from_json(obj) for obj in read_jsonl(path)]
+    return list(read_jsonl(path, instance_from_json))
 
 
-def trace_to_json(trace) -> dict:
+TRACE_FORMAT = 2
+_INSTRUCTION_KEYS = {text: key for key, text in INSTRUCTION_TEXTS.items()}
+
+
+def _stage_to_json(record: StageRecord, instance_id: str, task_text: str | None) -> dict:
+    out = {"stage": record.stage.value}
+    text, prompt = record.instruction_text, record.prompt
+    if text or prompt:  # a stage that made no call has neither, and stores neither
+        key = _INSTRUCTION_KEYS.get(text)
+        if key is None:
+            out["instruction_text"] = text
+        else:
+            out["instruction"] = key
+        if task_text is None or prompt != layout_prompt(text, instance_id, record.stage, task_text):
+            out["prompt"] = prompt
+    out["raw_output"] = record.raw_output
+    out["parsed"] = extraction_to_json(record.parsed)
+    out["latency_ms"] = round(record.latency_ms, 3)
+    if record.file_path is not None:
+        out["file_path"] = record.file_path
+    return out
+
+
+def trace_to_json(trace: PipelineTrace) -> dict:
     return {
+        "format": TRACE_FORMAT,
         "instance_id": trace.instance_id,
-        "stages": [
-            {
-                "stage": record.stage.value,
-                "instruction_text": record.instruction_text,
-                "prompt": record.prompt,
-                "raw_output": record.raw_output,
-                "parsed": extraction_to_json(record.parsed),
-                "latency_ms": round(record.latency_ms, 3),
-                "file_path": record.file_path,
-            }
-            for record in trace.stages
-        ],
+        "task_text": trace.task_text,
+        "stages": [_stage_to_json(r, trace.instance_id, trace.task_text) for r in trace.stages],
         "tool_result": None if trace.tool_result is None else answer_to_json(trace.tool_result),
         "tool_error": trace.tool_error,
         "skipped_parameter_stage": trace.skipped_parameter_stage,
     }
 
 
+def _stage_from_json(rec: dict, instance_id: str, task_text: str | None) -> StageRecord:
+    stage = StageKind(rec["stage"])
+    if "instruction" in rec:
+        key = rec["instruction"]
+        if key not in INSTRUCTION_TEXTS:
+            raise ValueError(f"unknown instruction key {key!r}")
+        text = INSTRUCTION_TEXTS[key]
+    else:
+        text = rec.get("instruction_text", "")
+    if "prompt" in rec:
+        prompt = rec["prompt"]
+    elif "instruction" not in rec and "instruction_text" not in rec:
+        prompt = ""  # a stage that made no call
+    elif task_text is None:
+        raise ValueError(f"{stage.value} stage has no prompt and the trace no task text")
+    else:
+        prompt = layout_prompt(text, instance_id, stage, task_text)
+    return StageRecord(
+        stage=stage,
+        instruction_text=text,
+        prompt=prompt,
+        raw_output=rec["raw_output"],
+        parsed=extraction_from_json(rec["parsed"]),
+        latency_ms=rec["latency_ms"],
+        file_path=rec.get("file_path"),
+    )
+
+
+def _task_text_of(stages, instance_id: str) -> str | None:
+    """The task text that a format-1 trace's prompts end with, if its first
+    prompt follows the pipeline's layout."""
+    for record in stages:
+        if record.prompt:
+            head = layout_prompt(record.instruction_text, instance_id, record.stage, "")
+            return record.prompt[len(head):] if record.prompt.startswith(head) else None
+    return None
+
+
 def trace_from_json(obj: dict) -> PipelineTrace:
-    stages = [
-        StageRecord(
-            stage=StageKind(rec["stage"]),
-            instruction_text=rec["instruction_text"],
-            prompt=rec["prompt"],
-            raw_output=rec["raw_output"],
-            parsed=extraction_from_json(rec["parsed"]),
-            latency_ms=rec["latency_ms"],
-            file_path=rec.get("file_path"),
-        )
-        for rec in obj["stages"]
-    ]
+    """A trace line of format 1 or 2; an unknown format or instruction key
+    raises ``ValueError``."""
+    version = obj.get("format", 1)
+    if version not in (1, TRACE_FORMAT):
+        raise ValueError(f"unknown trace format {version!r}")
+    instance_id = obj["instance_id"]
+    task_text = obj.get("task_text")
+    stages = [_stage_from_json(rec, instance_id, task_text) for rec in obj["stages"]]
+    if version == 1:
+        task_text = _task_text_of(stages, instance_id)
     result = obj.get("tool_result")
     return PipelineTrace(
-        instance_id=obj["instance_id"],
+        instance_id=instance_id,
         stages=stages,
         tool_result=None if result is None else answer_from_json(result),
         tool_error=obj.get("tool_error"),
         skipped_parameter_stage=obj["skipped_parameter_stage"],
+        task_text=task_text,
     )
 
 
 def load_traces(path: str | Path) -> list:
-    return [trace_from_json(obj) for obj in read_jsonl(path)]
+    return list(read_jsonl(path, trace_from_json))

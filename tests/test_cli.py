@@ -2,6 +2,8 @@ import gc
 import json
 import threading
 
+import pytest
+
 from graphstage.backends import OracleBackend
 from graphstage.cli import main
 from graphstage.serialize import load_corpus, read_jsonl
@@ -255,3 +257,30 @@ def test_cyclic_garbage_does_not_grow_with_the_corpus(tmp_path):
         }
 
     assert per_command(4) == per_command(1)
+
+
+@pytest.mark.parametrize("backend", [["oracle"], ["http", "--endpoint", "http://127.0.0.1:1/v1"]])
+@pytest.mark.parametrize("fault_flag", [["--fault-drop", "0.5"], ["--fault-labels", "labels.json"]])
+def test_fault_flags_need_the_fault_backend(tmp_path, capsys, backend, fault_flag):
+    out = tmp_path / "d"
+    assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "2", "--out", str(out)) == 0
+    fault_flag = [str(out / a) if a.endswith(".json") else a for a in fault_flag]
+    code = run_cli(
+        "run", "--corpus", str(out / "corpus.jsonl"), "--backend", *backend, *fault_flag,
+        "--out", str(out / "traces.jsonl"),
+    )
+    assert code == 2
+    assert "--backend fault" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl"]
+
+
+def test_truncated_corpus_line_is_reported_with_file_and_line(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "4", "--out", str(out)) == 0
+    corpus = out / "corpus.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2][:60] + "\n"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    assert run_cli("run", "--corpus", str(corpus), "--out", str(out / "traces.jsonl")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {corpus}:3: Unterminated string")
+

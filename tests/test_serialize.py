@@ -1,0 +1,190 @@
+"""Trace file format 2: the writer stores instruction keys and the task text
+once, and the loader rebuilds every record exactly; format-1 lines still load."""
+
+import dataclasses
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from graphstage.backends import CompletionConfig, FaultBackend, FaultPlan, HttpBackend, OracleBackend
+from graphstage.cli import main
+from graphstage.codec import ExtractionResult
+from graphstage.generator import SizeClass
+from graphstage.graphs import WeightKind
+from graphstage.pipeline import (
+    INSTRUCTION_TEXTS,
+    PipelineTrace,
+    StageKind,
+    StageRecord,
+    graph_instruction_text,
+    parameter_instruction_text,
+    run_corpus,
+    task_instruction_text,
+)
+from graphstage.serialize import (
+    dump_line,
+    load_corpus,
+    load_traces,
+    read_jsonl,
+    trace_from_json,
+    trace_to_json,
+)
+from graphstage.toolset import ToolRegistry, ToolSpec, default_registry
+
+REGISTRY = default_registry()
+FIXTURE_V1 = Path(__file__).parent / "fixtures" / "traces_v1.jsonl"
+FAULT_MODES = ("drop_graph_edges", "wrong_tool_name", "swap_parameters", "emit_garbage")
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus")
+    assert main(["generate", "--count", "2", "--size", "both", "--seed", "4", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus(corpus_dir):
+    return load_corpus(corpus_dir / "corpus.jsonl")
+
+
+def _rounded(trace):
+    return dataclasses.replace(
+        trace,
+        stages=[dataclasses.replace(r, latency_ms=round(r.latency_ms, 3)) for r in trace.stages],
+    )
+
+
+def _without_latency(traces):
+    return [
+        dataclasses.replace(t, stages=[dataclasses.replace(r, latency_ms=0.0) for r in t.stages])
+        for t in traces
+    ]
+
+
+def _assert_round_trips(traces):
+    for trace in traces:
+        assert trace_from_json(json.loads(dump_line(trace_to_json(trace)))) == _rounded(trace)
+
+
+def test_instruction_table_holds_each_distinct_text_once():
+    texts = list(INSTRUCTION_TEXTS.values())
+    assert len(texts) == len(set(texts)) == 10
+    for size in SizeClass:
+        for weight in WeightKind:
+            assert graph_instruction_text(size, weight) in texts
+    assert task_instruction_text(REGISTRY) in texts
+    assert {parameter_instruction_text(s) for s in REGISTRY if s.parameters} <= set(texts)
+
+
+def test_oracle_traces_of_both_sizes_round_trip(corpus, corpus_dir):
+    traces = run_corpus(corpus, OracleBackend(corpus), REGISTRY, base_dir=corpus_dir)
+    assert {i.size_class for i in corpus} == {SizeClass.WL, SizeClass.EL}
+    assert all(t.task_text is not None for t in traces)
+    _assert_round_trips(traces)
+
+
+@pytest.mark.parametrize("mode", FAULT_MODES)
+def test_fault_traces_round_trip(corpus, corpus_dir, mode):
+    backend = FaultBackend(OracleBackend(corpus), FaultPlan(**{mode: 1.0}), seed=3)
+    traces = run_corpus(corpus, backend, REGISTRY, base_dir=corpus_dir)
+    assert any(mode in stages.values() for stages in backend.injected.values())
+    _assert_round_trips(traces)
+
+
+def test_parameter_stage_without_a_call_round_trips_without_text(corpus, corpus_dir):
+    backend = FaultBackend(OracleBackend(corpus), FaultPlan(emit_garbage=1.0), seed=3)
+    traces = run_corpus(corpus, backend, REGISTRY, base_dir=corpus_dir)
+    uncalled = [(t, r) for t in traces for r in t.stages if not r.prompt]
+    assert uncalled and all(r.stage is StageKind.PARAMS and not r.instruction_text for _, r in uncalled)
+    for trace, _ in uncalled:
+        (stored,) = [s for s in trace_to_json(trace)["stages"] if s["stage"] == "params"]
+        assert not {"instruction", "instruction_text", "prompt"} & set(stored)
+    _assert_round_trips(t for t, _ in uncalled)
+
+
+def test_backend_error_traces_round_trip(corpus):
+    config = CompletionConfig(endpoint="http://127.0.0.1:1/v1/chat/completions", retry_count=0)
+    backend = HttpBackend(config)
+    try:
+        traces = run_corpus(corpus[:4], backend, REGISTRY)
+    finally:
+        backend.close()
+    assert all(r.parsed.reason.startswith("backend error") for t in traces for r in t.stages)
+    _assert_round_trips(traces)
+
+
+def test_custom_registry_trace_keeps_its_instruction_verbatim(corpus, corpus_dir):
+    extended = ToolRegistry(list(REGISTRY))
+    extended.register(ToolSpec("bipartite_matching", "Match the two sides.", (), "integer"))
+    traces = run_corpus(corpus[:6], OracleBackend(corpus), extended, base_dir=corpus_dir)
+    for trace in traces:
+        stored = {s["stage"]: s for s in trace_to_json(trace)["stages"]}
+        assert stored["name"]["instruction_text"] == task_instruction_text(extended)
+        assert "prompt" not in stored["name"]
+    _assert_round_trips(traces)
+
+
+def test_hand_built_records_round_trip_verbatim():
+    record = StageRecord(StageKind.NAME, INSTRUCTION_TEXTS["N"], "a prompt of its own",
+                         "API_name: edge_count", ExtractionResult.of_name("edge_count"), 1.23456)
+    odd = StageRecord(StageKind.GRAPH, "", "", "raw", ExtractionResult.failure("x"), 0.0, "g/a.edges")
+    for task_text in ("the task", None):
+        trace = PipelineTrace("hand-00000", [odd, record], None, "stage graph parse failure: x", True,
+                              task_text=task_text)
+        stored = trace_to_json(trace)["stages"]
+        assert stored[1]["instruction"] == "N" and stored[1]["prompt"] == "a prompt of its own"
+        _assert_round_trips([trace])
+
+
+def test_wl_oracle_line_holds_no_instruction_and_the_task_text_once(corpus):
+    inst = next(i for i in corpus if i.size_class is SizeClass.WL and i.kind.parametric)
+    (trace,) = run_corpus([inst], OracleBackend([inst]), REGISTRY)
+    line = dump_line(trace_to_json(trace))
+    for text in INSTRUCTION_TEXTS.values():
+        assert json.dumps(text, ensure_ascii=False)[1:-1] not in line
+    assert line.count(json.dumps(inst.task_text, ensure_ascii=False)[1:-1]) == 1
+    assert '"prompt"' not in line and '"instruction_text"' not in line
+    assert json.loads(line)["format"] == 2
+
+
+def test_format_1_fixture_loads_to_the_objects_of_a_fresh_run(tmp_path):
+    """The fixture was written in format 1 by these two commands."""
+    out = tmp_path / "d"
+    assert main([
+        "generate", "--tasks", "degree_count:undirected,edge_existence:directed,node_count:undirected",
+        "--count", "2", "--size", "both", "--seed", "1", "--out", str(out),
+    ]) == 0
+    assert main([
+        "run", "--corpus", str(out / "corpus.jsonl"), "--backend", "fault", "--fault-name", "0.3",
+        "--fault-garbage", "0.2", "--seed", "8", "--out", str(out / "traces.jsonl"),
+    ]) == 0
+    assert all("format" not in obj for obj in read_jsonl(FIXTURE_V1))
+    assert all(obj["format"] == 2 for obj in read_jsonl(out / "traces.jsonl"))
+
+    old = load_traces(FIXTURE_V1)
+    assert _without_latency(old) == _without_latency(load_traces(out / "traces.jsonl"))
+    stages = [r for t in old for r in t.stages]
+    assert any(r.file_path for r in stages)  # an EL graph stage
+    assert any(r.stage is StageKind.PARAMS and not r.prompt for r in stages)  # a stage without a call
+    _assert_round_trips(old)
+
+
+def test_unknown_instruction_key_names_the_key_file_and_line(tmp_path, corpus):
+    (trace,) = run_corpus(corpus[:1], OracleBackend(corpus), REGISTRY)
+    good = trace_to_json(trace)
+    bad = json.loads(dump_line(good))
+    bad["stages"][0]["instruction"] = "G:xl"
+    path = tmp_path / "traces.jsonl"
+    path.write_text(dump_line(good) + "\n\n" + dump_line(bad) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: unknown instruction key 'G:xl'$"):
+        load_traces(path)
+
+
+def test_unknown_trace_format_is_rejected(corpus):
+    (trace,) = run_corpus(corpus[:1], OracleBackend(corpus), REGISTRY)
+    obj = dict(trace_to_json(trace), format=3)
+    with pytest.raises(ValueError, match="unknown trace format 3"):
+        trace_from_json(obj)
