@@ -3,17 +3,21 @@ oracle that answers every stage perfectly, and a fault-injection wrapper
 that corrupts oracle output in controlled, labeled ways.
 
 All backends expose ``complete(prompt) -> str`` and are safe to call from
-multiple worker threads. The oracle and fault backends identify the instance
-and stage from the bracketed metadata line the pipeline puts in each prompt.
+multiple worker threads; the HTTP backend also hands out connections whose
+``complete`` is a coroutine, for runs on an asyncio event loop. The oracle
+and fault backends identify the instance and stage from the bracketed
+metadata line the pipeline puts in each prompt.
 """
 
 from __future__ import annotations
 
 import base64
 import hashlib
-import http.client
 import json
+import os
 import random
+import re
+import socket
 import ssl
 import threading
 import time
@@ -69,7 +73,12 @@ _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 _RETRY_AFTER_STATUS = {429, 503}
 _MAX_BACKOFF_S = 8.0
 # what a reused connection raises when the server closed it while it sat idle
-_IDLE_CLOSE_ERRORS = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+_IDLE_CLOSE_ERRORS = (ConnectionResetError, BrokenPipeError)
+_MAX_LINE = 2 ** 16  # longest status or header line; asyncio's default stream limit
+_MAX_HEADERS = 100
+# what an HTTP/1.1 request line or header value may not hold
+_TARGET_FORBIDDEN = re.compile(r"[\x00-\x20\x7f]")
+_VALUE_FORBIDDEN = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
 
 
 def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
@@ -81,17 +90,314 @@ def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
     return min(float(value), _MAX_BACKOFF_S)
 
 
+def _request_head(request: str, headers: Dict[str, str]) -> bytes:
+    for name, value in headers.items():
+        if _VALUE_FORBIDDEN.search(value):
+            raise ValueError(f"the {name} header would hold a control character")
+    lines = [f"{request} HTTP/1.1", *(f"{name}: {value}" for name, value in headers.items())]
+    return ("\r\n".join(lines) + "\r\n").encode("latin-1")
+
+
+def _length(field: bytes, base: int = 10) -> int:
+    """A body or chunk length from a response; ValueError unless it is one."""
+    length = int(field, base)
+    if length < 0:
+        raise ValueError(f"negative length {field!r}")
+    return length
+
+
+def _run_blocking(coroutine):
+    """The result of a coroutine that never suspends, such as a call on a
+    :class:`_SocketConnection`: it runs to the end in one step."""
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return done.value
+    coroutine.close()
+    raise RuntimeError("a blocking call suspended")
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection to the endpoint, or to the proxy
+    that leads to it, and the client's protocol on it: the request bytes, the
+    response framing, one resend when a kept connection turns out closed,
+    and the retry and backoff policy (:meth:`complete`).
+
+    A subclass provides the I/O: the coroutines ``_connect(host, port,
+    ssl_context)``, ``_start_tls(ssl_context, host)``, ``_readline()``,
+    ``_readexactly(n)``, ``_read_to_eof()`` and ``_sleep(seconds)``, and the
+    methods ``_is_open()``, ``_write(data)`` and ``close()``. The coroutines
+    of :class:`_SocketConnection` block, so they never suspend; those of
+    :class:`_StreamConnection` run on an asyncio event loop.
+    """
+
+    def __init__(self, backend: "HttpBackend"):
+        self._backend = backend
+
+    async def complete(self, prompt: str) -> str:
+        cfg = self._backend.config
+        body = self._backend._body(prompt)
+        attempts = cfg.retry_count + 1
+        # the text, not the exception: its traceback holds this frame, which
+        # would hold it back, one reference cycle per failed attempt
+        last_error: Optional[str] = None
+        timed_out = False
+        wait: Optional[float] = None
+        for attempt in range(attempts):
+            if attempt:
+                await self._sleep(wait if wait is not None else min(0.5 * 2 ** (attempt - 1), _MAX_BACKOFF_S))
+            wait = None
+            try:
+                status, retry_after, payload = await self._post(body)
+            except TimeoutError as exc:
+                last_error, timed_out = str(exc), True
+                continue
+            except (OSError, EOFError, ValueError) as exc:
+                # ValueError: a reply that is not HTTP (status line, a length, an over-long line)
+                last_error = str(exc)
+                continue
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected credentials (HTTP {status})")
+            if status in _RETRYABLE_STATUS:
+                last_error = f"HTTP {status}"
+                if status in _RETRY_AFTER_STATUS and retry_after is not None:
+                    wait = _retry_after_seconds(retry_after.decode("latin-1"))
+                continue
+            if status != 200:
+                text = payload.decode("utf-8", "replace")
+                raise BackendError(f"HTTP {status}: {text[:200]}")
+            try:
+                return json.loads(payload)["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise BackendError(f"malformed completion body: {exc}") from exc
+        if timed_out:
+            raise CompletionTimeout(f"no response after {attempts} attempt(s): {last_error}")
+        raise BackendError(f"no response after {attempts} attempt(s): {last_error}")
+
+    async def _post(self, body: bytes):
+        reused = self._is_open()
+        try:
+            return await self._exchange(body)
+        except _IDLE_CLOSE_ERRORS:
+            if not reused:
+                raise
+        return await self._exchange(body)  # once, on a fresh connection
+
+    async def _exchange(self, body: bytes):
+        """(status, Retry-After header or None, body bytes) of one POST. It
+        opens the connection when closed, and closes it after a failure or
+        a reply that ends it."""
+        try:
+            if not self._is_open():
+                await self._open()
+            self._write(self._backend._head + b"%d\r\n\r\n" % len(body) + body)
+            version, status, headers = await self._read_head()
+            while 100 <= status < 200:  # interim replies precede the final one
+                version, status, headers = await self._read_head()
+            keep = version == b"HTTP/1.1" and b"close" not in headers.get(b"connection", b"").lower()
+            if status in (204, 304):
+                payload = b""
+            elif b"chunked" in headers.get(b"transfer-encoding", b"").lower():
+                payload = await self._read_chunked()
+            elif b"content-length" in headers:
+                payload = await self._readexactly(_length(headers[b"content-length"]))
+            else:
+                keep = False
+                payload = await self._read_to_eof()
+        except BaseException:
+            self.close()  # the connection is mid-exchange; the next request opens a new one
+            raise
+        if not keep:
+            self.close()
+        return status, headers.get(b"retry-after"), payload
+
+    async def _open(self) -> None:
+        backend = self._backend
+        if backend._proxy is None:
+            await self._connect(backend._host, backend._port, backend._ssl)
+            return
+        await self._connect(*backend._proxy, None)
+        if backend._ssl is not None:
+            # https goes through a CONNECT tunnel, and the TLS inside it
+            # checks the certificate against the endpoint host
+            self._write(backend._tunnel_request)
+            _, status, _ = await self._read_head()
+            if status != 200:
+                raise OSError(f"Tunnel connection failed: {status}")
+            await self._start_tls(backend._ssl, backend._host)
+
+    async def _read_head(self):
+        """(version, status, headers) of a response head; header names are
+        lower case."""
+        line = await self._readline()
+        if not line:
+            raise ConnectionResetError("Remote end closed connection without response")
+        version, _, rest = line.partition(b" ")
+        if not (version.startswith(b"HTTP/1.") and rest[:3].isdigit()):
+            raise ValueError(f"malformed status line {line[:80]!r}")
+        headers: Dict[bytes, bytes] = {}
+        for _ in range(_MAX_HEADERS):
+            line = await self._readline()
+            if line in (b"\r\n", b"\n"):
+                return version, int(rest[:3]), headers
+            name, colon, value = line.partition(b":")
+            if not colon:
+                raise ValueError(f"malformed header line {line[:80]!r}")
+            headers[name.strip().lower()] = value.strip()
+        raise ValueError(f"more than {_MAX_HEADERS} header lines")
+
+    async def _read_chunked(self) -> bytes:
+        chunks = []
+        while True:
+            size = _length((await self._readline()).split(b";", 1)[0], 16)
+            if not size:
+                break
+            chunks.append(await self._readexactly(size))
+            await self._readexactly(2)  # the CRLF that ends the chunk
+        while (await self._readline()) not in (b"\r\n", b"\n", b""):
+            pass  # trailer fields
+        return b"".join(chunks)
+
+
+class _SocketConnection(_Connection):
+    """A blocking connection; each socket operation may take ``timeout_ms``."""
+
+    _sock: Optional[socket.socket] = None
+
+    def _is_open(self) -> bool:
+        return self._sock is not None
+
+    async def _connect(self, host, port, context) -> None:
+        sock = socket.create_connection((host, port), self._backend.config.timeout_ms / 1000.0)
+        # a failed handshake closes the socket
+        self._use(context.wrap_socket(sock, server_hostname=host) if context else sock)
+
+    async def _start_tls(self, context, host) -> None:
+        self._file.close()
+        self._use(context.wrap_socket(self._sock, server_hostname=host))
+
+    def _use(self, sock: socket.socket) -> None:
+        self._sock, self._file = sock, sock.makefile("rb")
+
+    async def _readline(self) -> bytes:
+        line = self._file.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise ValueError("response line too long")
+        return line
+
+    async def _readexactly(self, n: int) -> bytes:
+        data = self._file.read(n)
+        if len(data) < n:
+            raise EOFError(f"connection closed after {len(data)} of {n} bytes")
+        return data
+
+    async def _read_to_eof(self) -> bytes:
+        return self._file.read()
+
+    def _write(self, data: bytes) -> None:
+        self._sock.sendall(data)
+
+    async def _sleep(self, seconds: float) -> None:
+        time.sleep(seconds)
+
+    def close(self) -> None:
+        if self._sock is not None:
+            self._file.close()
+            self._sock.close()
+            self._sock = self._file = None
+
+
+class _StreamConnection(_Connection):
+    """A connection on the running asyncio event loop, over streams; each
+    exchange must end within ``timeout_ms`` of its start."""
+
+    _reader = _writer = None
+
+    def _is_open(self) -> bool:
+        return self._writer is not None
+
+    async def _exchange(self, body: bytes):
+        import asyncio
+
+        # a deadline that cancels this task: asyncio.wait_for would start a
+        # task per call, and asyncio.timeout is Python 3.11+
+        task = asyncio.current_task()
+        self._expired = False
+        deadline = task.get_loop().call_later(self._backend.config.timeout_ms / 1000.0, self._expire, task)
+        try:
+            return await super()._exchange(body)
+        except asyncio.CancelledError:
+            # the deadline's own cancel becomes a timeout; on Python 3.11+
+            # one that someone else requested as well stays a cancel
+            if not self._expired or (hasattr(task, "uncancel") and task.uncancel()):
+                raise
+            raise TimeoutError("timed out") from None
+        finally:
+            deadline.cancel()
+
+    def _expire(self, task) -> None:
+        self._expired = True
+        task.cancel()
+
+    async def _connect(self, host, port, context) -> None:
+        import asyncio
+
+        try:
+            self._reader, self._writer = await asyncio.open_connection(host, port, ssl=context, limit=_MAX_LINE)
+        except ConnectionRefusedError as exc:
+            # the text a blocking connect gives, without the address asyncio adds
+            raise ConnectionRefusedError(exc.errno, os.strerror(exc.errno)) from None
+
+    async def _start_tls(self, context, host) -> None:
+        import asyncio
+
+        # StreamWriter.start_tls is Python 3.11+: TLS runs on a duplicate of
+        # the tunnel's socket, and the plain transport lets go of its own
+        sock = self._writer.get_extra_info("socket").dup()
+        self._writer.transport.abort()
+        self._reader, self._writer = await asyncio.open_connection(
+            sock=sock, ssl=context, server_hostname=host, limit=_MAX_LINE
+        )
+
+    async def _readline(self) -> bytes:
+        return await self._reader.readline()
+
+    async def _readexactly(self, n: int) -> bytes:
+        return await self._reader.readexactly(n)
+
+    async def _read_to_eof(self) -> bytes:
+        return await self._reader.read()
+
+    def _write(self, data: bytes) -> None:
+        self._writer.write(data)  # the loop sends what the socket does not take at once
+
+    async def _sleep(self, seconds: float) -> None:
+        import asyncio
+
+        await asyncio.sleep(seconds)
+
+    def close(self) -> None:
+        if self._writer is not None:
+            self._writer.transport.abort()
+            self._reader = self._writer = None
+
+
 class HttpBackend:
     """Chat-completions client: system+user messages, first choice's content.
 
-    Built on the standard library alone. Each thread that calls
-    ``complete`` (one per ``--workers`` thread) keeps one persistent HTTP/1.1
-    connection to the endpoint and reuses it across calls; ``close`` closes
-    them all once no call is in flight. Proxies come from the environment
-    (``HTTP_PROXY``/``HTTPS_PROXY``, honouring ``NO_PROXY``) and are resolved
-    once, when the backend is made: http requests go through the proxy with
-    the absolute URL as target, https requests through a CONNECT tunnel with
-    the certificate still verified against the endpoint host.
+    Built on the standard library alone, over persistent HTTP/1.1
+    connections. :meth:`complete` blocks: each thread that calls it keeps one
+    connection to the endpoint and reuses it across calls, and :meth:`close`
+    closes them all once no call is in flight.
+    :func:`~graphstage.pipeline.run_corpus` does not call it: it runs its
+    pipelines as coroutines on one event loop, ``--workers`` of them at a
+    time, each over a connection of its own from :meth:`connection`.
+
+    Proxies come from the environment (``HTTP_PROXY``/``HTTPS_PROXY``,
+    honouring ``NO_PROXY``) and are resolved once, when the backend is made:
+    http requests go through the proxy with the absolute URL as target, https
+    requests through a CONNECT tunnel with the certificate still verified
+    against the endpoint host.
     """
 
     def __init__(self, config: CompletionConfig):
@@ -99,17 +405,24 @@ class HttpBackend:
         url = urlsplit(config.endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http(s) URL, got {config.endpoint!r}")
-        self._https = url.scheme == "https"
-        # explicit ports: http.client would read the tail of a bare IPv6 host as one
-        self._host, self._port = url.hostname, url.port or (443 if self._https else 80)
-        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._headers = {"Content-Type": "application/json"}
+        https = url.scheme == "https"
+        self._host, self._port = url.hostname, url.port or (443 if https else 80)
+        self._ssl = ssl.create_default_context() if https else None
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        if _TARGET_FORBIDDEN.search(target):
+            raise ValueError(f"endpoint path holds a space or control character: {config.endpoint!r}")
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        authority = f"{host}:{self._port}"
+        headers = {
+            "Host": host if self._port == (443 if https else 80) else authority,
+            "Accept-Encoding": "identity",
+            "Content-Type": "application/json",
+        }
         if config.api_key:
-            self._headers["Authorization"] = f"Bearer {config.api_key}"
-        self._ssl = ssl.create_default_context() if self._https else None
+            headers["Authorization"] = f"Bearer {config.api_key}"
 
         self._proxy: Optional[Tuple[str, int]] = None
-        self._tunnel_headers: Dict[str, str] = {}
+        tunnel_headers = {"Host": authority}
         netloc = url.netloc.rpartition("@")[2]
         proxy = urllib.request.getproxies().get(url.scheme)
         if proxy and not urllib.request.proxy_bypass(netloc):
@@ -119,62 +432,22 @@ class HttpBackend:
             if purl.username is not None:
                 creds = f"{unquote(purl.username)}:{unquote(purl.password or '')}"
                 auth["Proxy-Authorization"] = "Basic " + base64.b64encode(creds.encode()).decode("ascii")
-            if self._https:
-                self._tunnel_headers = auth
+            if https:
+                tunnel_headers.update(auth)
             else:
-                self._headers.update(auth)
-                self._target = urlunsplit((url.scheme, netloc, url.path or "/", url.query, ""))
+                headers.update(auth)
+                target = urlunsplit((url.scheme, netloc, url.path or "/", url.query, ""))
+        # a request is this head, its body's length, a blank line and the body
+        self._head = _request_head(f"POST {target}", headers) + b"Content-Length: "
+        self._tunnel_request = _request_head(f"CONNECT {authority}", tunnel_headers) + b"\r\n"
 
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._opened: List[http.client.HTTPConnection] = []
+        self._opened: List[_SocketConnection] = []
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's connection; it reconnects by itself once closed."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            timeout = self.config.timeout_ms / 1000.0
-            host, port = self._proxy or (self._host, self._port)
-            if self._https:
-                conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self._ssl)
-                if self._proxy:
-                    conn.set_tunnel(self._host, self._port, headers=self._tunnel_headers)
-            else:
-                conn = http.client.HTTPConnection(host, port, timeout=timeout)
-            with self._lock:
-                self._opened.append(conn)
-            self._local.conn = conn
-        return conn
-
-    def _exchange(self, conn: http.client.HTTPConnection, body: bytes):
-        try:
-            conn.request("POST", self._target, body, self._headers)
-            response = conn.getresponse()
-            return response.status, response.getheader("Retry-After"), response.read()
-        except BaseException:
-            conn.close()  # the connection is mid-exchange; the next request opens a new one
-            raise
-
-    def _post(self, body: bytes):
-        """(status, Retry-After header, body bytes) of one POST."""
-        conn = self._connection()
-        reused = conn.sock is not None
-        try:
-            return self._exchange(conn, body)
-        except _IDLE_CLOSE_ERRORS:
-            if not reused:
-                raise
-        return self._exchange(conn, body)  # once, on a fresh connection
-
-    def close(self) -> None:
-        """Close every connection this backend opened; a later call reconnects."""
-        with self._lock:
-            for conn in self._opened:
-                conn.close()
-
-    def complete(self, prompt: str) -> str:
+    def _body(self, prompt: str) -> bytes:
         cfg = self.config
-        body = json.dumps(
+        return json.dumps(
             {
                 "model": cfg.model,
                 "messages": [
@@ -187,41 +460,27 @@ class HttpBackend:
             },
             allow_nan=False,
         ).encode("utf-8")
-        attempts = cfg.retry_count + 1
-        # the text, not the exception: its traceback holds this frame, which
-        # would hold it back, one reference cycle per failed attempt
-        last_error: Optional[str] = None
-        timed_out = False
-        wait: Optional[float] = None
-        for attempt in range(attempts):
-            if attempt:
-                time.sleep(wait if wait is not None else min(0.5 * 2 ** (attempt - 1), _MAX_BACKOFF_S))
-            wait = None
-            try:
-                status, retry_after, payload = self._post(body)
-            except TimeoutError as exc:
-                last_error, timed_out = str(exc), True
-                continue
-            except (OSError, http.client.HTTPException) as exc:
-                last_error = str(exc)
-                continue
-            if status in (401, 403):
-                raise AuthError(f"endpoint rejected credentials (HTTP {status})")
-            if status in _RETRYABLE_STATUS:
-                last_error = f"HTTP {status}"
-                if status in _RETRY_AFTER_STATUS:
-                    wait = _retry_after_seconds(retry_after)
-                continue
-            if status != 200:
-                text = payload.decode("utf-8", "replace")
-                raise BackendError(f"HTTP {status}: {text[:200]}")
-            try:
-                return json.loads(payload)["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise BackendError(f"malformed completion body: {exc}") from exc
-        if timed_out:
-            raise CompletionTimeout(f"no response after {attempts} attempt(s): {last_error}")
-        raise BackendError(f"no response after {attempts} attempt(s): {last_error}")
+
+    def complete(self, prompt: str) -> str:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = _SocketConnection(self)
+            with self._lock:
+                self._opened.append(connection)
+        return _run_blocking(connection.complete(prompt))
+
+    def connection(self) -> _StreamConnection:
+        """A new connection for coroutines on the running event loop:
+        ``await connection.complete(prompt)``, one call at a time, then
+        ``connection.close()``. It connects on first use and again after a
+        failure; :meth:`close` does not reach it."""
+        return _StreamConnection(self)
+
+    def close(self) -> None:
+        """Close every connection :meth:`complete` opened; a later call reconnects."""
+        with self._lock:
+            for connection in self._opened:
+                connection.close()
 
 
 def _prompt_meta(prompt: str) -> Tuple[str, str]:

@@ -132,7 +132,7 @@ def _make_backend(args, file_cfg: Dict, corpus):
             swap_parameters=args.fault_swap,
             emit_garbage=args.fault_garbage,
         )
-        return FaultBackend(OracleBackend(corpus), plan, seed=args.seed)
+        return FaultBackend(OracleBackend(corpus), plan, seed=args.seed or 0)
     if args.backend == "http":
         endpoint = _resolve(args.endpoint, "GRAPHSTAGE_ENDPOINT", file_cfg, "endpoint")
         if not endpoint:
@@ -160,18 +160,16 @@ def _cmd_run(args) -> int:
         or args.fault_labels
     ):
         raise UsageError(f"--fault-* flags need --backend fault, not {args.backend}")
+    if args.backend != "fault" and args.seed is not None:
+        raise UsageError(f"--seed needs --backend fault, not {args.backend}")
     file_cfg = _load_config_file(args.config)
     corpus = load_corpus(args.corpus)
     backend = _make_backend(args, file_cfg, corpus)
     base_dir = Path(args.corpus).parent
-    # threads overlap only the wait on an endpoint; the in-process backends are
-    # pure Python, which the GIL runs slower on a pool than serially
+    # only waits on an endpoint overlap; the in-process backends are pure
+    # Python, which the GIL runs slower on a thread pool than serially
     workers = args.workers if isinstance(backend, HttpBackend) else 1
-    try:
-        traces = run_corpus(corpus, backend, default_registry(), workers=workers, base_dir=base_dir)
-    finally:
-        if isinstance(backend, HttpBackend):
-            backend.close()
+    traces = run_corpus(corpus, backend, default_registry(), workers=workers, base_dir=base_dir)
     write_jsonl(args.out, (trace_to_json(t) for t in traces))
     if args.fault_labels:
         atomic_write_text(
@@ -182,6 +180,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_build_dataset(args) -> int:
+    fill_flags = {"--seed": args.seed, "--size": args.size, "--fill-rounds": args.fill_rounds}
+    given = [flag for flag, value in fill_flags.items() if value is not None]
+    if given and not args.fill_quota:
+        raise UsageError(f"{', '.join(given)} need --fill-quota")
     corpus = load_corpus(args.corpus)
     traces = load_traces(args.traces)
     entries, stats = build_dataset(traces, corpus)
@@ -205,7 +207,7 @@ def _fill_quota(args, corpus, traces, entries, stats):
     instances get their graph files next to the corpus, and with --size both
     the size alternates by plan index."""
     quota = args.fill_quota
-    base_config = GenConfig(seed=args.seed, sizes=args.size)
+    base_config = GenConfig(seed=args.seed or 0, sizes=args.size or "wl")
     corpus_dir = Path(args.corpus).parent
     corpus = list(corpus)
     traces = list(traces)
@@ -215,7 +217,7 @@ def _fill_quota(args, corpus, traces, entries, stats):
     next_index: Dict[str, int] = {}
     for inst in corpus:
         next_index[inst.kind.label] = max(next_index.get(inst.kind.label, 0), 1 + _plan_index(inst))
-    for _ in range(args.fill_rounds):
+    for _ in range(5 if args.fill_rounds is None else args.fill_rounds):
         missing = {label: quota - kind_counts.get(label, 0) for label in kind_counts}
         missing = {label: n for label, n in missing.items() if n > 0}
         if not missing:
@@ -290,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--api-key", default=None)
-    p.add_argument("--workers", type=int, default=1, help="concurrent requests (http backend only)")
-    p.add_argument("--seed", type=int, default=0, help="fault backend seed")
+    p.add_argument("--workers", type=int, default=1,
+                   help="keep-alive connections, a request in flight on each (http backend only)")
+    p.add_argument("--seed", type=int, default=None, help="fault backend seed (default 0)")
     p.add_argument("--fault-drop", type=float, default=0.0)
     p.add_argument("--fault-name", type=float, default=0.0)
     p.add_argument("--fault-swap", type=float, default=0.0)
@@ -313,9 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", default=None)
     p.add_argument("--fill-quota", type=int, default=0,
                    help="regenerate and retry until each kind retains this many instances")
-    p.add_argument("--fill-rounds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", choices=("wl", "el", "both"), default="wl")
+    p.add_argument("--fill-rounds", type=int, default=None, help="with --fill-quota (default 5)")
+    p.add_argument("--seed", type=int, default=None, help="with --fill-quota (default 0)")
+    p.add_argument("--size", choices=("wl", "el", "both"), default=None,
+                   help="with --fill-quota (default wl)")
     p.set_defaults(func=_cmd_build_dataset)
 
     p = sub.add_parser("evaluate", help="score traces and write accuracy reports")

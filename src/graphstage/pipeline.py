@@ -11,7 +11,10 @@ instruction texts of the default registry are few (:data:`INSTRUCTION_TEXTS`),
 so a stored trace can keep a short key and the task text and rebuild the rest.
 
 Each stage is attempted exactly once; a parse failure in any stage
-short-circuits tool execution but the trace still records every stage.
+short-circuits tool execution but the trace still records every stage. The
+stage sequence yields its prompts and is sent the replies, so the same code
+runs with a blocking backend (:func:`run_pipeline`) and on an event loop
+(:func:`run_corpus` with an HTTP backend).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from .codec import (
     ExtractionResult,
@@ -201,7 +204,12 @@ INSTRUCTION_TEXTS: Dict[str, str] = {
 }
 
 
-def _call_backend(backend, prompt: str) -> Tuple[str, Optional[str], float]:
+# what the stage sequence is sent for each prompt it yields: (raw output,
+# backend error or None, latency in ms)
+Reply = Tuple[str, Optional[str], float]
+
+
+def _call_backend(backend, prompt: str) -> Reply:
     start = time.perf_counter()
     try:
         raw = backend.complete(prompt)
@@ -212,20 +220,28 @@ def _call_backend(backend, prompt: str) -> Tuple[str, Optional[str], float]:
     return raw, error, (time.perf_counter() - start) * 1000.0
 
 
-def run_pipeline(
-    instance: TaskInstance,
-    backend,
-    registry: ToolRegistry,
-    base_dir: str | Path = ".",
-) -> PipelineTrace:
-    """Execute the staged pipeline for one instance and return the full trace."""
-    base_dir = Path(base_dir)
+async def _await_backend(connection, prompt: str) -> Reply:
+    start = time.perf_counter()
+    try:
+        raw = await connection.complete(prompt)
+        error = None
+    except Exception as exc:  # as in _call_backend
+        raw = ""
+        error = f"backend error: {exc}"
+    return raw, error, (time.perf_counter() - start) * 1000.0
+
+
+def _stages(
+    instance: TaskInstance, registry: ToolRegistry, base_dir: Path
+) -> Generator[str, Reply, PipelineTrace]:
+    """The staged pipeline for one instance, apart from its backend calls:
+    yields each prompt, is sent the :data:`Reply` to it, returns the trace."""
     stages: List[StageRecord] = []
 
     # stage G: graph (or file path) extraction
     g_text = graph_instruction_text(instance.size_class, instance.graph.weight_kind)
     g_prompt = assemble_prompt(g_text, instance, StageKind.GRAPH)
-    raw, error, latency = _call_backend(backend, g_prompt)
+    raw, error, latency = yield g_prompt
     file_path = None
     if error is not None:
         parsed = ExtractionResult.failure(error)
@@ -251,7 +267,7 @@ def run_pipeline(
     # stage N: tool name identification
     n_text = task_instruction_text(registry)
     n_prompt = assemble_prompt(n_text, instance, StageKind.NAME)
-    raw, error, latency = _call_backend(backend, n_prompt)
+    raw, error, latency = yield n_prompt
     parsed = ExtractionResult.failure(error) if error is not None else extract_tool_name(raw)
     stages.append(StageRecord(StageKind.NAME, n_text, n_prompt, raw, parsed, latency))
     name_record = stages[-1]
@@ -275,7 +291,7 @@ def run_pipeline(
         else:
             p_text = parameter_instruction_text(spec)
             p_prompt = assemble_prompt(p_text, instance, StageKind.PARAMS)
-            raw, error, latency = _call_backend(backend, p_prompt)
+            raw, error, latency = yield p_prompt
             parsed = (
                 ExtractionResult.failure(error)
                 if error is not None
@@ -308,6 +324,37 @@ def run_pipeline(
     )
 
 
+def run_pipeline(
+    instance: TaskInstance,
+    backend,
+    registry: ToolRegistry,
+    base_dir: str | Path = ".",
+) -> PipelineTrace:
+    """Execute the staged pipeline for one instance and return the full trace."""
+    steps = _stages(instance, registry, Path(base_dir))
+    reply = None
+    while True:
+        try:
+            prompt = steps.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = _call_backend(backend, prompt)
+
+
+async def _run_pipeline_async(
+    instance: TaskInstance, connection, registry: ToolRegistry, base_dir: Path
+) -> PipelineTrace:
+    """:func:`run_pipeline` over one connection of an HTTP backend."""
+    steps = _stages(instance, registry, base_dir)
+    reply = None
+    while True:
+        try:
+            prompt = steps.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = await _await_backend(connection, prompt)
+
+
 def run_corpus(
     instances: Sequence[TaskInstance],
     backend,
@@ -315,8 +362,48 @@ def run_corpus(
     workers: int = 1,
     base_dir: str | Path = ".",
 ) -> List[PipelineTrace]:
-    """Run the pipeline over many instances, preserving corpus order."""
+    """Run the pipeline over many instances, preserving corpus order.
+
+    An :class:`~graphstage.backends.HttpBackend` runs the pipelines as
+    coroutines on one event loop in the calling thread, over ``workers``
+    keep-alive connections with as many requests in flight. Any other backend
+    runs serially, or on a pool of ``workers`` threads.
+    """
+    from .backends import HttpBackend  # backends imports this module
+
+    if isinstance(backend, HttpBackend):
+        return _run_on_event_loop(instances, backend, registry, max(workers, 1), Path(base_dir))
     if workers <= 1:
         return [run_pipeline(i, backend, registry, base_dir) for i in instances]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda i: run_pipeline(i, backend, registry, base_dir), instances))
+
+
+def _run_on_event_loop(instances, backend, registry, workers: int, base_dir: Path) -> List[PipelineTrace]:
+    import asyncio  # only HTTP runs need it, and it takes tens of ms to import
+
+    traces: List[Optional[PipelineTrace]] = [None] * len(instances)
+    todo = iter(enumerate(instances))
+
+    async def lane():
+        # one connection, one request in flight; the lanes share the queue
+        connection = backend.connection()
+        try:
+            for index, instance in todo:
+                traces[index] = await _run_pipeline_async(instance, connection, registry, base_dir)
+        finally:
+            connection.close()
+
+    async def run_lanes():
+        await asyncio.gather(*(lane() for _ in range(min(workers, len(instances)))))
+
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        asyncio.run(run_lanes())
+    else:
+        # this thread already runs an event loop (a notebook's), on which
+        # asyncio.run cannot start: the run gets a thread of its own
+        with ThreadPoolExecutor(max_workers=1) as side:
+            side.submit(asyncio.run, run_lanes()).result()
+    return traces

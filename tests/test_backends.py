@@ -1,9 +1,13 @@
+import asyncio
 import http.server
 import json
 import random
 import socket
+import socketserver
+import ssl
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,9 +30,13 @@ from graphstage import (
 from graphstage import cli
 from graphstage.backends import AuthError, BackendError, CompletionTimeout, _retry_after_seconds
 from graphstage.codec import extract_file_path
-from graphstage.pipeline import StageKind, assemble_prompt
+from graphstage.pipeline import StageKind, assemble_prompt, run_corpus
+from graphstage.serialize import load_corpus, read_jsonl, trace_to_json
 
 REGISTRY = default_registry()
+# a self-signed certificate for localhost and 127.0.0.1, valid 2000-2099
+CERT = Path(__file__).parent / "fixtures" / "localhost-cert.pem"
+KEY = Path(__file__).parent / "fixtures" / "localhost-key.pem"
 
 
 def _corpus(per_kind=3, size=SizeClass.WL):
@@ -177,6 +185,9 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
     targets_seen = []  # request targets, as sent on the request line
     prompts_by_connection = {}  # client (host, port) -> user prompts it carried
     close_after_reply = False  # HTTP/1.1: close without telling the client
+    respond = None  # prompt -> answer when no script entry is left; None echoes
+    delay_s = 0.0  # wait before each answer
+    thread_counts = []  # threading.active_count() at each request
     lock = threading.Lock()
     disable_nagle_algorithm = True  # headers and body are separate writes
 
@@ -188,7 +199,10 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
             _StubHandler.requests_seen.append(sent)
             _StubHandler.targets_seen.append(self.path)
             _StubHandler.prompts_by_connection.setdefault(self.client_address, []).append(prompt)
-            entry = _StubHandler.script.pop(0) if _StubHandler.script else (200, _ok(prompt))
+            _StubHandler.thread_counts.append(threading.active_count())
+            answer = _StubHandler.respond(prompt) if _StubHandler.respond else prompt
+            entry = _StubHandler.script.pop(0) if _StubHandler.script else (200, _ok(answer))
+        time.sleep(_StubHandler.delay_s)
         status, payload, headers = (*entry, {})[:3]
         body = json.dumps(payload).encode()
         self.send_response(status)
@@ -215,8 +229,12 @@ def _ok(text):
     return {"choices": [{"message": {"content": text}}]}
 
 
-def _serve(handler):
+def _serve(handler, tls=False):
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(CERT, KEY)
+        server.socket = context.wrap_socket(server.socket, server_side=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _StubHandler.script = []
@@ -224,7 +242,11 @@ def _serve(handler):
     _StubHandler.targets_seen = []
     _StubHandler.prompts_by_connection = {}
     _StubHandler.close_after_reply = False
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    _StubHandler.respond = None
+    _StubHandler.delay_s = 0.0
+    _StubHandler.thread_counts = []
+    scheme = "https" if tls else "http"
+    yield f"{scheme}://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
     server.server_close()
     thread.join(timeout=10)
@@ -238,6 +260,78 @@ def stub_server():
 @pytest.fixture()
 def keepalive_server():
     yield from _serve(_KeepAliveHandler)
+
+
+@pytest.fixture()
+def https_server():
+    yield from _serve(_KeepAliveHandler, tls=True)
+
+
+def _pump(source, sink):
+    try:
+        while data := source.recv(65536):
+            sink.sendall(data)
+    except OSError:
+        pass
+    try:
+        sink.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
+
+
+class _TunnelHandler(socketserver.BaseRequestHandler):
+    """A CONNECT proxy: it records each tunnel's target and relays bytes."""
+
+    def handle(self):
+        head = b""
+        while b"\r\n\r\n" not in head:
+            data = self.request.recv(4096)
+            if not data:
+                return
+            head += data
+        method, target, _ = head.split(b"\r\n", 1)[0].decode().split(" ")
+        assert method == "CONNECT"
+        self.server.targets.append(target)
+        host, port = target.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as upstream:
+            self.request.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            back = threading.Thread(target=_pump, args=(upstream, self.request))
+            back.start()
+            _pump(self.request, upstream)
+            back.join(timeout=10)
+
+
+@pytest.fixture()
+def connect_proxy():
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _TunnelHandler)
+    server.daemon_threads = True
+    server.targets = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+
+
+VIA = ("complete", "run_corpus")
+
+
+def _exchanges(backend, via, calls=3):
+    """(prompt, answer) of each call the backend made: ``calls`` blocking
+    calls, or every stage of a run over ``calls`` instances with two
+    connections. A stage's recorded backend error is raised again."""
+    try:
+        if via == "complete":
+            return [(f"call {k}", backend.complete(f"call {k}")) for k in range(calls)]
+        traces = run_corpus(_corpus(1)[:calls], backend, REGISTRY, workers=2)
+    finally:
+        backend.close()
+    stages = [s for t in traces for s in t.stages if s.prompt]
+    for stage in stages:
+        if not stage.raw_output:
+            raise BackendError(stage.parsed.reason)
+    return [(s.prompt, s.raw_output) for s in stages]
 
 
 class TestHttpBackend:
@@ -327,10 +421,28 @@ class TestHttpBackend:
                 backend.complete("x")
             backend.close()
 
+    def test_timeout_on_the_event_loop_is_recorded_per_stage(self):
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            endpoint = f"http://127.0.0.1:{silent.getsockname()[1]}/v1/chat/completions"
+            backend = HttpBackend(CompletionConfig(endpoint=endpoint, retry_count=0, timeout_ms=200))
+            start = time.perf_counter()
+            traces = run_corpus(_corpus(1)[:4], backend, REGISTRY, workers=4)
+            elapsed = time.perf_counter() - start
+        reasons = {s.parsed.reason for t in traces for s in t.stages if s.prompt}
+        assert reasons == {"backend error: no response after 1 attempt(s): timed out"}
+        assert elapsed < 4 * 0.2  # two calls per lane, not eight in a row
+
     def test_rejects_non_http_endpoint(self):
         for endpoint in ("localhost:8000/v1/chat/completions", "ftp://host/x", "http:///x"):
             with pytest.raises(ValueError):
                 HttpBackend(CompletionConfig(endpoint=endpoint))
+
+    def test_rejects_what_a_request_head_cannot_carry(self):
+        with pytest.raises(ValueError, match="endpoint path"):
+            HttpBackend(CompletionConfig(endpoint="http://127.0.0.1:8000/v1/chat completions"))
+        with pytest.raises(ValueError, match="Authorization header") as raised:
+            HttpBackend(CompletionConfig(api_key="sk-1\r\nX-Injected: 1"))
+        assert "sk-1" not in str(raised.value)
 
 
 class TestHttpConnections:
@@ -412,3 +524,147 @@ class TestHttpConnections:
         finally:
             backend.close()
         assert _StubHandler.targets_seen == ["/v1/chat/completions"]
+
+
+class TestHttps:
+    @pytest.mark.parametrize("via", VIA)
+    def test_direct_endpoint(self, https_server, monkeypatch, via):
+        monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+        backend = HttpBackend(CompletionConfig(endpoint=https_server, retry_count=0))
+        exchanges = _exchanges(backend, via)
+        assert exchanges and all(prompt == answer for prompt, answer in exchanges)
+
+    @pytest.mark.parametrize("via", VIA)
+    def test_untrusted_certificate_fails(self, https_server, monkeypatch, via):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        backend = HttpBackend(CompletionConfig(endpoint=https_server, retry_count=0))
+        with pytest.raises(BackendError, match="CERTIFICATE_VERIFY_FAILED"):
+            _exchanges(backend, via)
+        assert _StubHandler.requests_seen == []
+
+    @pytest.mark.parametrize("via", VIA)
+    def test_through_a_connect_proxy(self, https_server, connect_proxy, monkeypatch, via):
+        monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+        for name in ("https_proxy", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{connect_proxy.server_address[1]}")
+        # the name the certificate is checked against, which only the proxy resolves
+        endpoint = https_server.replace("https://127.0.0.1:", "https://localhost:")
+        port = endpoint.split(":")[2].split("/")[0]
+        backend = HttpBackend(CompletionConfig(endpoint=endpoint, retry_count=0))
+        exchanges = _exchanges(backend, via)
+        assert exchanges and all(prompt == answer for prompt, answer in exchanges)
+        assert connect_proxy.targets and set(connect_proxy.targets) == {f"localhost:{port}"}
+
+
+def _content_length(body):
+    return b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+def _chunked(body):
+    half = len(body) // 2
+    chunks = b"".join(b"%x;ext=1\r\n%s\r\n" % (len(c), c) for c in (body[:half], body[half:]))
+    return b"Transfer-Encoding: chunked\r\n\r\n" + chunks + b"0\r\nTrailer-Field: x\r\n\r\n"
+
+
+# response framing -> (response bytes for a body, whether the connection stays usable)
+_FRAMINGS = {
+    "content-length": (lambda b: b"HTTP/1.1 200 OK\r\n" + _content_length(b), True),
+    "chunked": (lambda b: b"HTTP/1.1 200 OK\r\n" + _chunked(b), True),
+    "interim 100": (lambda b: b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n" + _content_length(b), True),
+    "HTTP/1.0": (lambda b: b"HTTP/1.0 200 OK\r\n" + _content_length(b), False),
+    "connection: close": (lambda b: b"HTTP/1.1 200 OK\r\nConnection: close\r\n" + _content_length(b), False),
+    "until close": (lambda b: b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + b, False),
+}
+
+
+class _FramingHandler(socketserver.StreamRequestHandler):
+    """Echoes each prompt in the server's framing. It closes the connection
+    only where the framing needs it ("until close"): the client must close
+    the others itself."""
+
+    def handle(self):
+        with self.server.lock:
+            self.server.connections += 1
+        while self.rfile.readline():
+            length = 0
+            while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+            prompt = json.loads(self.rfile.read(length))["messages"][-1]["content"]
+            frame, _ = _FRAMINGS[self.server.framing]
+            self.wfile.write(frame(json.dumps(_ok(prompt)).encode()))
+            if self.server.framing == "until close":
+                return
+
+
+@pytest.mark.parametrize("framing", list(_FRAMINGS))
+@pytest.mark.parametrize("via", VIA)
+def test_response_framing(framing, via):
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _FramingHandler)
+    server.daemon_threads = True
+    server.framing, server.connections, server.lock = framing, 0, threading.Lock()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+        exchanges = _exchanges(HttpBackend(CompletionConfig(endpoint=endpoint, retry_count=0)), via)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert exchanges and all(prompt == answer for prompt, answer in exchanges)
+    kept = _FRAMINGS[framing][1]
+    assert server.connections == ((2 if via == "run_corpus" else 1) if kept else len(exchanges))
+
+
+class TestEventLoopRuns:
+    def _corpus_dir(self, tmp_path, *argv):
+        assert cli.main(["generate", *argv, "--out", str(tmp_path)]) == 0
+        return tmp_path / "corpus.jsonl"
+
+    def test_waits_overlap_without_threads(self, keepalive_server, tmp_path):
+        corpus = self._corpus_dir(tmp_path, "--tasks", "edge_count", "--count", "4")  # 8 instances
+        _StubHandler.delay_s = 0.2
+        before = threading.active_count()
+        start = time.perf_counter()
+        assert cli.main([
+            "run", "--corpus", str(corpus), "--backend", "http", "--endpoint", keepalive_server,
+            "--workers", "4", "--out", str(tmp_path / "traces.jsonl"),
+        ]) == 0
+        elapsed = time.perf_counter() - start
+        calls = len(_StubHandler.requests_seen)
+        assert calls == 16
+        assert elapsed < 0.5 * calls * _StubHandler.delay_s  # serially it takes all of it
+        assert len(_StubHandler.prompts_by_connection) == 4
+        # the server runs a thread per connection; the client adds none
+        assert max(_StubHandler.thread_counts) <= before + 4
+
+    def test_traces_do_not_depend_on_the_workers_or_a_running_loop(self, keepalive_server, tmp_path):
+        corpus = self._corpus_dir(tmp_path, "--count", "2", "--size", "both", "--seed", "4")
+        instances = load_corpus(corpus)
+        plan = FaultPlan(drop_graph_edges=0.3, wrong_tool_name=0.3, swap_parameters=0.3, emit_garbage=0.1)
+        _StubHandler.respond = FaultBackend(OracleBackend(instances), plan, seed=5).complete
+        stored = {}
+        for workers in ("1", "4"):
+            out = tmp_path / f"traces-{workers}.jsonl"
+            assert cli.main([
+                "run", "--corpus", str(corpus), "--backend", "http", "--endpoint", keepalive_server,
+                "--workers", workers, "--out", str(out),
+            ]) == 0
+            stored[workers] = list(read_jsonl(out))
+
+        async def in_a_notebook():  # asyncio.run refuses a thread whose loop runs
+            backend = HttpBackend(CompletionConfig(endpoint=keepalive_server))
+            return run_corpus(instances, backend, REGISTRY, workers=4, base_dir=tmp_path)
+
+        traces = asyncio.run(in_a_notebook())
+        stored["in a running loop"] = [json.loads(json.dumps(trace_to_json(t))) for t in traces]
+        for run in stored.values():
+            for trace in run:
+                for stage in trace["stages"]:
+                    del stage["latency_ms"]
+        assert stored["4"] == stored["1"] == stored["in a running loop"]
+        assert [t["instance_id"] for t in stored["4"]] == [i.id for i in instances]
+        assert any(t["tool_error"] for t in stored["4"]) and any(t["tool_result"] for t in stored["4"])

@@ -260,7 +260,9 @@ def test_cyclic_garbage_does_not_grow_with_the_corpus(tmp_path):
 
 
 @pytest.mark.parametrize("backend", [["oracle"], ["http", "--endpoint", "http://127.0.0.1:1/v1"]])
-@pytest.mark.parametrize("fault_flag", [["--fault-drop", "0.5"], ["--fault-labels", "labels.json"]])
+@pytest.mark.parametrize(
+    "fault_flag", [["--fault-drop", "0.5"], ["--fault-labels", "labels.json"], ["--seed", "5"]]
+)
 def test_fault_flags_need_the_fault_backend(tmp_path, capsys, backend, fault_flag):
     out = tmp_path / "d"
     assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "2", "--out", str(out)) == 0
@@ -284,3 +286,18 @@ def test_truncated_corpus_line_is_reported_with_file_and_line(tmp_path, capsys):
     assert run_cli("run", "--corpus", str(corpus), "--out", str(out / "traces.jsonl")) == 1
     assert capsys.readouterr().err.startswith(f"error: {corpus}:3: Unterminated string")
 
+
+@pytest.mark.parametrize("flag", [["--seed", "9"], ["--size", "el"], ["--fill-rounds", "3"]])
+def test_fill_flags_need_fill_quota(tmp_path, capsys, flag):
+    out = tmp_path / "d"
+    corpus, traces = str(out / "corpus.jsonl"), str(out / "traces.jsonl")
+    assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "2", "--out", str(out)) == 0
+    assert run_cli("run", "--corpus", corpus, "--out", traces) == 0
+    capsys.readouterr()
+    code = run_cli(
+        "build-dataset", "--traces", traces, "--corpus", corpus, "--out", str(out / "alpaca.json"),
+        "--stats", str(out / "stats.json"), *flag,
+    )
+    assert code == 2
+    assert f"{flag[0]} need --fill-quota" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "traces.jsonl"]

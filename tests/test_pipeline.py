@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +203,14 @@ def test_run_corpus_parallel_preserves_order():
     traces = run_corpus(corpus, backend, REGISTRY, workers=8)
     assert [t.instance_id for t in traces] == [i.id for i in corpus]
     assert all(t.tool_result == i.gold_answer for t, i in zip(traces, corpus))
+
+
+def test_importing_the_cli_leaves_asyncio_out():
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, graphstage.cli; print(sorted({'asyncio', 'graphstage.cli'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['graphstage.cli']"
 
 
 def test_el_pipeline_reads_graph_file(tmp_path):
