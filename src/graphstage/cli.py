@@ -117,9 +117,7 @@ def _cmd_generate(args) -> int:
 def _write_graph_file(corpus_dir: Path, instance) -> None:
     """An EL instance's graph goes to its file, relative to the corpus directory."""
     if instance.graph_file is not None:
-        path = corpus_dir / instance.graph_file
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, format_el_graph(instance.graph))
+        atomic_write_text(corpus_dir / instance.graph_file, format_el_graph(instance.graph))
 
 
 def _make_backend(args, file_cfg: Dict, corpus):

@@ -26,10 +26,11 @@ import json
 import operator
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from .graphs import Graph, InvalidEdge, WeightKind, build_graph
+from .graphs import Graph, InvalidEdge, WeightKind, build_graph, flat_columns
 
 GRAPH_FILE_SUFFIX = ".edges"
 
@@ -98,18 +99,14 @@ def extract_graph(
 ) -> ExtractionResult:
     """Collect every edge match and rebuild a graph with node_count = max id + 1."""
     kind = WeightKind(weight_kind)
-    pattern = EDGE_PATTERNS[kind]
-    edges = []
-    for m in pattern.finditer(text):
-        if kind is WeightKind.NONE:
-            edges.append((int(m.group(1)), int(m.group(2))))
-        else:
-            edges.append((int(m.group(1)), int(m.group(2)), int(m.group(3))))
-    if not edges:
+    matches = EDGE_PATTERNS[kind].findall(text)
+    if not matches:
         return ExtractionResult.failure("no edge matches")
-    node_count = 1 + max(max(e[0], e[1]) for e in edges)
+    numbers = list(map(int, chain.from_iterable(matches)))  # text order, as each int() raises
+    columns = flat_columns(numbers, len(matches[0]))
+    node_count = 1 + max(max(columns[0]), max(columns[1]))
     try:
-        g = build_graph(directed, node_count, edges, kind)
+        g = build_graph(directed, node_count, columns, kind, columns=True)
     except InvalidEdge as exc:
         return ExtractionResult.failure(f"invalid edge list: {exc}")
     return ExtractionResult.of_graph(g)
@@ -205,12 +202,12 @@ def read_el_graph_file(
             numbers = json.loads("[" + body.replace("\n", ", ")[:-2] + "]")
         except ValueError:  # a leading zero, or past int's digit limit: the line parser decides
             return _read_el_lines(text, weight_kind)
-        us, vs = numbers[0::width], numbers[1::width]
+        columns = flat_columns(numbers, width)
+        us, vs = columns[:2]
         if not any(map(operator.eq, us, vs)):
             node_count = 1 + max(max(us), max(vs)) if numbers else 0
-            edges = list(zip(us, vs, numbers[2::3])) if width == 3 else list(zip(us, vs))
             kind = _el_weight_kind({width}, weight_kind)
-            return build_graph(header == "directed", node_count, edges, kind)
+            return build_graph(header == "directed", node_count, columns, kind, columns=True)
     return _read_el_lines(text, weight_kind)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int, Optional[int]]
@@ -60,49 +61,89 @@ def build_graph(
     node_count: int,
     edges: Iterable[Sequence],
     weight_kind: WeightKind | str = WeightKind.NONE,
+    *,
+    columns: bool = False,
 ) -> Graph:
     """Validate and freeze a graph.
+
+    ``edges`` is an iterable of ``(u, v)`` / ``(u, v, w)`` rows, or with
+    ``columns=True`` the columns ``(us, vs)`` or ``(us, vs, ws)`` of such
+    rows: equal-length sequences, e.g. the strided slices ``flat[0::w]``,
+    ``flat[1::w]``, ``flat[2::3]`` of a flat edge array. Both forms give
+    the same graph, or raise the same exception.
 
     Raises InvalidEdge for out-of-range ids, self-loops and duplicates
     (undirected duplicates are checked orientation-insensitively), and
     WeightMismatch when weight presence disagrees with ``weight_kind``.
 
     The checks run column-wise with builtins first (min/max, set sizes,
-    counts), which accepts a valid edge list at builtin speed. If a column
-    check fails or a value does not convert, the per-edge loop runs instead
-    and raises for the first bad edge in list order, so the exception does
-    not depend on which check saw the fault.
+    counts), which accepts a valid edge list at builtin speed; a column of
+    exact ints is not converted. If a column check fails or a value does not
+    convert, the per-edge loop runs instead and raises for the first bad edge
+    in list order, so the exception does not depend on which check saw the
+    fault.
     """
     kind = WeightKind(weight_kind)
     if node_count < 0:
         raise GraphError(f"node_count must be non-negative, got {node_count}")
-    rows = list(edges)
+    if columns:
+        cols = tuple(edges)
+        if len(cols) not in (2, 3) or len(set(map(len, cols))) > 1:
+            raise InvalidEdge(f"expected 2 or 3 edge columns of one length, got {len(cols)}")
+        rows = None
+    else:
+        rows = list(edges)
     try:
-        checked = _checked_columns(directed, node_count, rows, kind)
-    except (TypeError, ValueError, OverflowError):  # a value that does not convert
+        if rows is not None:
+            cols = _columns(rows)
+        checked = None if cols is None else _checked_columns(directed, node_count, *cols, kind=kind)
+    except (TypeError, ValueError, OverflowError):  # a row without a length, a value that does not convert
         checked = None
     if checked is None:
-        checked = _checked_edges(directed, node_count, rows, kind)
+        checked = _checked_edges(directed, node_count, list(zip(*cols)) if rows is None else rows, kind)
     return Graph(bool(directed), node_count, checked, kind)
 
 
-def _checked_columns(
-    directed: bool, node_count: int, rows: list, kind: WeightKind
-) -> Optional[Tuple[Edge, ...]]:
-    """The normalized edges when every edge passes, else None."""
+def flat_columns(flat: list, width: int) -> tuple:
+    """The edge columns of a flat ``[u0, v0, (w0,) u1, …]`` list that holds
+    ``width`` values per edge, as strided slices."""
+    if width == 3:
+        return flat[0::3], flat[1::3], flat[2::3]
+    return flat[0::2], flat[1::2]
+
+
+def _columns(rows: list) -> Optional[tuple]:
+    """The columns of rows that all have 2 or all have 3 components, else None
+    (mixed widths are left to the per-edge loop)."""
     if not rows:
+        return ((), ())
+    widths = set(map(len, rows))
+    return tuple(zip(*rows)) if widths == {2} or widths == {3} else None
+
+
+def _ints(column: Sequence) -> Sequence:
+    """The column itself when it holds exact ints only (not bools), else its
+    values through ``int()``."""
+    return column if set(map(type, column)) == {int} else list(map(int, column))
+
+
+def _checked_columns(
+    directed: bool,
+    node_count: int,
+    us: Sequence,
+    vs: Sequence,
+    ws: Optional[Sequence] = None,
+    *,
+    kind: WeightKind,
+) -> Optional[Tuple[Edge, ...]]:
+    """The normalized edges when every edge passes, else None. ``ws`` is
+    None when the edges carry no weight column."""
+    if not us:
         return ()
-    widths = set(map(len, rows))  # mixed widths are left to the per-edge loop
-    if widths == {2}:
-        us, vs = zip(*rows)
-        ws = (None,) * len(rows)
-    elif widths == {3}:
-        us, vs, ws = zip(*rows)
-    else:
-        return None
-    us = list(map(int, us))
-    vs = list(map(int, vs))
-    if min(us) < 0 or min(vs) < 0 or max(us) >= node_count or max(vs) >= node_count:
+    us = _ints(us)
+    vs = _ints(vs)
+    ids = {*us, *vs}
+    if min(ids) < 0 or max(ids) >= node_count:
         return None
     if any(map(operator.eq, us, vs)):
         return None
@@ -110,15 +151,16 @@ def _checked_columns(
         distinct = len(set(zip(us, vs)))
     else:
         distinct = len({(u, v) if u < v else (v, u) for u, v in zip(us, vs)})
-    if distinct != len(rows):
+    if distinct != len(us):
         return None
     if kind is WeightKind.NONE:
-        if ws.count(None) != len(ws):
+        if ws is not None and ws.count(None) != len(ws):
             return None
+        ws = repeat(None)
     else:
-        if None in ws:
+        if ws is None:
             return None
-        ws = list(map(int, ws))
+        ws = _ints(ws)  # None raises TypeError
         if min(ws) < 1:
             return None
     return tuple(zip(us, vs, ws))

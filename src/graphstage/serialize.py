@@ -3,13 +3,23 @@
 Corpus and trace files are line-delimited JSON, one object per line, with a
 fixed key order so that regeneration under the same seed is byte-identical.
 
-Trace lines are written in format 2 (``"format": 2``): the task text is
+A graph's ``edges`` is one flat array of integers, ``[u0, v0, u1, v1, …]``
+for an unweighted graph and ``[u0, v0, w0, u1, v1, w1, …]`` otherwise (the
+width follows ``weight_kind``). The loader validates it column-wise through
+:func:`~graphstage.graphs.build_graph` without building a row per edge.
+Older lines that hold ``edges`` as ``[u, v(, w)]`` rows still load, to the
+same graph.
+
+Trace lines are written in format 3 (``"format": 3``): the task text is
 stored once per trace, and a stage stores its instruction as a key of
 :data:`~graphstage.pipeline.INSTRUCTION_TEXTS` and no prompt, whenever the
 loader can rebuild the very same strings from them. Any other instruction
 text or prompt is stored verbatim under its format-1 name (``instruction_text``,
-``prompt``). Lines without a ``format`` key are format 1, which stored both
-verbatim in every stage; they still load.
+``prompt``). Format 3 differs from format 2 only in its flat ``edges``
+arrays; the new number makes an older reader reject the line as an unknown
+format rather than fail on the edges. Lines without a ``format`` key are
+format 1, which stored both verbatim in every stage; format-1 and format-2
+lines still load.
 """
 
 from __future__ import annotations
@@ -17,30 +27,46 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .codec import ExtractionResult
 from .generator import SizeClass, TaskInstance, TaskKind
-from .graphs import Graph, WeightKind, build_graph
+from .graphs import Graph, WeightKind, build_graph, flat_columns
 from .pipeline import INSTRUCTION_TEXTS, PipelineTrace, StageKind, StageRecord, layout_prompt
 from .tools import Answer
 
 
 def graph_to_json(g: Graph) -> dict:
-    edges = [[u, v] if w is None else [u, v, w] for u, v, w in g.edges]
+    """``edges`` is one flat array ``[u0, v0, (w0,) u1, v1, …]``, two values
+    per edge when the graph is unweighted and three otherwise."""
+    rows = g.edges if g.weighted else map(itemgetter(0, 1), g.edges)
     return {
         "directed": g.directed,
         "node_count": g.node_count,
         "weight_kind": g.weight_kind.value,
-        "edges": edges,
+        "edges": list(chain.from_iterable(rows)),
     }
 
 
 def graph_from_json(obj: dict) -> Graph:
-    return build_graph(
-        obj["directed"], obj["node_count"], obj["edges"], WeightKind(obj["weight_kind"])
-    )
+    """A graph whose ``edges`` is the flat array :func:`graph_to_json` writes,
+    or the list of ``[u, v(, w)]`` rows that older files hold."""
+    kind = WeightKind(obj["weight_kind"])
+    edges = obj["edges"]
+    if type(edges) is not list:
+        raise ValueError(f"edges must be an array, got {type(edges).__name__}")
+    if edges and type(edges[0]) is list:
+        return build_graph(obj["directed"], obj["node_count"], edges, kind)
+    width = 2 if kind is WeightKind.NONE else 3
+    if len(edges) % width:
+        raise ValueError(
+            f"flat edge array of a {kind.value} graph holds {len(edges)} values, "
+            f"not a multiple of {width}"
+        )
+    return build_graph(obj["directed"], obj["node_count"], flat_columns(edges, width), kind, columns=True)
 
 
 def answer_to_json(a: Answer) -> dict:
@@ -136,7 +162,8 @@ def write_jsonl(path: str | Path, objects: Iterable[dict]) -> int:
 def read_jsonl(path: str | Path, convert: Callable[[dict], object] | None = None) -> Iterator:
     """Each non-blank line's object, passed through ``convert`` if given. A
     line that is not JSON, or that ``convert`` rejects with ``ValueError``,
-    raises ``ValueError`` prefixed with ``<path>:<line number>:``."""
+    ``TypeError`` or ``KeyError`` (a missing key, which is named), raises
+    ``ValueError`` prefixed with ``<path>:<line number>:``."""
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             line = line.strip()
@@ -145,7 +172,9 @@ def read_jsonl(path: str | Path, convert: Callable[[dict], object] | None = None
                     obj = json.loads(line)
                     if convert is not None:
                         obj = convert(obj)
-                except ValueError as exc:
+                except KeyError as exc:
+                    raise ValueError(f"{path}:{number}: missing key {exc}") from exc
+                except (TypeError, ValueError) as exc:
                     raise ValueError(f"{path}:{number}: {exc}") from exc
                 yield obj
 
@@ -174,7 +203,7 @@ def load_corpus(path: str | Path) -> list:
     return list(read_jsonl(path, instance_from_json))
 
 
-TRACE_FORMAT = 2
+TRACE_FORMAT = 3
 _INSTRUCTION_KEYS = {text: key for key, text in INSTRUCTION_TEXTS.items()}
 
 
@@ -248,10 +277,10 @@ def _task_text_of(stages, instance_id: str) -> str | None:
 
 
 def trace_from_json(obj: dict) -> PipelineTrace:
-    """A trace line of format 1 or 2; an unknown format or instruction key
+    """A trace line of format 1, 2 or 3; an unknown format or instruction key
     raises ``ValueError``."""
     version = obj.get("format", 1)
-    if version not in (1, TRACE_FORMAT):
+    if version not in (1, 2, TRACE_FORMAT):
         raise ValueError(f"unknown trace format {version!r}")
     instance_id = obj["instance_id"]
     task_text = obj.get("task_text")

@@ -187,8 +187,11 @@ def _corpus_digest(config: GenConfig, checker=None) -> str:
 
 # SHA-256 over the corpus lines and EL graph files of
 # GenConfig(count=3, sizes="both") for all 20 kinds. A change that moves a
-# single byte of seeded output must re-pin this and say why.
-GOLDEN_CORPUS_DIGEST = "f1b4b4fda5fd6558f1c08caadde5396814cfd8724411a32b5d71d09828254aa4"
+# single byte of seeded output must re-pin this and say why. Last re-pinned
+# when corpus lines began to store "edges" as one flat array: the digest of
+# the earlier output with each line's nested edge rows flattened equals
+# this one, so nothing else moved.
+GOLDEN_CORPUS_DIGEST = "39803442bd41dd02953b8d7ed92e6936d56ba0d514723d06da8f91eb8ad49b89"
 
 
 def test_seeded_corpus_matches_golden_digest():

@@ -301,3 +301,52 @@ def test_fill_flags_need_fill_quota(tmp_path, capsys, flag):
     assert code == 2
     assert f"{flag[0]} need --fill-quota" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "traces.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["run", "build-dataset", "evaluate"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda o: o.pop("task_text"), "missing key 'task_text'"),
+        (lambda o: o["graph"].update(edges=[[0, 1], 7]), "object of type 'int' has no len()"),
+        (lambda o: o["graph"]["edges"].pop(), "not a multiple of 2"),
+    ],
+)
+def test_malformed_corpus_line_is_reported_with_file_and_line(tmp_path, capsys, command, edit, message):
+    out = tmp_path / "d"
+    corpus, traces = out / "corpus.jsonl", out / "traces.jsonl"
+    assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "4", "--out", str(out)) == 0
+    assert run_cli("run", "--corpus", str(corpus), "--out", str(traces)) == 0
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[2])
+    edit(obj)
+    lines[2] = json.dumps(obj)
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = {
+        "run": ["run", "--corpus", str(corpus), "--out", str(out / "again.jsonl")],
+        "build-dataset": ["build-dataset", "--traces", str(traces), "--corpus", str(corpus),
+                          "--out", str(out / "alpaca.json")],
+        "evaluate": ["evaluate", "--traces", str(traces), "--corpus", str(corpus), "--out", str(out / "eval")],
+    }[command]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus}:3: ") and message in err, err
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "traces.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "evaluate"])
+def test_malformed_trace_line_is_reported_with_file_and_line(tmp_path, capsys, command):
+    out = tmp_path / "d"
+    corpus, traces = out / "corpus.jsonl", out / "traces.jsonl"
+    assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "4", "--out", str(out)) == 0
+    assert run_cli("run", "--corpus", str(corpus), "--out", str(traces)) == 0
+    lines = traces.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[1])
+    del obj["stages"][0]["raw_output"]
+    lines[1] = json.dumps(obj)
+    traces.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    target = out / ("alpaca.json" if command == "build-dataset" else "eval")
+    assert run_cli(command, "--traces", str(traces), "--corpus", str(corpus), "--out", str(target)) == 1
+    assert capsys.readouterr().err == f"error: {traces}:2: missing key 'raw_output'\n"

@@ -1,21 +1,33 @@
 """Differential tests for graph ingest.
 
-`build_graph`, `read_el_graph_file` and the generator's pair decoder each
-have a fast path. The references below are the plain per-edge validator,
-the line-by-line EL parser and the closed-form pair decode, kept here
-verbatim so the fast code is always compared against them: same result,
-or the same exception type and message, on every input.
+`build_graph` (on rows, on columns and through the JSON loader's flat and
+nested edge arrays), `read_el_graph_file`, `extract_graph` and the
+generator's pair decoder each have a fast path. The references below are the
+plain per-edge validator, the line-by-line EL parser, the per-match edge
+extractor and the closed-form pair decode, kept here verbatim so the fast
+code is always compared against them: same result, or the same exception
+type and message, on every input.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from functools import partial
 from math import isqrt
 from pathlib import Path
 
 import pytest
 
-from graphstage.codec import MalformedLine, format_el_graph, read_el_graph_file
+from graphstage.codec import (
+    EDGE_PATTERNS,
+    ExtractionResult,
+    MalformedLine,
+    extract_graph,
+    format_el_graph,
+    read_el_graph_file,
+    render_edge_list,
+)
 from graphstage.generator import _bernoulli_indexes, _decode_pairs, _pair_count
 from graphstage.graphs import (
     Graph,
@@ -26,8 +38,10 @@ from graphstage.graphs import (
     _normalize_edge,
     build_graph,
     canonical_edge_set,
+    flat_columns,
     graphs_equal,
 )
+from graphstage.serialize import graph_from_json
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +105,25 @@ def reference_read_el_graph_file(path, weight_kind=None):
         kind = WeightKind(weight_kind)
     node_count = 1 + max(max(e[0], e[1]) for e in edges) if edges else 0
     return reference_build_graph(directed, node_count, edges, kind)
+
+
+def reference_extract_graph(text, weight_kind, directed=False):
+    kind = WeightKind(weight_kind)
+    pattern = EDGE_PATTERNS[kind]
+    edges = []
+    for m in pattern.finditer(text):
+        if kind is WeightKind.NONE:
+            edges.append((int(m.group(1)), int(m.group(2))))
+        else:
+            edges.append((int(m.group(1)), int(m.group(2)), int(m.group(3))))
+    if not edges:
+        return ExtractionResult.failure("no edge matches")
+    node_count = 1 + max(max(e[0], e[1]) for e in edges)
+    try:
+        g = reference_build_graph(directed, node_count, edges, kind)
+    except InvalidEdge as exc:
+        return ExtractionResult.failure(f"invalid edge list: {exc}")
+    return ExtractionResult.of_graph(g)
 
 
 def closed_form_decode_pair(k, n, directed):
@@ -174,6 +207,7 @@ def _corrupt(rng, rows, n):
 def test_build_graph_matches_per_edge_reference():
     rng = random.Random(20240605)
     raised = 0
+    flat_raised = [0, 0]  # flat-form cases accepted, rejected
     for case in range(4000):
         n = rng.randint(1, 12)
         directed = rng.random() < 0.5
@@ -186,8 +220,18 @@ def test_build_graph_matches_per_edge_reference():
         got = outcome(build_graph, directed, node_count, rows, kind)
         assert got == want, (directed, node_count, rows, kind)
         raised += want[0] == "raised"
-    # both the accepting and the rejecting paths are exercised
+        width = 2 if kind is WeightKind.NONE else 3
+        if all(len(row) == width for row in rows):  # the rows the flat form can hold
+            flat = [x for row in rows for x in row]
+            got = outcome(partial(build_graph, columns=True), directed, node_count, flat_columns(flat, width), kind)
+            assert got == want, (directed, node_count, flat, kind)
+            obj = {"directed": directed, "node_count": node_count, "weight_kind": kind.value}
+            assert outcome(graph_from_json, dict(obj, edges=flat)) == want, (obj, flat)
+            assert outcome(graph_from_json, dict(obj, edges=[list(row) for row in rows])) == want
+            flat_raised[want[0] == "raised"] += 1
+    # both the accepting and the rejecting paths are exercised, also in the flat form
     assert 1000 < raised < 3500
+    assert min(flat_raised) > 500, flat_raised
 
 
 @pytest.mark.parametrize(
@@ -337,6 +381,83 @@ def test_read_el_graph_file_edge_cases_match_line_parser(tmp_path, text):
     for weight_kind in (None, WeightKind.NONE, WeightKind.CAPACITY):
         want = outcome(reference_read_el_graph_file, path, weight_kind)
         assert outcome(read_el_graph_file, path, weight_kind) == want
+
+
+# ---------------------------------------------------------------------------
+# extract_graph
+
+# decimal digits of other scripts match \\d and convert with int(); the
+# superscript does neither
+DIGITS = ("１", "١", "৩", "٥", "¹")
+
+
+def _extraction_text(rng, g):
+    """A rendered edge list with the deviations a model reply may have."""
+    entries = re.findall(r"\(.*?\)", render_edge_list(g))
+    for _ in range(rng.choice((0, 1, 2, 3))):
+        change = rng.randrange(7)
+        at = rng.randrange(len(entries) + 1)
+        if change == 0 and entries:  # duplicate entry, maybe reversed
+            u, v, *rest = entries[rng.randrange(len(entries))][1:-1].split(", ", 2)
+            entries.insert(at, f"({v}, {u}{''.join(', ' + r for r in rest)})" if rng.random() < 0.5
+                           else f"({u}, {v}{''.join(', ' + r for r in rest)})")
+        elif change == 1:  # self-loop
+            x = rng.randrange(g.node_count)
+            entries.insert(at, rng.choice((f"({x}, {x})", f"({x}, {x}, {{'weight': 2}})")))
+        elif change == 2 and entries:  # a digit of another script
+            i = rng.randrange(len(entries))
+            digit = rng.choice("0123456789")
+            entries[i] = entries[i].replace(digit, rng.choice(DIGITS), 1)
+        elif change == 3 and entries:  # zero weight or spacing inside the weight
+            i = rng.randrange(len(entries))
+            entries[i] = entries[i].replace(": ", rng.choice((": 0", ":", ":\n  ")), 1)
+        elif change == 4:  # an entry of the other weight kind, or malformed
+            entries.insert(at, rng.choice(("(1, 2)", "(1, 2, {'capacity': 3})", "(1,2)", "(a, b)", "(3, 4, 5)")))
+        elif change == 5 and entries:  # leading zeros
+            i = rng.randrange(len(entries))
+            entries[i] = "(0" + entries[i][1:]
+        else:
+            rng.shuffle(entries)
+    return rng.choice(("The edges are: ", "", "edges: ")) + ", ".join(entries) + rng.choice(("", ".", " (done)"))
+
+
+def test_extract_graph_matches_per_match_reference():
+    rng = random.Random(20240607)
+    failures = 0
+    for case in range(1500):
+        n = rng.randint(2, 15)
+        directed = rng.random() < 0.5
+        kind = rng.choice(KINDS)
+        g = build_graph(directed, n, _valid_rows(rng, n, directed, kind), kind)
+        text = _extraction_text(rng, g)
+        as_kind = kind if rng.random() < 0.9 else rng.choice(KINDS)
+        as_directed = directed if rng.random() < 0.9 else not directed
+        want = outcome(reference_extract_graph, text, as_kind, as_directed)
+        assert outcome(extract_graph, text, as_kind, as_directed) == want, (text, as_kind, as_directed)
+        failures += want[0] == "raised" or "failure" in want[1]
+    # extraction succeeds and fails, and a zero weight raises, on both sides
+    assert 150 < failures < 1200
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("", WeightKind.NONE),
+        ("(0, 1), (1, 0)", WeightKind.NONE),
+        ("(0, 1), (1, 0)", WeightKind.WEIGHT),
+        ("(０, １), (２, ١)", WeightKind.NONE),
+        ("(0, ¹), (0, 2)", WeightKind.NONE),
+        ("(1, 2, {'weight':0})", WeightKind.WEIGHT),
+        ("(1, 2, {'capacity': 3}), (2, 1, {'capacity':\t4})", WeightKind.CAPACITY),
+        ("(1, 1), (2, 2)", WeightKind.NONE),
+        # two numbers past int's digit limit: the first in text order is named
+        (f"(0, {'7' * 5000}), ({'9' * 4400}, 1)", WeightKind.NONE),
+        (f"(0, 1, {{'weight': {'8' * 4500}}}), ({'9' * 4400}, 1, {{'weight': 2}})", WeightKind.WEIGHT),
+    ],
+)
+def test_extract_graph_edge_cases_match_reference(text, kind):
+    for directed in (False, True):
+        assert outcome(extract_graph, text, kind, directed) == outcome(reference_extract_graph, text, kind, directed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Trace file format 2: the writer stores instruction keys and the task text
-once, and the loader rebuilds every record exactly; format-1 lines still load."""
+"""Corpus and trace files: graphs are stored with one flat ``edges`` array,
+and trace lines in format 3 store instruction keys and the task text once;
+the loader rebuilds every record exactly. Nested-edge corpus lines and
+format-1 and format-2 trace lines still load, to the same objects."""
 
 import dataclasses
 import json
@@ -12,7 +14,7 @@ from graphstage.backends import CompletionConfig, FaultBackend, FaultPlan, HttpB
 from graphstage.cli import main
 from graphstage.codec import ExtractionResult
 from graphstage.generator import SizeClass
-from graphstage.graphs import WeightKind
+from graphstage.graphs import WeightKind, build_graph
 from graphstage.pipeline import (
     INSTRUCTION_TEXTS,
     PipelineTrace,
@@ -24,7 +26,10 @@ from graphstage.pipeline import (
     task_instruction_text,
 )
 from graphstage.serialize import (
+    TRACE_FORMAT,
     dump_line,
+    graph_from_json,
+    graph_to_json,
     load_corpus,
     load_traces,
     read_jsonl,
@@ -34,7 +39,8 @@ from graphstage.serialize import (
 from graphstage.toolset import ToolRegistry, ToolSpec, default_registry
 
 REGISTRY = default_registry()
-FIXTURE_V1 = Path(__file__).parent / "fixtures" / "traces_v1.jsonl"
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_V1 = FIXTURES / "traces_v1.jsonl"
 FAULT_MODES = ("drop_graph_edges", "wrong_tool_name", "swap_parameters", "emit_garbage")
 
 
@@ -147,7 +153,7 @@ def test_wl_oracle_line_holds_no_instruction_and_the_task_text_once(corpus):
         assert json.dumps(text, ensure_ascii=False)[1:-1] not in line
     assert line.count(json.dumps(inst.task_text, ensure_ascii=False)[1:-1]) == 1
     assert '"prompt"' not in line and '"instruction_text"' not in line
-    assert json.loads(line)["format"] == 2
+    assert json.loads(line)["format"] == TRACE_FORMAT
 
 
 def test_format_1_fixture_loads_to_the_objects_of_a_fresh_run(tmp_path):
@@ -162,7 +168,7 @@ def test_format_1_fixture_loads_to_the_objects_of_a_fresh_run(tmp_path):
         "--fault-garbage", "0.2", "--seed", "8", "--out", str(out / "traces.jsonl"),
     ]) == 0
     assert all("format" not in obj for obj in read_jsonl(FIXTURE_V1))
-    assert all(obj["format"] == 2 for obj in read_jsonl(out / "traces.jsonl"))
+    assert all(obj["format"] == TRACE_FORMAT for obj in read_jsonl(out / "traces.jsonl"))
 
     old = load_traces(FIXTURE_V1)
     assert _without_latency(old) == _without_latency(load_traces(out / "traces.jsonl"))
@@ -185,6 +191,95 @@ def test_unknown_instruction_key_names_the_key_file_and_line(tmp_path, corpus):
 
 def test_unknown_trace_format_is_rejected(corpus):
     (trace,) = run_corpus(corpus[:1], OracleBackend(corpus), REGISTRY)
-    obj = dict(trace_to_json(trace), format=3)
-    with pytest.raises(ValueError, match="unknown trace format 3"):
+    obj = dict(trace_to_json(trace), format=TRACE_FORMAT + 1)
+    with pytest.raises(ValueError, match=f"unknown trace format {TRACE_FORMAT + 1}"):
         trace_from_json(obj)
+
+
+def test_format_2_fixture_with_nested_edges_loads_to_the_objects_of_a_fresh_run(tmp_path):
+    """``corpus_nested.jsonl`` (edges as ``[u, v(, w)]`` rows) and
+    ``traces_v2.jsonl`` (format 2, nested parsed graphs) were written before
+    edges were stored flat, by these two commands with ``--out`` set to the
+    fixture files."""
+    out = tmp_path / "d"
+    assert main([
+        "generate", "--tasks", "cycle_detection:undirected,shortest_path:directed,maximum_flow:undirected",
+        "--count", "2", "--size", "both", "--seed", "3", "--out", str(out),
+    ]) == 0
+    assert main([
+        "run", "--corpus", str(out / "corpus.jsonl"), "--backend", "fault", "--fault-drop", "0.5",
+        "--fault-name", "0.3", "--seed", "5", "--out", str(out / "traces.jsonl"),
+    ]) == 0
+    nested_corpus, v2_traces = FIXTURES / "corpus_nested.jsonl", FIXTURES / "traces_v2.jsonl"
+    assert all(type(edge) is list for obj in read_jsonl(nested_corpus) for edge in obj["graph"]["edges"])
+    assert all(obj["format"] == 2 for obj in read_jsonl(v2_traces))
+    assert all(type(x) is int for obj in read_jsonl(out / "corpus.jsonl") for x in obj["graph"]["edges"])
+
+    corpus = load_corpus(nested_corpus)
+    assert {i.graph.weight_kind for i in corpus} == set(WeightKind)
+    assert {i.size_class for i in corpus} == {SizeClass.WL, SizeClass.EL}
+    assert corpus == load_corpus(out / "corpus.jsonl")
+    old = load_traces(v2_traces)
+    assert _without_latency(old) == _without_latency(load_traces(out / "traces.jsonl"))
+    parsed = [r.parsed.graph for t in old for r in t.stages if r.parsed.kind == "graph"]
+    assert {g.weight_kind for g in parsed} == set(WeightKind)
+    _assert_round_trips(old)
+
+
+@pytest.mark.parametrize(
+    "kind, rows",
+    [
+        (WeightKind.NONE, [(0, 1), (2, 0), (1, 3)]),
+        (WeightKind.WEIGHT, [(0, 1, 5), (2, 0, 1), (1, 3, 9)]),
+        (WeightKind.CAPACITY, [(3, 1, 2)]),
+        (WeightKind.WEIGHT, []),
+    ],
+)
+def test_graph_edges_are_stored_as_one_flat_array(kind, rows):
+    g = build_graph(True, 4, rows, kind)
+    obj = json.loads(dump_line(graph_to_json(g)))
+    assert obj["edges"] == [x for row in rows for x in row]
+    assert graph_from_json(obj) == g
+    nested = dict(obj, edges=[list(row) for row in rows])
+    assert graph_from_json(nested) == g
+
+
+def _corpus_with_line_2(corpus_dir, tmp_path, edit):
+    lines = (corpus_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[1])
+    edit(obj)
+    lines[1] = dump_line(obj)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda o: o.pop("task_text"), "missing key 'task_text'"),
+        (lambda o: o["graph"].pop("weight_kind"), "missing key 'weight_kind'"),
+        (lambda o: o["graph"].update(edges=[[0, 1], 7]), "object of type 'int' has no len()"),
+        (lambda o: o["graph"].update(edges=7), "edges must be an array, got int"),
+        (lambda o: o["graph"]["edges"].pop(), "flat edge array of a {k} graph holds {n} values, not a multiple of {w}"),
+        (lambda o: o.update(params=None), "'NoneType' object is not iterable"),
+    ],
+)
+def test_malformed_corpus_line_names_file_and_line(corpus_dir, tmp_path, edit, message):
+    path = _corpus_with_line_2(corpus_dir, tmp_path, edit)
+    graph = json.loads(path.read_text(encoding="utf-8").splitlines()[1])["graph"]
+    if "{n}" in message:
+        kind = graph["weight_kind"]
+        message = message.format(k=kind, n=len(graph["edges"]), w=2 if kind == "none" else 3)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}"):
+        load_corpus(path)
+
+
+def test_malformed_trace_line_names_file_and_line(corpus, tmp_path):
+    traces = run_corpus(corpus[:2], OracleBackend(corpus), REGISTRY)
+    lines = [trace_to_json(t) for t in traces]
+    del lines[1]["skipped_parameter_stage"]
+    path = tmp_path / "traces.jsonl"
+    path.write_text("".join(dump_line(obj) + "\n" for obj in lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: missing key 'skipped_parameter_stage'$"):
+        load_traces(path)
