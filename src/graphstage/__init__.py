@@ -15,7 +15,6 @@ from .codec import (
     extract_tool_name,
     read_el_graph_file,
     render_edge_list,
-    write_el_graph_file,
 )
 from .generator import (
     ALL_KINDS,

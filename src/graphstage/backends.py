@@ -2,8 +2,9 @@
 oracle that answers every stage perfectly, and a fault-injection wrapper
 that corrupts oracle output in controlled, labeled ways.
 
-All backends expose ``complete(prompt) -> str`` and are safe to call from
-multiple worker threads; the HTTP backend also hands out connections whose
+All backends expose a blocking ``complete(prompt) -> str``, which
+:func:`~graphstage.pipeline.run_pipeline` calls, and which is safe to call
+from several threads; the HTTP backend also hands out connections whose
 ``complete`` is a coroutine, for runs on an asyncio event loop. The oracle
 and fault backends identify the instance and stage from the bracketed
 metadata line the pipeline puts in each prompt.
@@ -29,7 +30,7 @@ from urllib.parse import unquote, urlsplit, urlunsplit
 from .codec import render_edge_list
 from .generator import SizeClass, TaskInstance
 from .graphs import build_graph
-from .pipeline import parse_prompt_meta
+from .pipeline import parse_prompt_meta, run_blocking
 from .tools import ToolError, dispatch
 from .toolset import ToolRegistry, default_registry
 
@@ -104,17 +105,6 @@ def _length(field: bytes, base: int = 10) -> int:
     if length < 0:
         raise ValueError(f"negative length {field!r}")
     return length
-
-
-def _run_blocking(coroutine):
-    """The result of a coroutine that never suspends, such as a call on a
-    :class:`_SocketConnection`: it runs to the end in one step."""
-    try:
-        coroutine.send(None)
-    except StopIteration as done:
-        return done.value
-    coroutine.close()
-    raise RuntimeError("a blocking call suspended")
 
 
 class _Connection:
@@ -467,7 +457,7 @@ class HttpBackend:
             connection = self._local.connection = _SocketConnection(self)
             with self._lock:
                 self._opened.append(connection)
-        return _run_blocking(connection.complete(prompt))
+        return run_blocking(connection.complete(prompt))
 
     def connection(self) -> _StreamConnection:
         """A new connection for coroutines on the running event loop:

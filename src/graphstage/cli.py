@@ -164,10 +164,7 @@ def _cmd_run(args) -> int:
     corpus = load_corpus(args.corpus)
     backend = _make_backend(args, file_cfg, corpus)
     base_dir = Path(args.corpus).parent
-    # only waits on an endpoint overlap; the in-process backends are pure
-    # Python, which the GIL runs slower on a thread pool than serially
-    workers = args.workers if isinstance(backend, HttpBackend) else 1
-    traces = run_corpus(corpus, backend, default_registry(), workers=workers, base_dir=base_dir)
+    traces = run_corpus(corpus, backend, default_registry(), workers=args.workers, base_dir=base_dir)
     write_jsonl(args.out, (trace_to_json(t) for t in traces))
     if args.fault_labels:
         atomic_write_text(

@@ -30,7 +30,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from .graphs import Graph, InvalidEdge, WeightKind, build_graph, flat_columns
+from .graphs import Graph, GraphError, WeightKind, build_graph, flat_columns
 
 GRAPH_FILE_SUFFIX = ".edges"
 
@@ -102,12 +102,15 @@ def extract_graph(
     matches = EDGE_PATTERNS[kind].findall(text)
     if not matches:
         return ExtractionResult.failure("no edge matches")
-    numbers = list(map(int, chain.from_iterable(matches)))  # text order, as each int() raises
+    try:
+        numbers = list(map(int, chain.from_iterable(matches)))  # text order: the first bad one is named
+    except ValueError as exc:  # a number past int's digit limit
+        return ExtractionResult.failure(f"edge number: {exc}")
     columns = flat_columns(numbers, len(matches[0]))
     node_count = 1 + max(max(columns[0]), max(columns[1]))
     try:
         g = build_graph(directed, node_count, columns, kind, columns=True)
-    except InvalidEdge as exc:
+    except GraphError as exc:
         return ExtractionResult.failure(f"invalid edge list: {exc}")
     return ExtractionResult.of_graph(g)
 
@@ -135,12 +138,15 @@ def extract_parameters(text: str, spec) -> ExtractionResult:
         if m is None:
             values = None
             break
-        values.append(int(m.group(1)))
+        values.append(m.group(1))
+    if values is None:
+        m = re.search(r"(?:G" + r",\s*(\d+)" * len(names) + ")", text)
+        values = m.groups() if m else None
     if values is not None:
-        return ExtractionResult.of_params(values)
-    m = re.search(r"(?:G" + r",\s*(\d+)" * len(names) + ")", text)
-    if m is not None:
-        return ExtractionResult.of_params(int(v) for v in m.groups())
+        try:
+            return ExtractionResult.of_params(values)
+        except ValueError as exc:  # a number past int's digit limit
+            return ExtractionResult.failure(f"parameter value: {exc}")
     return ExtractionResult.failure(
         f"arity: expected {len(names)} parameter(s) {names}, found neither "
         "named nor positional form"
@@ -159,10 +165,6 @@ class MalformedLine(ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
-
-
-def write_el_graph_file(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(format_el_graph(g), encoding="utf-8")
 
 
 def format_el_graph(g: Graph) -> str:

@@ -12,9 +12,10 @@ so a stored trace can keep a short key and the task text and rebuild the rest.
 
 Each stage is attempted exactly once; a parse failure in any stage
 short-circuits tool execution but the trace still records every stage. The
-stage sequence yields its prompts and is sent the replies, so the same code
-runs with a blocking backend (:func:`run_pipeline`) and on an event loop
-(:func:`run_corpus` with an HTTP backend).
+stage sequence is written once, as a coroutine that awaits each reply: over
+a blocking backend it never suspends, and :func:`run_pipeline` runs it to the
+end in one step (:func:`run_blocking`); :func:`run_corpus` with an HTTP
+backend awaits it on an event loop, one coroutine per connection.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from __future__ import annotations
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .codec import (
     ExtractionResult,
@@ -204,15 +204,23 @@ INSTRUCTION_TEXTS: Dict[str, str] = {
 }
 
 
-# what the stage sequence is sent for each prompt it yields: (raw output,
-# backend error or None, latency in ms)
-Reply = Tuple[str, Optional[str], float]
+def run_blocking(coroutine):
+    """The result of a coroutine that never suspends, such as a pipeline over
+    a blocking backend: it runs to the end in one step, on any thread, inside
+    a running event loop or not."""
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return done.value
+    coroutine.close()
+    raise RuntimeError("a blocking call suspended")
 
 
-def _call_backend(backend, prompt: str) -> Reply:
+async def _ask(complete, prompt: str) -> Tuple[str, Optional[str], float]:
+    """(raw output, backend error or None, latency in ms) of one call."""
     start = time.perf_counter()
     try:
-        raw = backend.complete(prompt)
+        raw = await complete(prompt)
         error = None
     except Exception as exc:  # transport errors become data, never escape
         raw = ""
@@ -220,28 +228,15 @@ def _call_backend(backend, prompt: str) -> Reply:
     return raw, error, (time.perf_counter() - start) * 1000.0
 
 
-async def _await_backend(connection, prompt: str) -> Reply:
-    start = time.perf_counter()
-    try:
-        raw = await connection.complete(prompt)
-        error = None
-    except Exception as exc:  # as in _call_backend
-        raw = ""
-        error = f"backend error: {exc}"
-    return raw, error, (time.perf_counter() - start) * 1000.0
-
-
-def _stages(
-    instance: TaskInstance, registry: ToolRegistry, base_dir: Path
-) -> Generator[str, Reply, PipelineTrace]:
-    """The staged pipeline for one instance, apart from its backend calls:
-    yields each prompt, is sent the :data:`Reply` to it, returns the trace."""
+async def _pipeline(instance: TaskInstance, complete, registry: ToolRegistry, base_dir: Path) -> PipelineTrace:
+    """The staged pipeline for one instance; ``complete`` is the coroutine
+    function that answers a prompt."""
     stages: List[StageRecord] = []
 
     # stage G: graph (or file path) extraction
     g_text = graph_instruction_text(instance.size_class, instance.graph.weight_kind)
     g_prompt = assemble_prompt(g_text, instance, StageKind.GRAPH)
-    raw, error, latency = yield g_prompt
+    raw, error, latency = await _ask(complete, g_prompt)
     file_path = None
     if error is not None:
         parsed = ExtractionResult.failure(error)
@@ -267,7 +262,7 @@ def _stages(
     # stage N: tool name identification
     n_text = task_instruction_text(registry)
     n_prompt = assemble_prompt(n_text, instance, StageKind.NAME)
-    raw, error, latency = yield n_prompt
+    raw, error, latency = await _ask(complete, n_prompt)
     parsed = ExtractionResult.failure(error) if error is not None else extract_tool_name(raw)
     stages.append(StageRecord(StageKind.NAME, n_text, n_prompt, raw, parsed, latency))
     name_record = stages[-1]
@@ -291,7 +286,7 @@ def _stages(
         else:
             p_text = parameter_instruction_text(spec)
             p_prompt = assemble_prompt(p_text, instance, StageKind.PARAMS)
-            raw, error, latency = yield p_prompt
+            raw, error, latency = await _ask(complete, p_prompt)
             parsed = (
                 ExtractionResult.failure(error)
                 if error is not None
@@ -331,28 +326,11 @@ def run_pipeline(
     base_dir: str | Path = ".",
 ) -> PipelineTrace:
     """Execute the staged pipeline for one instance and return the full trace."""
-    steps = _stages(instance, registry, Path(base_dir))
-    reply = None
-    while True:
-        try:
-            prompt = steps.send(reply)
-        except StopIteration as done:
-            return done.value
-        reply = _call_backend(backend, prompt)
 
+    async def complete(prompt: str) -> str:  # blocks, so the pipeline never suspends
+        return backend.complete(prompt)
 
-async def _run_pipeline_async(
-    instance: TaskInstance, connection, registry: ToolRegistry, base_dir: Path
-) -> PipelineTrace:
-    """:func:`run_pipeline` over one connection of an HTTP backend."""
-    steps = _stages(instance, registry, base_dir)
-    reply = None
-    while True:
-        try:
-            prompt = steps.send(reply)
-        except StopIteration as done:
-            return done.value
-        reply = await _await_backend(connection, prompt)
+    return run_blocking(_pipeline(instance, complete, registry, Path(base_dir)))
 
 
 def run_corpus(
@@ -367,20 +345,19 @@ def run_corpus(
     An :class:`~graphstage.backends.HttpBackend` runs the pipelines as
     coroutines on one event loop in the calling thread, over ``workers``
     keep-alive connections with as many requests in flight. Any other backend
-    runs serially, or on a pool of ``workers`` threads.
+    runs serially in the calling thread, whatever ``workers`` says: its work
+    is pure Python, which threads would only slow down.
     """
     from .backends import HttpBackend  # backends imports this module
 
     if isinstance(backend, HttpBackend):
         return _run_on_event_loop(instances, backend, registry, max(workers, 1), Path(base_dir))
-    if workers <= 1:
-        return [run_pipeline(i, backend, registry, base_dir) for i in instances]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: run_pipeline(i, backend, registry, base_dir), instances))
+    return [run_pipeline(i, backend, registry, base_dir) for i in instances]
 
 
 def _run_on_event_loop(instances, backend, registry, workers: int, base_dir: Path) -> List[PipelineTrace]:
     import asyncio  # only HTTP runs need it, and it takes tens of ms to import
+    from concurrent.futures import ThreadPoolExecutor
 
     traces: List[Optional[PipelineTrace]] = [None] * len(instances)
     todo = iter(enumerate(instances))
@@ -390,7 +367,7 @@ def _run_on_event_loop(instances, backend, registry, workers: int, base_dir: Pat
         connection = backend.connection()
         try:
             for index, instance in todo:
-                traces[index] = await _run_pipeline_async(instance, connection, registry, base_dir)
+                traces[index] = await _pipeline(instance, connection.complete, registry, base_dir)
         finally:
             connection.close()
 

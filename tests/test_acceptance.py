@@ -40,12 +40,11 @@ from graphstage import (
     render_edge_list,
     run_corpus,
     score_trace,
-    write_el_graph_file,
 )
 from graphstage.codec import format_el_graph
 from graphstage.generator import BOOLEAN_TOOLS, SIZE_EDGE_CAP, SIZE_NODE_RANGE
 from graphstage.pipeline import StageKind
-from graphstage.serialize import dump_line, instance_to_json
+from graphstage.serialize import atomic_write_text, dump_line, instance_to_json
 from graphstage.tools import (
     CyclicGraph,
     NoTriangle,
@@ -266,9 +265,7 @@ def test_criterion_5_end_to_end_oracle_soundness(tmp_path):
     assert len(corpus) == 1000
     for inst in corpus:
         if inst.graph_file is not None:
-            path = tmp_path / inst.graph_file
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_el_graph_file(inst.graph, path)
+            atomic_write_text(tmp_path / inst.graph_file, format_el_graph(inst.graph))
     backend = OracleBackend(corpus)
     traces = run_corpus(corpus, backend, REGISTRY, workers=4, base_dir=tmp_path)
     records = evaluate_traces(traces, corpus)

@@ -15,9 +15,9 @@ from graphstage import (
     graphs_equal,
     read_el_graph_file,
     render_edge_list,
-    write_el_graph_file,
 )
 from graphstage.codec import EDGE_PATTERNS, MalformedLine, format_el_graph
+from graphstage.serialize import atomic_write_text
 from graphstage.toolset import default_registry
 
 from conftest import random_test_graph
@@ -108,6 +108,13 @@ def test_extract_parameters_single():
     assert extract_parameters("(G, 4)", spec).params == (4,)
 
 
+@pytest.mark.parametrize("text", ["node=" + "9" * 5000, "(G, " + "9" * 5000 + ")"])
+def test_extract_parameters_past_int_digit_limit_is_failure(text):
+    res = extract_parameters(text, REGISTRY.get("degree_count"))
+    assert not res.ok
+    assert "parameter value" in res.reason
+
+
 def test_extract_file_path():
     res = extract_file_path("graph at /data/g_17.edges today")
     assert res.path == "/data/g_17.edges"
@@ -119,7 +126,7 @@ def test_extract_file_path():
 def test_el_file_roundtrip(tmp_path, rng):
     g = random_test_graph(rng, True, WeightKind.CAPACITY, n_max=50, n_min=40, p=0.1)
     path = tmp_path / "g.edges"
-    write_el_graph_file(g, path)
+    atomic_write_text(path, format_el_graph(g))
     back = read_el_graph_file(path, WeightKind.CAPACITY)
     assert graphs_equal(back, g)
 

@@ -6,7 +6,8 @@ generator's pair decoder each have a fast path. The references below are the
 plain per-edge validator, the line-by-line EL parser, the per-match edge
 extractor and the closed-form pair decode, kept here verbatim so the fast
 code is always compared against them: same result, or the same exception
-type and message, on every input.
+type and message, on every input. Where the reference extractor raises,
+`extract_graph` returns the failure with that message instead.
 """
 
 from __future__ import annotations
@@ -421,6 +422,18 @@ def _extraction_text(rng, g):
     return rng.choice(("The edges are: ", "", "edges: ")) + ", ".join(entries) + rng.choice(("", ".", " (done)"))
 
 
+def reference_outcome(text, weight_kind, directed):
+    """outcome() of the reference extractor, with its raise mapped to the
+    failure that extract_graph returns instead: model text never raises."""
+    try:
+        result = reference_extract_graph(text, weight_kind, directed)
+    except GraphError as exc:  # a zero weight
+        result = ExtractionResult.failure(f"invalid edge list: {exc}")
+    except ValueError as exc:  # a number past int's digit limit
+        result = ExtractionResult.failure(f"edge number: {exc}")
+    return ("ok", repr(result))
+
+
 def test_extract_graph_matches_per_match_reference():
     rng = random.Random(20240607)
     failures = 0
@@ -432,10 +445,10 @@ def test_extract_graph_matches_per_match_reference():
         text = _extraction_text(rng, g)
         as_kind = kind if rng.random() < 0.9 else rng.choice(KINDS)
         as_directed = directed if rng.random() < 0.9 else not directed
-        want = outcome(reference_extract_graph, text, as_kind, as_directed)
+        want = reference_outcome(text, as_kind, as_directed)
         assert outcome(extract_graph, text, as_kind, as_directed) == want, (text, as_kind, as_directed)
-        failures += want[0] == "raised" or "failure" in want[1]
-    # extraction succeeds and fails, and a zero weight raises, on both sides
+        failures += "failure" in want[1]
+    # extraction succeeds and fails, a zero weight included, on both sides
     assert 150 < failures < 1200
 
 
@@ -457,7 +470,7 @@ def test_extract_graph_matches_per_match_reference():
 )
 def test_extract_graph_edge_cases_match_reference(text, kind):
     for directed in (False, True):
-        assert outcome(extract_graph, text, kind, directed) == outcome(reference_extract_graph, text, kind, directed)
+        assert outcome(extract_graph, text, kind, directed) == reference_outcome(text, kind, directed)
 
 
 # ---------------------------------------------------------------------------

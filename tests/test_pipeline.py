@@ -1,13 +1,18 @@
+import asyncio
+import inspect
 import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from graphstage import (
     ALL_KINDS,
+    FaultBackend,
+    FaultPlan,
     OracleBackend,
     SizeClass,
     TaskKind,
@@ -16,12 +21,16 @@ from graphstage import (
     run_corpus,
     run_pipeline,
 )
+from graphstage.codec import format_el_graph
+from graphstage.evaluation import Category, score_trace
 from graphstage.pipeline import (
     StageKind,
     assemble_prompt,
     parse_prompt_meta,
+    run_blocking,
     serialize_registry,
 )
+from graphstage.serialize import atomic_write_text, trace_to_json
 from graphstage.tools import TOOL_NAMES, UnknownTool, tool_arity
 
 REGISTRY = default_registry()
@@ -36,6 +45,14 @@ def _prompts(inst):
     """The prompt run_pipeline records for each stage, under the oracle backend."""
     trace = run_pipeline(inst, OracleBackend([inst]), REGISTRY)
     return {record.stage: record.prompt for record in trace.stages}
+
+
+def _without_latency(traces):
+    stored = [trace_to_json(t) for t in traces]
+    for trace in stored:
+        for stage in trace["stages"]:
+            del stage["latency_ms"]
+    return stored
 
 
 def test_prompt_builders_are_pure():
@@ -197,12 +214,84 @@ def test_backend_exception_recorded_not_raised():
     assert "socket closed" in trace.stages[0].parsed.reason
 
 
-def test_run_corpus_parallel_preserves_order():
+@pytest.mark.parametrize("faults", [False, True])
+def test_run_corpus_runs_in_process_backends_serially_in_order(faults):
     corpus = [_instance(k.label, i) for i, k in enumerate(ALL_KINDS)]
-    backend = OracleBackend(corpus)
-    traces = run_corpus(corpus, backend, REGISTRY, workers=8)
-    assert [t.instance_id for t in traces] == [i.id for i in corpus]
-    assert all(t.tool_result == i.gold_answer for t, i in zip(traces, corpus))
+    plan = FaultPlan(drop_graph_edges=0.3, wrong_tool_name=0.3, swap_parameters=0.3, emit_garbage=0.1)
+
+    class OnThread:
+        def __init__(self):
+            oracle = OracleBackend(corpus)
+            self.backend = FaultBackend(oracle, plan, seed=3) if faults else oracle
+            self.threads = set()
+
+        def complete(self, prompt):
+            self.threads.add(threading.get_ident())
+            return self.backend.complete(prompt)
+
+    runs = {}
+    for workers in (1, 8):
+        backend = OnThread()
+        traces = run_corpus(corpus, backend, REGISTRY, workers=workers)
+        assert backend.threads == {threading.get_ident()}
+        assert [t.instance_id for t in traces] == [i.id for i in corpus]
+        runs[workers] = _without_latency(traces), getattr(backend.backend, "injected", None)
+    assert runs[8] == runs[1]
+    if faults:
+        assert runs[1][1]  # some faults fired
+    else:
+        assert all(t.tool_result == i.gold_answer for t, i in zip(traces, corpus))
+
+
+def test_run_pipeline_inside_a_running_event_loop():
+    inst = _instance()
+    backend = OracleBackend([inst])
+
+    async def in_a_notebook():
+        return run_pipeline(inst, backend, REGISTRY)
+
+    outside = run_pipeline(inst, backend, REGISTRY)
+    assert _without_latency([asyncio.run(in_a_notebook())]) == _without_latency([outside])
+
+
+def test_run_blocking_refuses_a_coroutine_that_suspends():
+    finished = []
+
+    async def suspends():
+        try:
+            await asyncio.sleep(0)
+        finally:
+            finished.append(True)
+
+    coroutine = suspends()
+    with pytest.raises(RuntimeError, match="suspended"):
+        run_blocking(coroutine)
+    assert finished == [True]
+    assert inspect.getcoroutinestate(coroutine) == inspect.CORO_CLOSED
+
+
+def test_number_answers_that_do_not_parse_are_syntax_errors():
+    weighted = _instance("shortest_path:undirected")
+    parametric = _instance("degree_count:directed", 1)
+    corpus = [weighted, parametric]
+    assert weighted.graph.weight_kind.value == "weight"
+    oracle = OracleBackend(corpus)
+
+    class BadNumbers:
+        def complete(self, prompt):
+            instance_id, stage = parse_prompt_meta(prompt)
+            if instance_id == weighted.id and stage is StageKind.GRAPH:
+                return "The edges are: (0, 1, {'weight': 0})"
+            if instance_id == parametric.id and stage is StageKind.PARAMS:
+                return "node=" + "9" * 5000
+            return oracle.complete(prompt)
+
+    traces = run_corpus(corpus, BadNumbers(), REGISTRY)
+    failed = [traces[0].stage(StageKind.GRAPH), traces[1].stage(StageKind.PARAMS)]
+    assert [not record.parsed.ok for record in failed] == [True, True]
+    for trace, inst in zip(traces, corpus):
+        assert trace.tool_result is None
+        assert score_trace(trace, inst).category is Category.SYNTAX
 
 
 def test_importing_the_cli_leaves_asyncio_out():
@@ -214,11 +303,8 @@ def test_importing_the_cli_leaves_asyncio_out():
 
 
 def test_el_pipeline_reads_graph_file(tmp_path):
-    from graphstage import write_el_graph_file
-
     inst = _instance("maximum_flow:directed", size=SizeClass.EL)
-    (tmp_path / "graphs").mkdir()
-    write_el_graph_file(inst.graph, tmp_path / inst.graph_file)
+    atomic_write_text(tmp_path / inst.graph_file, format_el_graph(inst.graph))
     backend = OracleBackend([inst])
     trace = run_pipeline(inst, backend, REGISTRY, base_dir=tmp_path)
     assert trace.stage(StageKind.GRAPH).file_path == inst.graph_file
@@ -246,15 +332,12 @@ def test_el_pipeline_missing_file_is_parse_failure(tmp_path):
     ],
 )
 def test_el_path_must_stay_in_corpus_dir(tmp_path, answer, failure):
-    from graphstage import write_el_graph_file
-    from graphstage.evaluation import Category, score_trace
-
     inst = _instance("maximum_flow:directed", size=SizeClass.EL)
     corpus_dir = tmp_path / "corpus"
-    (corpus_dir / "graphs").mkdir(parents=True)
-    write_el_graph_file(inst.graph, corpus_dir / inst.graph_file)
+    atomic_write_text(corpus_dir / inst.graph_file, format_el_graph(inst.graph))
     outside = tmp_path / "outside.edges"
-    write_el_graph_file(inst.graph, outside)  # readable and well formed: only the path is wrong
+    # readable and well formed: only the path is wrong
+    atomic_write_text(outside, format_el_graph(inst.graph))
     path = answer.format(outside=outside, graph_file=inst.graph_file)
     oracle = OracleBackend([inst])
 
