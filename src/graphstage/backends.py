@@ -3,11 +3,12 @@ oracle that answers every stage perfectly, and a fault-injection wrapper
 that corrupts oracle output in controlled, labeled ways.
 
 All backends expose a blocking ``complete(prompt) -> str``, which
-:func:`~graphstage.pipeline.run_pipeline` calls, and which is safe to call
-from several threads; the HTTP backend also hands out connections whose
-``complete`` is a coroutine, for runs on an asyncio event loop. The oracle
-and fault backends identify the instance and stage from the bracketed
-metadata line the pipeline puts in each prompt.
+:func:`~graphstage.pipeline.run_pipeline` calls. The HTTP backend's call
+runs on an asyncio event loop of its own, over a connection for that call
+alone; the backend also hands out keep-alive connections whose ``complete``
+is a coroutine, for runs on one event loop. The oracle and fault backends
+identify the instance and stage from the bracketed metadata line the
+pipeline puts in each prompt.
 """
 
 from __future__ import annotations
@@ -18,19 +19,17 @@ import json
 import os
 import random
 import re
-import socket
 import ssl
 import threading
-import time
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .codec import render_edge_list
 from .generator import SizeClass, TaskInstance
 from .graphs import build_graph
-from .pipeline import parse_prompt_meta, run_blocking
+from .pipeline import parse_prompt_meta, run_on_loop
 from .tools import ToolError, dispatch
 from .toolset import ToolRegistry, default_registry
 
@@ -77,6 +76,9 @@ _MAX_BACKOFF_S = 8.0
 _IDLE_CLOSE_ERRORS = (ConnectionResetError, BrokenPipeError)
 _MAX_LINE = 2 ** 16  # longest status or header line; asyncio's default stream limit
 _MAX_HEADERS = 100
+# a response body may hold an envelope (ids, usage) of up to _MAX_LINE bytes
+# and this many bytes per requested token; a larger one is not read
+_BODY_BYTES_PER_TOKEN = 64
 # what an HTTP/1.1 request line or header value may not hold
 _TARGET_FORBIDDEN = re.compile(r"[\x00-\x20\x7f]")
 _VALUE_FORBIDDEN = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
@@ -107,24 +109,30 @@ def _length(field: bytes, base: int = 10) -> int:
     return length
 
 
-class _Connection:
-    """One keep-alive HTTP/1.1 connection to the endpoint, or to the proxy
-    that leads to it, and the client's protocol on it: the request bytes, the
-    response framing, one resend when a kept connection turns out closed,
-    and the retry and backoff policy (:meth:`complete`).
+def _within(length: int, limit: int) -> int:
+    """A body length the client reads: ValueError when it is over the cap."""
+    if length > limit:
+        raise ValueError(f"response body over the {limit}-byte cap")
+    return length
 
-    A subclass provides the I/O: the coroutines ``_connect(host, port,
-    ssl_context)``, ``_start_tls(ssl_context, host)``, ``_readline()``,
-    ``_readexactly(n)``, ``_read_to_eof()`` and ``_sleep(seconds)``, and the
-    methods ``_is_open()``, ``_write(data)`` and ``close()``. The coroutines
-    of :class:`_SocketConnection` block, so they never suspend; those of
-    :class:`_StreamConnection` run on an asyncio event loop.
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection on the running asyncio event loop,
+    to the endpoint or to the proxy that leads to it, and the client's
+    protocol on it: the request bytes, the response framing, one resend when
+    a kept connection turns out closed, and the retry and backoff policy
+    (:meth:`complete`). Each exchange must end within ``timeout_ms`` of its
+    start.
     """
+
+    _reader = _writer = None
 
     def __init__(self, backend: "HttpBackend"):
         self._backend = backend
 
     async def complete(self, prompt: str) -> str:
+        import asyncio
+
         cfg = self._backend.config
         body = self._backend._body(prompt)
         attempts = cfg.retry_count + 1
@@ -135,7 +143,7 @@ class _Connection:
         wait: Optional[float] = None
         for attempt in range(attempts):
             if attempt:
-                await self._sleep(wait if wait is not None else min(0.5 * 2 ** (attempt - 1), _MAX_BACKOFF_S))
+                await asyncio.sleep(wait if wait is not None else min(0.5 * 2 ** (attempt - 1), _MAX_BACKOFF_S))
             wait = None
             try:
                 status, retry_after, payload = await self._post(body)
@@ -143,7 +151,8 @@ class _Connection:
                 last_error, timed_out = str(exc), True
                 continue
             except (OSError, EOFError, ValueError) as exc:
-                # ValueError: a reply that is not HTTP (status line, a length, an over-long line)
+                # ValueError: a reply that is not HTTP (status line, a length,
+                # an over-long line) or whose body is over the cap
                 last_error = str(exc)
                 continue
             if status in (401, 403):
@@ -165,7 +174,7 @@ class _Connection:
         raise BackendError(f"no response after {attempts} attempt(s): {last_error}")
 
     async def _post(self, body: bytes):
-        reused = self._is_open()
+        reused = self._writer is not None
         try:
             return await self._exchange(body)
         except _IDLE_CLOSE_ERRORS:
@@ -177,10 +186,18 @@ class _Connection:
         """(status, Retry-After header or None, body bytes) of one POST. It
         opens the connection when closed, and closes it after a failure or
         a reply that ends it."""
+        import asyncio
+
+        # a deadline that cancels this task: asyncio.wait_for would start a
+        # task per call, and asyncio.timeout is Python 3.11+
+        task = asyncio.current_task()
+        self._expired = False
+        deadline = task.get_loop().call_later(self._backend.config.timeout_ms / 1000.0, self._expire, task)
+        limit = self._backend._body_limit
         try:
-            if not self._is_open():
+            if self._writer is None:
                 await self._open()
-            self._write(self._backend._head + b"%d\r\n\r\n" % len(body) + body)
+            self._writer.write(self._backend._head + b"%d\r\n\r\n" % len(body) + body)
             version, status, headers = await self._read_head()
             while 100 <= status < 200:  # interim replies precede the final one
                 version, status, headers = await self._read_head()
@@ -188,38 +205,65 @@ class _Connection:
             if status in (204, 304):
                 payload = b""
             elif b"chunked" in headers.get(b"transfer-encoding", b"").lower():
-                payload = await self._read_chunked()
+                payload = await self._read_chunked(limit)
             elif b"content-length" in headers:
-                payload = await self._readexactly(_length(headers[b"content-length"]))
+                payload = await self._reader.readexactly(_within(_length(headers[b"content-length"]), limit))
             else:
                 keep = False
-                payload = await self._read_to_eof()
-        except BaseException:
+                try:
+                    payload = await self._reader.readexactly(limit + 1)
+                except asyncio.IncompleteReadError as ended:  # closed at the end of the body
+                    payload = ended.partial
+                _within(len(payload), limit)
+        except BaseException as exc:
             self.close()  # the connection is mid-exchange; the next request opens a new one
-            raise
+            # the deadline's own cancel becomes a timeout; on Python 3.11+
+            # one that someone else requested as well stays a cancel
+            if not (isinstance(exc, asyncio.CancelledError) and self._expired) or (
+                hasattr(task, "uncancel") and task.uncancel()
+            ):
+                raise
+            raise TimeoutError("timed out") from None
+        finally:
+            deadline.cancel()
         if not keep:
             self.close()
         return status, headers.get(b"retry-after"), payload
 
+    def _expire(self, task) -> None:
+        self._expired = True
+        task.cancel()
+
     async def _open(self) -> None:
+        import asyncio
+
         backend = self._backend
-        if backend._proxy is None:
-            await self._connect(backend._host, backend._port, backend._ssl)
-            return
-        await self._connect(*backend._proxy, None)
-        if backend._ssl is not None:
+        host, port = backend._proxy or (backend._host, backend._port)
+        context = None if backend._proxy else backend._ssl
+        try:
+            self._reader, self._writer = await asyncio.open_connection(host, port, ssl=context, limit=_MAX_LINE)
+        except ConnectionRefusedError as exc:
+            # without the address asyncio adds, which would differ per port
+            raise ConnectionRefusedError(exc.errno, os.strerror(exc.errno)) from None
+        if backend._proxy and backend._ssl is not None:
             # https goes through a CONNECT tunnel, and the TLS inside it
             # checks the certificate against the endpoint host
-            self._write(backend._tunnel_request)
+            self._writer.write(backend._tunnel_request)
             _, status, _ = await self._read_head()
             if status != 200:
                 raise OSError(f"Tunnel connection failed: {status}")
-            await self._start_tls(backend._ssl, backend._host)
+            # StreamWriter.start_tls is Python 3.11+: TLS runs on a duplicate
+            # of the tunnel's socket, and the plain transport lets go of its own
+            sock = self._writer.get_extra_info("socket").dup()
+            self._writer.transport.abort()
+            self._reader, self._writer = await asyncio.open_connection(
+                sock=sock, ssl=backend._ssl, server_hostname=backend._host, limit=_MAX_LINE
+            )
 
     async def _read_head(self):
         """(version, status, headers) of a response head; header names are
         lower case."""
-        line = await self._readline()
+        line = await self._reader.readline()
         if not line:
             raise ConnectionResetError("Remote end closed connection without response")
         version, _, rest = line.partition(b" ")
@@ -227,7 +271,7 @@ class _Connection:
             raise ValueError(f"malformed status line {line[:80]!r}")
         headers: Dict[bytes, bytes] = {}
         for _ in range(_MAX_HEADERS):
-            line = await self._readline()
+            line = await self._reader.readline()
             if line in (b"\r\n", b"\n"):
                 return version, int(rest[:3]), headers
             name, colon, value = line.partition(b":")
@@ -236,135 +280,18 @@ class _Connection:
             headers[name.strip().lower()] = value.strip()
         raise ValueError(f"more than {_MAX_HEADERS} header lines")
 
-    async def _read_chunked(self) -> bytes:
-        chunks = []
+    async def _read_chunked(self, limit: int) -> bytes:
+        chunks, total = [], 0
         while True:
-            size = _length((await self._readline()).split(b";", 1)[0], 16)
+            size = _length((await self._reader.readline()).split(b";", 1)[0], 16)
             if not size:
                 break
-            chunks.append(await self._readexactly(size))
-            await self._readexactly(2)  # the CRLF that ends the chunk
-        while (await self._readline()) not in (b"\r\n", b"\n", b""):
+            total = _within(total + size, limit)
+            chunks.append(await self._reader.readexactly(size))
+            await self._reader.readexactly(2)  # the CRLF that ends the chunk
+        while (await self._reader.readline()) not in (b"\r\n", b"\n", b""):
             pass  # trailer fields
         return b"".join(chunks)
-
-
-class _SocketConnection(_Connection):
-    """A blocking connection; each socket operation may take ``timeout_ms``."""
-
-    _sock: Optional[socket.socket] = None
-
-    def _is_open(self) -> bool:
-        return self._sock is not None
-
-    async def _connect(self, host, port, context) -> None:
-        sock = socket.create_connection((host, port), self._backend.config.timeout_ms / 1000.0)
-        # a failed handshake closes the socket
-        self._use(context.wrap_socket(sock, server_hostname=host) if context else sock)
-
-    async def _start_tls(self, context, host) -> None:
-        self._file.close()
-        self._use(context.wrap_socket(self._sock, server_hostname=host))
-
-    def _use(self, sock: socket.socket) -> None:
-        self._sock, self._file = sock, sock.makefile("rb")
-
-    async def _readline(self) -> bytes:
-        line = self._file.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            raise ValueError("response line too long")
-        return line
-
-    async def _readexactly(self, n: int) -> bytes:
-        data = self._file.read(n)
-        if len(data) < n:
-            raise EOFError(f"connection closed after {len(data)} of {n} bytes")
-        return data
-
-    async def _read_to_eof(self) -> bytes:
-        return self._file.read()
-
-    def _write(self, data: bytes) -> None:
-        self._sock.sendall(data)
-
-    async def _sleep(self, seconds: float) -> None:
-        time.sleep(seconds)
-
-    def close(self) -> None:
-        if self._sock is not None:
-            self._file.close()
-            self._sock.close()
-            self._sock = self._file = None
-
-
-class _StreamConnection(_Connection):
-    """A connection on the running asyncio event loop, over streams; each
-    exchange must end within ``timeout_ms`` of its start."""
-
-    _reader = _writer = None
-
-    def _is_open(self) -> bool:
-        return self._writer is not None
-
-    async def _exchange(self, body: bytes):
-        import asyncio
-
-        # a deadline that cancels this task: asyncio.wait_for would start a
-        # task per call, and asyncio.timeout is Python 3.11+
-        task = asyncio.current_task()
-        self._expired = False
-        deadline = task.get_loop().call_later(self._backend.config.timeout_ms / 1000.0, self._expire, task)
-        try:
-            return await super()._exchange(body)
-        except asyncio.CancelledError:
-            # the deadline's own cancel becomes a timeout; on Python 3.11+
-            # one that someone else requested as well stays a cancel
-            if not self._expired or (hasattr(task, "uncancel") and task.uncancel()):
-                raise
-            raise TimeoutError("timed out") from None
-        finally:
-            deadline.cancel()
-
-    def _expire(self, task) -> None:
-        self._expired = True
-        task.cancel()
-
-    async def _connect(self, host, port, context) -> None:
-        import asyncio
-
-        try:
-            self._reader, self._writer = await asyncio.open_connection(host, port, ssl=context, limit=_MAX_LINE)
-        except ConnectionRefusedError as exc:
-            # the text a blocking connect gives, without the address asyncio adds
-            raise ConnectionRefusedError(exc.errno, os.strerror(exc.errno)) from None
-
-    async def _start_tls(self, context, host) -> None:
-        import asyncio
-
-        # StreamWriter.start_tls is Python 3.11+: TLS runs on a duplicate of
-        # the tunnel's socket, and the plain transport lets go of its own
-        sock = self._writer.get_extra_info("socket").dup()
-        self._writer.transport.abort()
-        self._reader, self._writer = await asyncio.open_connection(
-            sock=sock, ssl=context, server_hostname=host, limit=_MAX_LINE
-        )
-
-    async def _readline(self) -> bytes:
-        return await self._reader.readline()
-
-    async def _readexactly(self, n: int) -> bytes:
-        return await self._reader.readexactly(n)
-
-    async def _read_to_eof(self) -> bytes:
-        return await self._reader.read()
-
-    def _write(self, data: bytes) -> None:
-        self._writer.write(data)  # the loop sends what the socket does not take at once
-
-    async def _sleep(self, seconds: float) -> None:
-        import asyncio
-
-        await asyncio.sleep(seconds)
 
     def close(self) -> None:
         if self._writer is not None:
@@ -375,19 +302,19 @@ class _StreamConnection(_Connection):
 class HttpBackend:
     """Chat-completions client: system+user messages, first choice's content.
 
-    Built on the standard library alone, over persistent HTTP/1.1
-    connections. :meth:`complete` blocks: each thread that calls it keeps one
-    connection to the endpoint and reuses it across calls, and :meth:`close`
-    closes them all once no call is in flight.
-    :func:`~graphstage.pipeline.run_corpus` does not call it: it runs its
-    pipelines as coroutines on one event loop, ``--workers`` of them at a
-    time, each over a connection of its own from :meth:`connection`.
+    Built on the standard library alone, over HTTP/1.1 connections on an
+    asyncio event loop. :func:`~graphstage.pipeline.run_corpus` runs its
+    pipelines as coroutines on one loop, ``--workers`` of them at a time,
+    each over a keep-alive connection of its own from :meth:`connection`.
+    :meth:`complete` is a blocking call for any thread, inside a running
+    event loop or not, over a connection that lasts for that call alone.
 
     Proxies come from the environment (``HTTP_PROXY``/``HTTPS_PROXY``,
     honouring ``NO_PROXY``) and are resolved once, when the backend is made:
     http requests go through the proxy with the absolute URL as target, https
     requests through a CONNECT tunnel with the certificate still verified
-    against the endpoint host.
+    against the endpoint host. A proxy must be an ``http://`` URL with a
+    host, since the client speaks plain HTTP to it.
     """
 
     def __init__(self, config: CompletionConfig):
@@ -417,6 +344,9 @@ class HttpBackend:
         proxy = urllib.request.getproxies().get(url.scheme)
         if proxy and not urllib.request.proxy_bypass(netloc):
             purl = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if purl.scheme != "http" or not purl.hostname:  # named without its credentials
+                shown = f"{purl.scheme}://{purl.hostname or ''}"
+                raise ValueError(f"the {url.scheme} proxy must be an http:// URL with a host, not {shown}")
             self._proxy = (purl.hostname, purl.port or 80)
             auth = {}
             if purl.username is not None:
@@ -430,10 +360,7 @@ class HttpBackend:
         # a request is this head, its body's length, a blank line and the body
         self._head = _request_head(f"POST {target}", headers) + b"Content-Length: "
         self._tunnel_request = _request_head(f"CONNECT {authority}", tunnel_headers) + b"\r\n"
-
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._opened: List[_SocketConnection] = []
+        self._body_limit = _MAX_LINE + _BODY_BYTES_PER_TOKEN * config.max_new_tokens
 
     def _body(self, prompt: str) -> bytes:
         cfg = self.config
@@ -452,25 +379,21 @@ class HttpBackend:
         ).encode("utf-8")
 
     def complete(self, prompt: str) -> str:
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._local.connection = _SocketConnection(self)
-            with self._lock:
-                self._opened.append(connection)
-        return run_blocking(connection.complete(prompt))
+        async def call():
+            connection = self.connection()
+            try:
+                return await connection.complete(prompt)
+            finally:
+                connection.close()
 
-    def connection(self) -> _StreamConnection:
+        return run_on_loop(call())
+
+    def connection(self) -> _Connection:
         """A new connection for coroutines on the running event loop:
         ``await connection.complete(prompt)``, one call at a time, then
         ``connection.close()``. It connects on first use and again after a
-        failure; :meth:`close` does not reach it."""
-        return _StreamConnection(self)
-
-    def close(self) -> None:
-        """Close every connection :meth:`complete` opened; a later call reconnects."""
-        with self._lock:
-            for connection in self._opened:
-                connection.close()
+        failure."""
+        return _Connection(self)
 
 
 def _prompt_meta(prompt: str) -> Tuple[str, str]:

@@ -11,13 +11,16 @@ Exported patterns:
     EDGE_PATTERNS["none"]     = \\((\\d+), (\\d+)\\)
     EDGE_PATTERNS["weight"]   = \\((\\d+), (\\d+), \\{'weight':\\s*(\\d+)\\}\\)
     EDGE_PATTERNS["capacity"] = \\((\\d+), (\\d+), \\{'capacity':\\s*(\\d+)\\}\\)
-    TOOL_NAME_PATTERN         = API_name:\\s*(\\w+|\\n\\s*\\w+)
+    TOOL_NAME_PATTERN         = API_name:\\s*(\\w+)
     named parameter           = <name>\\s*=\\s*(\\d+), one search per parameter name
     positional fallback       = G,\\s*(\\d+)(,\\s*(\\d+))...
 
 The published unweighted pattern opens with a stray "$" and the tool-name
 pattern closes with a stray double quote; both are typesetting artifacts and
-are anchored on the literal parentheses / dropped here.
+are anchored on the literal parentheses / dropped here. The tool-name
+pattern's published second branch, ``\\n\\s*\\w+``, matches nothing the first
+does not, and it made a search quadratic in a run of newlines: every
+extractor here runs in time linear in the length of the model output.
 """
 
 from __future__ import annotations
@@ -40,9 +43,11 @@ EDGE_PATTERNS = {
     WeightKind.CAPACITY: re.compile(r"\((\d+), (\d+), \{'capacity':\s*(\d+)\}\)"),
 }
 
-TOOL_NAME_PATTERN = re.compile(r"API_name:\s*(\w+|\n\s*\w+)")
+TOOL_NAME_PATTERN = re.compile(r"API_name:\s*(\w+)")
 
-FILE_PATH_PATTERN = re.compile(r"\S*/\S*?\.edges")
+# a whitespace-delimited token that holds the graph file suffix; the
+# lookbehind lets a search try each token from its start only
+_SUFFIX_TOKEN = re.compile(r"(?<!\S)\S*\.edges\S*")
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,7 @@ def extract_tool_name(text: str) -> ExtractionResult:
     m = TOOL_NAME_PATTERN.search(text)
     if not m:
         return ExtractionResult.failure("no API_name anchor")
-    return ExtractionResult.of_name(m.group(1).strip())
+    return ExtractionResult.of_name(m.group(1))
 
 
 def extract_parameters(text: str, spec) -> ExtractionResult:
@@ -154,11 +159,15 @@ def extract_parameters(text: str, spec) -> ExtractionResult:
 
 
 def extract_file_path(text: str) -> ExtractionResult:
-    """First token that looks like a graph file path (has a separator, .edges suffix)."""
-    m = FILE_PATH_PATTERN.search(text)
-    if not m:
-        return ExtractionResult.failure("no file path token")
-    return ExtractionResult.of_path(m.group(0))
+    """First token that looks like a graph file path (has a separator, .edges
+    suffix): what ``\\S*/\\S*?\\.edges`` matches, found without backtracking."""
+    for m in _SUFFIX_TOKEN.finditer(text):
+        token = m.group()
+        slash = token.rfind("/", 0, token.rfind(GRAPH_FILE_SUFFIX))
+        if slash >= 0:
+            end = token.index(GRAPH_FILE_SUFFIX, slash) + len(GRAPH_FILE_SUFFIX)
+            return ExtractionResult.of_path(token[:end])
+    return ExtractionResult.failure("no file path token")
 
 
 class MalformedLine(ValueError):

@@ -15,7 +15,8 @@ short-circuits tool execution but the trace still records every stage. The
 stage sequence is written once, as a coroutine that awaits each reply: over
 a blocking backend it never suspends, and :func:`run_pipeline` runs it to the
 end in one step (:func:`run_blocking`); :func:`run_corpus` with an HTTP
-backend awaits it on an event loop, one coroutine per connection.
+backend awaits it on an event loop, one coroutine per connection. That loop,
+and the one each blocking HTTP call runs on, starts in :func:`run_on_loop`.
 """
 
 from __future__ import annotations
@@ -357,7 +358,6 @@ def run_corpus(
 
 def _run_on_event_loop(instances, backend, registry, workers: int, base_dir: Path) -> List[PipelineTrace]:
     import asyncio  # only HTTP runs need it, and it takes tens of ms to import
-    from concurrent.futures import ThreadPoolExecutor
 
     traces: List[Optional[PipelineTrace]] = [None] * len(instances)
     todo = iter(enumerate(instances))
@@ -374,13 +374,21 @@ def _run_on_event_loop(instances, backend, registry, workers: int, base_dir: Pat
     async def run_lanes():
         await asyncio.gather(*(lane() for _ in range(min(workers, len(instances)))))
 
+    run_on_loop(run_lanes())
+    return traces
+
+
+def run_on_loop(coroutine):
+    """The result of a coroutine run to the end on an event loop of its own:
+    in the calling thread, or, when that thread already runs an event loop
+    (a notebook's) on which :func:`asyncio.run` cannot start, in a thread of
+    its own."""
+    import asyncio
+    from concurrent.futures import ThreadPoolExecutor
+
     try:
         asyncio.get_running_loop()
     except RuntimeError:
-        asyncio.run(run_lanes())
-    else:
-        # this thread already runs an event loop (a notebook's), on which
-        # asyncio.run cannot start: the run gets a thread of its own
-        with ThreadPoolExecutor(max_workers=1) as side:
-            side.submit(asyncio.run, run_lanes()).result()
-    return traces
+        return asyncio.run(coroutine)
+    with ThreadPoolExecutor(max_workers=1) as side:
+        return side.submit(asyncio.run, coroutine).result()

@@ -1,4 +1,5 @@
 import asyncio
+import contextlib
 import http.server
 import json
 import random
@@ -321,12 +322,9 @@ def _exchanges(backend, via, calls=3):
     """(prompt, answer) of each call the backend made: ``calls`` blocking
     calls, or every stage of a run over ``calls`` instances with two
     connections. A stage's recorded backend error is raised again."""
-    try:
-        if via == "complete":
-            return [(f"call {k}", backend.complete(f"call {k}")) for k in range(calls)]
-        traces = run_corpus(_corpus(1)[:calls], backend, REGISTRY, workers=2)
-    finally:
-        backend.close()
+    if via == "complete":
+        return [(f"call {k}", backend.complete(f"call {k}")) for k in range(calls)]
+    traces = run_corpus(_corpus(1)[:calls], backend, REGISTRY, workers=2)
     stages = [s for t in traces for s in t.stages if s.prompt]
     for stage in stages:
         if not stage.raw_output:
@@ -419,7 +417,6 @@ class TestHttpBackend:
             backend = HttpBackend(CompletionConfig(endpoint=endpoint, retry_count=0, timeout_ms=200))
             with pytest.raises(CompletionTimeout):
                 backend.complete("x")
-            backend.close()
 
     def test_timeout_on_the_event_loop_is_recorded_per_stage(self):
         with socket.create_server(("127.0.0.1", 0)) as silent:
@@ -437,35 +434,45 @@ class TestHttpBackend:
             with pytest.raises(ValueError):
                 HttpBackend(CompletionConfig(endpoint=endpoint))
 
-    def test_rejects_what_a_request_head_cannot_carry(self):
+    def test_rejects_what_a_request_head_cannot_carry(self, monkeypatch):
         with pytest.raises(ValueError, match="endpoint path"):
             HttpBackend(CompletionConfig(endpoint="http://127.0.0.1:8000/v1/chat completions"))
         with pytest.raises(ValueError, match="Authorization header") as raised:
             HttpBackend(CompletionConfig(api_key="sk-1\r\nX-Injected: 1"))
         assert "sk-1" not in str(raised.value)
+        for name in ("http_proxy", "https_proxy", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        for scheme, proxy in [
+            ("https", "https://u:p@proxy.example"),  # would carry the credentials in plain text to port 80
+            ("http", "socks5://u:p@proxy.example:1080"),
+            ("http", "http://:8080"),
+            ("http", "http://u:p@:8080"),
+        ]:
+            monkeypatch.setenv(f"{scheme.upper()}_PROXY", proxy)
+            with pytest.raises(ValueError, match="proxy must be an http:// URL with a host") as raised:
+                HttpBackend(CompletionConfig(endpoint=f"{scheme}://api.example/v1/chat/completions"))
+            assert "u:p" not in str(raised.value) and "dTpw" not in str(raised.value)
+            monkeypatch.delenv(f"{scheme.upper()}_PROXY")
 
 
 class TestHttpConnections:
-    def test_sequential_calls_share_one_connection(self, keepalive_server):
+    def test_each_blocking_call_opens_its_own_connection(self, keepalive_server):
         backend = HttpBackend(CompletionConfig(endpoint=keepalive_server))
-        try:
-            for k in range(20):
-                assert backend.complete(f"call {k}") == f"call {k}"
-        finally:
-            backend.close()
-        assert len(_StubHandler.prompts_by_connection) == 1
+        for k in range(5):
+            assert backend.complete(f"call {k}") == f"call {k}"
+        carried = sorted(_StubHandler.prompts_by_connection.values())
+        assert carried == [[f"call {k}"] for k in range(5)]
 
     def test_idle_connection_closed_by_server_is_resent_once(self, keepalive_server):
         backend = HttpBackend(CompletionConfig(endpoint=keepalive_server, retry_count=0))
+        # every reply leaves the lane's kept connection closed at the server's end
         _StubHandler.close_after_reply = True
-        try:
-            assert backend.complete("first") == "first"
-            # the kept connection is now closed at the server's end
-            assert backend.complete("second") == "second"
-        finally:
-            backend.close()
-        assert len(_StubHandler.prompts_by_connection) == 2
-        assert [r["messages"][1]["content"] for r in _StubHandler.requests_seen] == ["first", "second"]
+        (trace,) = run_corpus(_corpus(1)[:1], backend, REGISTRY, workers=1)
+        prompts = [s.prompt for s in trace.stages if s.prompt]
+        assert len(prompts) >= 2
+        assert [s.raw_output for s in trace.stages if s.prompt] == prompts
+        assert [r["messages"][1]["content"] for r in _StubHandler.requests_seen] == prompts
+        assert len(_StubHandler.prompts_by_connection) == len(prompts)
 
     def test_each_thread_uses_its_own_connection(self, keepalive_server):
         backend = HttpBackend(CompletionConfig(endpoint=keepalive_server))
@@ -481,12 +488,19 @@ class TestHttpConnections:
             t.start()
         for t in threads:
             t.join(timeout=30)
-        backend.close()
         assert not any(t.is_alive() for t in threads)
         for name in ("a", "b"):
             assert answers[name] == [f"{name}-{k}" for k in range(10)]
-        carried = sorted(_StubHandler.prompts_by_connection.values())
-        assert carried == [[f"{name}-{k}" for k in range(10)] for name in ("a", "b")]
+        assert len(_StubHandler.prompts_by_connection) == 20
+
+    def test_blocking_call_from_inside_a_running_loop(self, keepalive_server):
+        backend = HttpBackend(CompletionConfig(endpoint=keepalive_server))
+
+        async def in_a_notebook():  # asyncio.run refuses a thread whose loop runs
+            return backend.complete("from a coroutine")
+
+        assert asyncio.run(in_a_notebook()) == "from a coroutine"
+        assert len(_StubHandler.requests_seen) == 1
 
     def test_run_command_keeps_a_connection_per_worker(self, keepalive_server, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -504,14 +518,9 @@ class TestHttpConnections:
         monkeypatch.setenv("HTTP_PROXY", proxy)
         endpoint = "http://completions.example.invalid:8000/v1/chat/completions?v=1"
         backend = HttpBackend(CompletionConfig(endpoint=endpoint))
-        try:
-            assert [backend.complete(f"via proxy {k}") for k in range(3)] == [
-                f"via proxy {k}" for k in range(3)
-            ]
-        finally:
-            backend.close()
+        assert [backend.complete(f"via proxy {k}") for k in range(3)] == [f"via proxy {k}" for k in range(3)]
         assert _StubHandler.targets_seen == [endpoint] * 3
-        assert len(_StubHandler.prompts_by_connection) == 1
+        assert len(_StubHandler.prompts_by_connection) == 3  # one per blocking call
 
     def test_no_proxy_bypasses_the_proxy(self, keepalive_server, monkeypatch):
         for name in ("http_proxy", "no_proxy"):
@@ -519,10 +528,7 @@ class TestHttpConnections:
         monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:1")
         monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
         backend = HttpBackend(CompletionConfig(endpoint=keepalive_server, retry_count=0))
-        try:
-            assert backend.complete("direct") == "direct"
-        finally:
-            backend.close()
+        assert backend.complete("direct") == "direct"
         assert _StubHandler.targets_seen == ["/v1/chat/completions"]
 
 
@@ -599,24 +605,44 @@ class _FramingHandler(socketserver.StreamRequestHandler):
                 return
 
 
-@pytest.mark.parametrize("framing", list(_FRAMINGS))
-@pytest.mark.parametrize("via", VIA)
-def test_response_framing(framing, via):
+@contextlib.contextmanager
+def _framing_server(framing):
+    """A server that answers in ``framing`` and counts its connections, and
+    its endpoint URL."""
     server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _FramingHandler)
     server.daemon_threads = True
     server.framing, server.connections, server.lock = framing, 0, threading.Lock()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-        exchanges = _exchanges(HttpBackend(CompletionConfig(endpoint=endpoint, retry_count=0)), via)
+        yield server, f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
+
+
+@pytest.mark.parametrize("framing", list(_FRAMINGS))
+@pytest.mark.parametrize("via", VIA)
+def test_response_framing(framing, via):
+    with _framing_server(framing) as (server, endpoint):
+        exchanges = _exchanges(HttpBackend(CompletionConfig(endpoint=endpoint, retry_count=0)), via)
     assert exchanges and all(prompt == answer for prompt, answer in exchanges)
     kept = _FRAMINGS[framing][1]
-    assert server.connections == ((2 if via == "run_corpus" else 1) if kept else len(exchanges))
+    assert server.connections == (2 if via == "run_corpus" and kept else len(exchanges))
+
+
+@pytest.mark.parametrize("framing", ["content-length", "chunked", "until close"])
+def test_a_body_over_the_cap_is_not_read(framing):
+    # max_new_tokens=1 caps a body at 64 KiB + 64 bytes; the echo is larger
+    prompt = "x" * 70_000
+    with _framing_server(framing) as (server, endpoint):
+        backend = HttpBackend(CompletionConfig(endpoint=endpoint, retry_count=1, max_new_tokens=1))
+        with pytest.raises(BackendError, match="2 attempt\\(s\\): response body over the 65600-byte cap"):
+            backend.complete(prompt)
+        # a whole echo stays within a cap a thousand tokens wide
+        assert HttpBackend(CompletionConfig(endpoint=endpoint, max_new_tokens=1000)).complete(prompt) == prompt
+    assert server.connections == 3  # the connection closes after each body over the cap
 
 
 class TestEventLoopRuns:

@@ -1,12 +1,14 @@
 """Differential tests for graph ingest.
 
 `build_graph` (on rows, on columns and through the JSON loader's flat and
-nested edge arrays), `read_el_graph_file`, `extract_graph` and the
-generator's pair decoder each have a fast path. The references below are the
-plain per-edge validator, the line-by-line EL parser, the per-match edge
-extractor and the closed-form pair decode, kept here verbatim so the fast
-code is always compared against them: same result, or the same exception
-type and message, on every input. Where the reference extractor raises,
+nested edge arrays), `read_el_graph_file`, `extract_graph`,
+`extract_tool_name`, `extract_file_path` and the generator's pair decoder
+each have a fast path. The references below are the plain per-edge
+validator, the line-by-line EL parser, the per-match edge extractor, the
+published tool-name and file-path patterns (which backtrack in polynomial
+time) and the closed-form pair decode, kept here verbatim so the fast code is
+always compared against them: same result, or the same exception type and
+message, on every input. Where the reference extractor raises,
 `extract_graph` returns the failure with that message instead.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 from functools import partial
 from math import isqrt
 from pathlib import Path
@@ -24,7 +27,10 @@ from graphstage.codec import (
     EDGE_PATTERNS,
     ExtractionResult,
     MalformedLine,
+    extract_file_path,
     extract_graph,
+    extract_parameters,
+    extract_tool_name,
     format_el_graph,
     read_el_graph_file,
     render_edge_list,
@@ -43,6 +49,7 @@ from graphstage.graphs import (
     graphs_equal,
 )
 from graphstage.serialize import graph_from_json
+from graphstage.toolset import default_registry
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +132,24 @@ def reference_extract_graph(text, weight_kind, directed=False):
     except InvalidEdge as exc:
         return ExtractionResult.failure(f"invalid edge list: {exc}")
     return ExtractionResult.of_graph(g)
+
+
+REFERENCE_TOOL_NAME_PATTERN = re.compile(r"API_name:\s*(\w+|\n\s*\w+)")
+REFERENCE_FILE_PATH_PATTERN = re.compile(r"\S*/\S*?\.edges")
+
+
+def reference_extract_tool_name(text):
+    m = REFERENCE_TOOL_NAME_PATTERN.search(text)
+    if not m:
+        return ExtractionResult.failure("no API_name anchor")
+    return ExtractionResult.of_name(m.group(1).strip())
+
+
+def reference_extract_file_path(text):
+    m = REFERENCE_FILE_PATH_PATTERN.search(text)
+    if not m:
+        return ExtractionResult.failure("no file path token")
+    return ExtractionResult.of_path(m.group(0))
 
 
 def closed_form_decode_pair(k, n, directed):
@@ -471,6 +496,120 @@ def test_extract_graph_matches_per_match_reference():
 def test_extract_graph_edge_cases_match_reference(text, kind):
     for directed in (False, True):
         assert outcome(extract_graph, text, kind, directed) == reference_outcome(text, kind, directed)
+
+
+# ---------------------------------------------------------------------------
+# extract_tool_name and extract_file_path
+
+# pieces of a model reply: prose, near misses and nested paths; glued
+# together without a separator they make tokens of several pieces
+REPLY_PIECES = (
+    "The", "graph", "file", "path", "is:", "API_name:", "API_name", "api_name:", "edge_count",
+    "shortest_path", "naïve_tool", "٣x", "-", "(", ")", "'", '"', ",", ".", "/", "//", "a/", "/b",
+    "graphs/g-00001.edges", "a/b.edges/c.edges", "a/b.edgesc/d.edges.edges", "x.edges", ".edges",
+    "/.edges", "a/.edges.edges", ".edges/", "a/b.edge", "a/b.EDGES", "data/sample_graph.edges",
+    "../up/x.edges", "/abs/y.edges", "C:\\dir\\z.edges", "a/b.edges,", "(a/b.edges)",
+)
+REPLY_SPACES = (" ", " ", "\n", "\n\n", "\t", " \n  ", "\r\n", "\xa0", "\u3000", "\u2028", "\x0b", "\x1c", "")
+
+
+def _reply_text(rng):
+    parts = []
+    for _ in range(rng.randint(0, 14)):
+        parts.append(rng.choice(REPLY_PIECES))
+        parts.append(rng.choice(REPLY_SPACES) * rng.choice((1, 1, 2, 5)))
+    return "".join(parts)
+
+
+def test_tool_name_and_file_path_match_the_published_patterns():
+    rng = random.Random(20241019)
+    found = {"name": 0, "path": 0}
+    for _ in range(6000):
+        text = _reply_text(rng)
+        want = outcome(reference_extract_tool_name, text)
+        assert outcome(extract_tool_name, text) == want, text
+        found["name"] += "failure" not in want[1]
+        want = outcome(reference_extract_file_path, text)
+        assert outcome(extract_file_path, text) == want, text
+        found["path"] += "failure" not in want[1]
+    # both extractors succeed and fail
+    assert all(300 < count < 5700 for count in found.values()), found
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "a/b.edges/c.edges",
+        "see a/b.edges/c.edges.edges, then d/e.edges",
+        "x.edges a/b.edgesc/d.edges.edges",
+        "/.edges",
+        ".edges/.edges",
+        "a//b/.edges",
+        "API_name:\n\n   node_count",
+        "API_name: \n",
+        "API_name:\u3000\n edge_count",
+        "API_name:API_name: edge_count",
+        "API_name:-edge_count API_name: node_count",
+        "API_name:\n\n",
+    ],
+)
+def test_tool_name_and_file_path_edge_cases_match_the_published_patterns(text):
+    assert outcome(extract_tool_name, text) == outcome(reference_extract_tool_name, text)
+    assert outcome(extract_file_path, text) == outcome(reference_extract_file_path, text)
+
+
+SHORTEST_PATH = default_registry().get("shortest_path")
+
+# 64 KB replies built to make a backtracking pattern retry each position;
+# the published file-path and tool-name patterns take minutes on them
+ADVERSARIAL_REPLIES = {
+    "extract_file_path": (
+        "a/" * 32768,
+        "/" * 65536,
+        ".edges" * 10923,
+        "a/.edge" * 9362,
+        ("a/" * 127 + "b.edge ") * 246,
+    ),
+    "extract_tool_name": (
+        "API_name:" + "\n" * 65536,
+        "API_name:" + " \n" * 32768,
+        ("API_name:" + "\n" * 200 + "-") * 312,
+        "API_name:" * 7282,
+    ),
+    "extract_graph": (
+        "(1, " * 16384,
+        "(1, 2, {'weight':" + " " * 65536,
+        "(1, 2, {'weight': " * 3641,
+        "(" + "1" * 65536,
+        "(1, 2), " * 8192,
+    ),
+    "extract_parameters": (
+        "source=" + " " * 65536,
+        "source" + " " * 65536 + "=",
+        "source = 1, target =" + " " * 65536,
+        "G," + " " * 65536,
+        "G, 1," * 13107,
+        "target=" + "9" * 65536,
+    ),
+}
+EXTRACTORS = {
+    "extract_file_path": extract_file_path,
+    "extract_tool_name": extract_tool_name,
+    "extract_graph": partial(extract_graph, weight_kind=WeightKind.WEIGHT),
+    "extract_parameters": partial(extract_parameters, spec=SHORTEST_PATH),
+}
+
+
+@pytest.mark.parametrize("name", list(ADVERSARIAL_REPLIES))
+def test_extractors_take_linear_time_on_adversarial_replies(name):
+    for text in ADVERSARIAL_REPLIES[name]:
+        assert len(text) >= 64_000
+        start = time.perf_counter()
+        result = EXTRACTORS[name](text)
+        elapsed = time.perf_counter() - start
+        assert isinstance(result, ExtractionResult)
+        assert elapsed < 2.0, (name, text[:40], elapsed)  # a few ms when linear
 
 
 # ---------------------------------------------------------------------------

@@ -113,11 +113,7 @@ def test_parameter_stage_without_a_call_round_trips_without_text(corpus, corpus_
 
 def test_backend_error_traces_round_trip(corpus):
     config = CompletionConfig(endpoint="http://127.0.0.1:1/v1/chat/completions", retry_count=0)
-    backend = HttpBackend(config)
-    try:
-        traces = run_corpus(corpus[:4], backend, REGISTRY)
-    finally:
-        backend.close()
+    traces = run_corpus(corpus[:4], HttpBackend(config), REGISTRY)
     assert all(r.parsed.reason.startswith("backend error") for t in traces for r in t.stages)
     _assert_round_trips(traces)
 
