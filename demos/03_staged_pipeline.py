@@ -10,7 +10,6 @@ from graphstage import (
     OracleBackend,
     SizeClass,
     TaskKind,
-    default_registry,
     generate_instance,
     run_pipeline,
 )
@@ -19,7 +18,7 @@ instance = generate_instance(
     TaskKind.parse("shortest_path:undirected"), SizeClass.WL, random.Random(3), index=0
 )
 backend = OracleBackend([instance])
-trace = run_pipeline(instance, backend, default_registry())
+trace = run_pipeline(instance, backend)
 
 print(f"instance {instance.id}: {instance.task_text}\n")
 for record in trace.stages:

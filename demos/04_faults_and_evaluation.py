@@ -14,7 +14,6 @@ from graphstage import (
     SizeClass,
     aggregate,
     build_dataset,
-    default_registry,
     evaluate_traces,
     generate_instance,
     render_report,
@@ -30,7 +29,7 @@ oracle = OracleBackend(corpus)
 plan = FaultPlan(drop_graph_edges=0.25, wrong_tool_name=0.25, swap_parameters=0.25)
 fault = FaultBackend(oracle, plan, seed=1)
 
-traces = run_corpus(corpus, fault, default_registry())
+traces = run_corpus(corpus, fault)
 entries, stats = build_dataset(traces, corpus)
 print(
     f"retained {stats['retained_instances']}/{stats['traces']} instances "

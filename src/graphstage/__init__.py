@@ -5,8 +5,8 @@ dataset filtering with Alpaca export, and an evaluation harness."""
 __version__ = "0.1.0"
 
 from .graphs import Graph, WeightKind, build_graph, canonical_edge_set, graphs_equal
-from .tools import Answer, dispatch, TOOL_NAMES
-from .toolset import ToolRegistry, ToolSpec, default_registry
+from .tools import Answer, TOOL_NAMES, ToolRegistry, ToolSpec, dispatch
+from .toolset import default_registry
 from .codec import (
     ExtractionResult,
     extract_file_path,

@@ -2,11 +2,11 @@
 oracle that answers every stage perfectly, and a fault-injection wrapper
 that corrupts oracle output in controlled, labeled ways.
 
-All backends expose a blocking ``complete(prompt) -> str``, which
-:func:`~graphstage.pipeline.run_pipeline` calls. The HTTP backend's call
-runs on an asyncio event loop of its own, over a connection for that call
-alone; the backend also hands out keep-alive connections whose ``complete``
-is a coroutine, for runs on one event loop. The oracle and fault backends
+All backends expose a blocking ``complete(prompt) -> str``. The HTTP
+backend's call runs on an asyncio event loop of its own, over a connection
+for that call alone; the backend also hands out keep-alive connections whose
+``complete`` is a coroutine, which :mod:`graphstage.pipeline` awaits for
+every stage of an HTTP run. The oracle and fault backends
 identify the instance and stage from the bracketed metadata line the
 pipeline puts in each prompt.
 """
@@ -30,8 +30,7 @@ from .codec import render_edge_list
 from .generator import SizeClass, TaskInstance
 from .graphs import build_graph
 from .pipeline import parse_prompt_meta, run_on_loop
-from .tools import ToolError, dispatch
-from .toolset import ToolRegistry, default_registry
+from .tools import TOOLS, ToolError, dispatch
 
 
 class BackendError(RuntimeError):
@@ -66,6 +65,8 @@ class CompletionConfig:
             raise ValueError("temperature must be non-negative")
         if self.retry_count < 0:
             raise ValueError("retry_count must be non-negative")
+        if self.timeout_ms <= 0:
+            raise ValueError("timeout_ms must be positive")
 
 
 _SYSTEM_MESSAGE = "You are a careful assistant for graph reasoning tasks."
@@ -406,9 +407,8 @@ def _prompt_meta(prompt: str) -> Tuple[str, str]:
 class OracleBackend:
     """Emits a perfectly formatted gold output for whichever stage is asked."""
 
-    def __init__(self, corpus: Iterable[TaskInstance], registry: Optional[ToolRegistry] = None):
+    def __init__(self, corpus: Iterable[TaskInstance]):
         self.by_id: Dict[str, TaskInstance] = {inst.id: inst for inst in corpus}
-        self.registry = registry or default_registry()
 
     def _instance(self, prompt: str) -> Tuple[TaskInstance, str]:
         instance_id, stage = _prompt_meta(prompt)
@@ -424,7 +424,7 @@ class OracleBackend:
         if stage == "name":
             return f"API_name: {instance.gold_tool}"
         if stage == "params":
-            spec = self.registry.get(instance.gold_tool)
+            spec = TOOLS.get(instance.gold_tool)
             pairs = zip(spec.parameter_names(), instance.gold_params)
             return ", ".join(f"{name}={value}" for name, value in pairs)
         raise BackendError(f"unknown stage {stage!r}")
@@ -578,6 +578,6 @@ class FaultBackend:
             dispatch(instance.gold_tool, instance.graph, (b, a))
         except ToolError:
             return None  # e.g. the reversed pair is unreachable on a directed graph
-        spec = self.oracle.registry.get(instance.gold_tool)
+        spec = TOOLS.get(instance.gold_tool)
         names = spec.parameter_names()
         return f"{names[0]}={b}, {names[1]}={a}"

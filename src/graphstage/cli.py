@@ -37,7 +37,6 @@ from .generator import (
 )
 from .pipeline import run_corpus
 from .codec import format_el_graph
-from .toolset import default_registry
 from .serialize import (
     atomic_write_text,
     instance_to_json,
@@ -50,6 +49,19 @@ from .serialize import (
 
 class UsageError(ValueError):
     pass
+
+
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 def _parse_tasks(spec: str) -> List[str]:
@@ -164,7 +176,7 @@ def _cmd_run(args) -> int:
     corpus = load_corpus(args.corpus)
     backend = _make_backend(args, file_cfg, corpus)
     base_dir = Path(args.corpus).parent
-    traces = run_corpus(corpus, backend, default_registry(), workers=args.workers, base_dir=base_dir)
+    traces = run_corpus(corpus, backend, workers=args.workers, base_dir=base_dir)
     write_jsonl(args.out, (trace_to_json(t) for t in traces))
     if args.fault_labels:
         atomic_write_text(
@@ -231,7 +243,7 @@ def _fill_quota(args, corpus, traces, entries, stats):
                 instance = generate_instance(kind, size, rng, base_config, index=index)
                 _write_graph_file(corpus_dir, instance)
                 fresh.append(instance)
-        fresh_traces = run_corpus(fresh, OracleBackend(fresh), default_registry(), base_dir=corpus_dir)
+        fresh_traces = run_corpus(fresh, OracleBackend(fresh), base_dir=corpus_dir)
         corpus.extend(fresh)
         traces.extend(fresh_traces)
         entries, stats = build_dataset(traces, corpus)
@@ -274,10 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a task corpus")
     p.add_argument("--tasks", default="all", help="'all' or comma list, e.g. shortest_path:directed")
-    p.add_argument("--count", type=int, default=2000, help="instances per task kind")
+    p.add_argument("--count", type=_int_at_least(0), default=2000, help="instances per task kind")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", choices=("wl", "el", "both"), default="wl")
-    p.add_argument("--budget", type=int, default=4096, help="token budget for size classification")
+    p.add_argument("--budget", type=_int_at_least(1), default=4096,
+                   help="token budget for size classification")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_generate)
 
@@ -287,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--api-key", default=None)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="keep-alive connections, a request in flight on each (http backend only)")
     p.add_argument("--seed", type=int, default=None, help="fault backend seed (default 0)")
     p.add_argument("--fault-drop", type=float, default=0.0)
@@ -295,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-swap", type=float, default=0.0)
     p.add_argument("--fault-garbage", type=float, default=0.0)
     p.add_argument("--fault-labels", default=None, help="write injected fault labels to this file")
-    p.add_argument("--max-tokens", type=int, default=4096)
+    p.add_argument("--max-tokens", type=_int_at_least(1), default=4096)
     p.add_argument("--top-p", type=float, default=1.0)
     p.add_argument("--temperature", type=float, default=0.7)
-    p.add_argument("--retries", type=int, default=2)
-    p.add_argument("--timeout-ms", type=int, default=60_000)
+    p.add_argument("--retries", type=_int_at_least(0), default=2)
+    p.add_argument("--timeout-ms", type=_int_at_least(1), default=60_000)
     p.add_argument("--config", default=None, help="optional JSON config file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
@@ -309,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", default=None)
-    p.add_argument("--fill-quota", type=int, default=0,
+    p.add_argument("--fill-quota", type=_int_at_least(0), default=0,
                    help="regenerate and retry until each kind retains this many instances")
-    p.add_argument("--fill-rounds", type=int, default=None, help="with --fill-quota (default 5)")
+    p.add_argument("--fill-rounds", type=_int_at_least(0), default=None, help="with --fill-quota (default 5)")
     p.add_argument("--seed", type=int, default=None, help="with --fill-quota (default 0)")
     p.add_argument("--size", choices=("wl", "el", "both"), default=None,
                    help="with --fill-quota (default wl)")

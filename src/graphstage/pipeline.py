@@ -7,16 +7,17 @@ plumbing: it lets self-contained backends (oracle, fault injection) look up
 which instance and stage a prompt belongs to without a side channel, and it
 carries no gold labels. A prompt is thus a function of the instruction text,
 the instance id, the stage and the task text (:func:`layout_prompt`), and the
-instruction texts of the default registry are few (:data:`INSTRUCTION_TEXTS`),
-so a stored trace can keep a short key and the task text and rebuild the rest.
+instruction texts are few (:data:`INSTRUCTION_TEXTS`), so a stored trace can
+keep a short key and the task text and rebuild the rest.
 
 Each stage is attempted exactly once; a parse failure in any stage
 short-circuits tool execution but the trace still records every stage. The
 stage sequence is written once, as a coroutine that awaits each reply: over
 a blocking backend it never suspends, and :func:`run_pipeline` runs it to the
-end in one step (:func:`run_blocking`); :func:`run_corpus` with an HTTP
-backend awaits it on an event loop, one coroutine per connection. That loop,
-and the one each blocking HTTP call runs on, starts in :func:`run_on_loop`.
+end in one step (:func:`run_blocking`). With an HTTP backend,
+:func:`run_corpus` and :func:`run_pipeline` await it on an event loop, one
+coroutine per connection. That loop, and the one each blocking HTTP call
+runs on, starts in :func:`run_on_loop`.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from .codec import (
 )
 from .generator import SizeClass, TaskInstance
 from .graphs import WeightKind
-from .tools import Answer, ToolError, UnknownTool, dispatch
-from .toolset import ToolRegistry, ToolSpec, default_registry
+from .tools import TOOLS, Answer, ToolError, ToolRegistry, ToolSpec, UnknownTool, dispatch
 
 
 class StageKind(str, Enum):
@@ -148,7 +148,7 @@ def graph_instruction_text(size_class: SizeClass, weight_kind: WeightKind) -> st
     )
 
 
-def serialize_registry(registry: ToolRegistry) -> str:
+def task_instruction_text(registry: ToolRegistry) -> str:
     blocks = []
     for spec in registry:
         params = (
@@ -161,47 +161,37 @@ def serialize_registry(registry: ToolRegistry) -> str:
             f"  Parameters: {params}\n"
             f"  Returns: {spec.returns}"
         )
-    return "\n".join(blocks)
-
-
-def task_instruction_text(registry: ToolRegistry) -> str:
+    tool_set = "\n".join(blocks)
     return (
         "Choose the single most suitable tool for the task below from this "
         "tool set.\n\n"
-        f"{serialize_registry(registry)}\n\n"
+        f"{tool_set}\n\n"
         "Reply with exactly one line in this format:\n"
         "API_name: <tool_name>"
     )
 
 
-def required_parameter_format(spec: ToolSpec) -> str:
-    return ", ".join(f"{name}=<{kind}>" for name, kind in spec.parameters)
-
-
 def parameter_instruction_text(spec: ToolSpec) -> str:
+    required = ", ".join(f"{name}=<{kind}>" for name, kind in spec.parameters)
     return (
         "Extract the tool parameter values for the task below.\n"
         f"Tool template: {spec.name}\n"
-        f"Required format: {required_parameter_format(spec)}\n"
+        f"Required format: {required}\n"
         "Reply with exactly one line in the required format, filled with the "
         "values taken from the task."
     )
 
 
 # key -> instruction text, one key per distinct text that the pipeline sends
-# with the default registry (WL graphs without weights get the weighted text).
+# (WL graphs without weights get the weighted text).
 # The keys are part of the trace file format: a changed text needs a new
 # format version, or stored traces would load with the new text.
 INSTRUCTION_TEXTS: Dict[str, str] = {
     "G:wl": graph_instruction_text(SizeClass.WL, WeightKind.WEIGHT),
     "G:wl:capacity": graph_instruction_text(SizeClass.WL, WeightKind.CAPACITY),
     "G:el": graph_instruction_text(SizeClass.EL, WeightKind.NONE),
-    "N": task_instruction_text(default_registry()),
-    **{
-        f"P:{spec.name}": parameter_instruction_text(spec)
-        for spec in default_registry()
-        if spec.parameters
-    },
+    "N": task_instruction_text(TOOLS),
+    **{f"P:{spec.name}": parameter_instruction_text(spec) for spec in TOOLS if spec.parameters},
 }
 
 
@@ -229,7 +219,7 @@ async def _ask(complete, prompt: str) -> Tuple[str, Optional[str], float]:
     return raw, error, (time.perf_counter() - start) * 1000.0
 
 
-async def _pipeline(instance: TaskInstance, complete, registry: ToolRegistry, base_dir: Path) -> PipelineTrace:
+async def _pipeline(instance: TaskInstance, complete, base_dir: Path) -> PipelineTrace:
     """The staged pipeline for one instance; ``complete`` is the coroutine
     function that answers a prompt."""
     stages: List[StageRecord] = []
@@ -261,7 +251,7 @@ async def _pipeline(instance: TaskInstance, complete, registry: ToolRegistry, ba
     stages.append(StageRecord(StageKind.GRAPH, g_text, g_prompt, raw, parsed, latency, file_path))
 
     # stage N: tool name identification
-    n_text = task_instruction_text(registry)
+    n_text = INSTRUCTION_TEXTS["N"]
     n_prompt = assemble_prompt(n_text, instance, StageKind.NAME)
     raw, error, latency = await _ask(complete, n_prompt)
     parsed = ExtractionResult.failure(error) if error is not None else extract_tool_name(raw)
@@ -276,7 +266,7 @@ async def _pipeline(instance: TaskInstance, complete, registry: ToolRegistry, ba
             reason = "tool template unavailable: name stage failed"
         else:
             try:
-                spec = registry.get(name_record.parsed.name)
+                spec = TOOLS.get(name_record.parsed.name)
                 reason = f"tool template for {spec.name!r} takes no parameters"
             except UnknownTool as exc:
                 reason = f"tool template unavailable: {exc}"
@@ -285,7 +275,7 @@ async def _pipeline(instance: TaskInstance, complete, registry: ToolRegistry, ba
                 StageRecord(StageKind.PARAMS, "", "", "", ExtractionResult.failure(reason), 0.0)
             )
         else:
-            p_text = parameter_instruction_text(spec)
+            p_text = INSTRUCTION_TEXTS[f"P:{spec.name}"]
             p_prompt = assemble_prompt(p_text, instance, StageKind.PARAMS)
             raw, error, latency = await _ask(complete, p_prompt)
             parsed = (
@@ -320,24 +310,26 @@ async def _pipeline(instance: TaskInstance, complete, registry: ToolRegistry, ba
     )
 
 
-def run_pipeline(
-    instance: TaskInstance,
-    backend,
-    registry: ToolRegistry,
-    base_dir: str | Path = ".",
-) -> PipelineTrace:
-    """Execute the staged pipeline for one instance and return the full trace."""
+def run_pipeline(instance: TaskInstance, backend, *, base_dir: str | Path = ".") -> PipelineTrace:
+    """Execute the staged pipeline for one instance and return the full trace.
+
+    An :class:`~graphstage.backends.HttpBackend` answers its stages over one
+    keep-alive connection, on an event loop of the pipeline's own."""
+    from .backends import HttpBackend  # backends imports this module
+
+    if isinstance(backend, HttpBackend):
+        return _run_on_event_loop([instance], backend, 1, Path(base_dir))[0]
 
     async def complete(prompt: str) -> str:  # blocks, so the pipeline never suspends
         return backend.complete(prompt)
 
-    return run_blocking(_pipeline(instance, complete, registry, Path(base_dir)))
+    return run_blocking(_pipeline(instance, complete, Path(base_dir)))
 
 
 def run_corpus(
     instances: Sequence[TaskInstance],
     backend,
-    registry: ToolRegistry,
+    *,
     workers: int = 1,
     base_dir: str | Path = ".",
 ) -> List[PipelineTrace]:
@@ -352,11 +344,11 @@ def run_corpus(
     from .backends import HttpBackend  # backends imports this module
 
     if isinstance(backend, HttpBackend):
-        return _run_on_event_loop(instances, backend, registry, max(workers, 1), Path(base_dir))
-    return [run_pipeline(i, backend, registry, base_dir) for i in instances]
+        return _run_on_event_loop(instances, backend, max(workers, 1), Path(base_dir))
+    return [run_pipeline(i, backend, base_dir=base_dir) for i in instances]
 
 
-def _run_on_event_loop(instances, backend, registry, workers: int, base_dir: Path) -> List[PipelineTrace]:
+def _run_on_event_loop(instances, backend, workers: int, base_dir: Path) -> List[PipelineTrace]:
     import asyncio  # only HTTP runs need it, and it takes tens of ms to import
 
     traces: List[Optional[PipelineTrace]] = [None] * len(instances)
@@ -367,7 +359,7 @@ def _run_on_event_loop(instances, backend, registry, workers: int, base_dir: Pat
         connection = backend.connection()
         try:
             for index, instance in todo:
-                traces[index] = await _pipeline(instance, connection.complete, registry, base_dir)
+                traces[index] = await _pipeline(instance, connection.complete, base_dir)
         finally:
             connection.close()
 

@@ -1,8 +1,11 @@
-"""The eleven graph tools and the dispatcher that routes a named call to one.
+"""The eleven graph tools, the table that declares each of them once, and
+the dispatcher that routes a named call to one.
 
 Every tool is a pure function of an immutable Graph (plus scalar parameters)
 returning an Answer. Tool failures are raised as ToolError subclasses; the
-dispatcher adds name/arity validation on top.
+dispatcher adds name/arity validation on top. The table (:data:`TOOLS`) gives
+each tool's function, description, parameters and return type, in the order
+the name-identification prompt lists them; names and arities come from it.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .graphs import Graph, WeightKind
 
@@ -83,19 +86,42 @@ class Answer:
         return Answer("value", int(v))
 
 
-TOOL_NAMES = (
-    "cycle_detection",
-    "max_triangle_sum",
-    "edge_count",
-    "node_count",
-    "topological_sort",
-    "degree_count",
-    "edge_existence",
-    "node_existence",
-    "maximum_flow",
-    "path_existence",
-    "shortest_path",
-)
+@dataclass(frozen=True)
+class ToolSpec:
+    """One row of the tool table; the tool's name is its function's name."""
+
+    function: Callable[..., Answer]
+    description: str
+    parameters: Tuple[Tuple[str, str], ...]  # (name, semantic type), graph excluded
+    returns: str
+
+    @property
+    def name(self) -> str:
+        return self.function.__name__
+
+    def parameter_names(self) -> List[str]:
+        return [n for n, _ in self.parameters]
+
+
+class ToolRegistry:
+    """ToolSpecs in prompt order, looked up by name."""
+
+    def __init__(self, specs: Sequence[ToolSpec]):
+        self._specs = tuple(specs)
+        self._by_name = {spec.name: spec for spec in self._specs}
+
+    def __iter__(self):
+        return iter(self._specs)
+
+    def __len__(self) -> int:
+        return len(self._specs)
+
+    def get(self, name: str) -> ToolSpec:
+        """Exact lookup after trim and case-fold; raises UnknownTool on a miss."""
+        spec = self._by_name.get(name.strip().lower())
+        if spec is None:
+            raise UnknownTool(f"no tool named {name!r}")
+        return spec
 
 
 def _check_node(g: Graph, node: int) -> None:
@@ -350,48 +376,92 @@ def shortest_path(g: Graph, u: int, v: int) -> Answer:
     raise Unreachable(f"no path from {u} to {v}")
 
 
-_ARITY = {
-    "cycle_detection": 0,
-    "max_triangle_sum": 0,
-    "edge_count": 0,
-    "node_count": 0,
-    "topological_sort": 0,
-    "degree_count": 1,
-    "edge_existence": 2,
-    "node_existence": 1,
-    "maximum_flow": 2,
-    "path_existence": 2,
-    "shortest_path": 2,
-}
+TOOLS = ToolRegistry(
+    [
+        ToolSpec(
+            cycle_detection,
+            "Report whether the graph contains at least one cycle.",
+            (),
+            "boolean",
+        ),
+        ToolSpec(
+            max_triangle_sum,
+            "Find the largest total edge weight over all triangles of an "
+            "undirected weighted graph.",
+            (),
+            "integer",
+        ),
+        ToolSpec(
+            edge_count,
+            "Count how many edges the graph contains.",
+            (),
+            "integer",
+        ),
+        ToolSpec(
+            node_count,
+            "Count how many nodes the graph contains.",
+            (),
+            "integer",
+        ),
+        ToolSpec(
+            topological_sort,
+            "Order all nodes of a directed acyclic graph so every edge "
+            "points forward.",
+            (),
+            "list of node ids",
+        ),
+        ToolSpec(
+            degree_count,
+            "Count the edges attached to one specific node.",
+            (("node", "int"),),
+            "integer",
+        ),
+        ToolSpec(
+            edge_existence,
+            "Report whether an edge is present between two specific nodes.",
+            (("node1", "int"), ("node2", "int")),
+            "boolean",
+        ),
+        ToolSpec(
+            node_existence,
+            "Report whether a specific node is present in the graph.",
+            (("node", "int"),),
+            "boolean",
+        ),
+        ToolSpec(
+            maximum_flow,
+            "Compute the largest feasible flow from a source node to a "
+            "sink node over capacity-weighted edges.",
+            (("source", "int"), ("sink", "int")),
+            "integer",
+        ),
+        ToolSpec(
+            path_existence,
+            "Report whether any path connects two specific nodes.",
+            (("node1", "int"), ("node2", "int")),
+            "boolean",
+        ),
+        ToolSpec(
+            shortest_path,
+            "Compute the minimum total weight of a path between two nodes.",
+            (("source", "int"), ("target", "int")),
+            "integer",
+        ),
+    ]
+)
 
-_IMPL = {
-    "cycle_detection": cycle_detection,
-    "max_triangle_sum": max_triangle_sum,
-    "edge_count": edge_count,
-    "node_count": node_count,
-    "topological_sort": topological_sort,
-    "degree_count": degree_count,
-    "edge_existence": edge_existence,
-    "node_existence": node_existence,
-    "maximum_flow": maximum_flow,
-    "path_existence": path_existence,
-    "shortest_path": shortest_path,
-}
+TOOL_NAMES = tuple(spec.name for spec in TOOLS)
 
 
 def tool_arity(name: str) -> int:
-    if name not in _ARITY:
-        raise UnknownTool(f"no tool named {name!r}")
-    return _ARITY[name]
+    return len(TOOLS.get(name).parameters)
 
 
 def dispatch(name: str, g: Graph, params: Sequence[int]) -> Answer:
     """Run the named tool on (g, params) after name and arity validation."""
-    key = name.strip().lower()
-    if key not in _IMPL:
-        raise UnknownTool(f"no tool named {name!r}")
-    if len(params) != _ARITY[key]:
+    spec = TOOLS.get(name)
+    if len(params) != len(spec.parameters):
         raise ArityMismatch(
-            f"{key} takes {_ARITY[key]} parameter(s), got {len(params)}"
+            f"{spec.name} takes {len(spec.parameters)} parameter(s), got {len(params)}"
         )
-    return _IMPL[key](g, *[int(p) for p in params])
+    return spec.function(g, *[int(p) for p in params])

@@ -31,7 +31,7 @@ from graphstage import (
 from graphstage import cli
 from graphstage.backends import AuthError, BackendError, CompletionTimeout, _retry_after_seconds
 from graphstage.codec import extract_file_path
-from graphstage.pipeline import StageKind, assemble_prompt, run_corpus
+from graphstage.pipeline import StageKind, assemble_prompt, run_corpus, run_pipeline
 from graphstage.serialize import load_corpus, read_jsonl, trace_to_json
 
 REGISTRY = default_registry()
@@ -142,7 +142,7 @@ class TestFault:
                 continue
             flipped += 1
             name = extract_tool_name(out).name
-            assert REGISTRY.contains(name)
+            assert REGISTRY.get(name).name == name
             assert name != by_id[inst.id].gold_tool
         assert flipped > 20
 
@@ -324,7 +324,7 @@ def _exchanges(backend, via, calls=3):
     connections. A stage's recorded backend error is raised again."""
     if via == "complete":
         return [(f"call {k}", backend.complete(f"call {k}")) for k in range(calls)]
-    traces = run_corpus(_corpus(1)[:calls], backend, REGISTRY, workers=2)
+    traces = run_corpus(_corpus(1)[:calls], backend, workers=2)
     stages = [s for t in traces for s in t.stages if s.prompt]
     for stage in stages:
         if not stage.raw_output:
@@ -388,6 +388,9 @@ class TestHttpBackend:
             CompletionConfig(top_p=0)
         with pytest.raises(ValueError):
             CompletionConfig(temperature=-1)
+        for timeout_ms in (0, -5):  # a deadline that has passed fails every call
+            with pytest.raises(ValueError, match="timeout_ms"):
+                CompletionConfig(timeout_ms=timeout_ms)
 
     @pytest.mark.parametrize(
         "retry_after, low, high",
@@ -423,7 +426,7 @@ class TestHttpBackend:
             endpoint = f"http://127.0.0.1:{silent.getsockname()[1]}/v1/chat/completions"
             backend = HttpBackend(CompletionConfig(endpoint=endpoint, retry_count=0, timeout_ms=200))
             start = time.perf_counter()
-            traces = run_corpus(_corpus(1)[:4], backend, REGISTRY, workers=4)
+            traces = run_corpus(_corpus(1)[:4], backend, workers=4)
             elapsed = time.perf_counter() - start
         reasons = {s.parsed.reason for t in traces for s in t.stages if s.prompt}
         assert reasons == {"backend error: no response after 1 attempt(s): timed out"}
@@ -463,11 +466,18 @@ class TestHttpConnections:
         carried = sorted(_StubHandler.prompts_by_connection.values())
         assert carried == [[f"call {k}"] for k in range(5)]
 
+    def test_run_pipeline_keeps_one_connection_per_instance(self, keepalive_server):
+        instance = next(i for i in _corpus(1) if i.kind.arity == 2)
+        _StubHandler.respond = OracleBackend([instance]).complete
+        trace = run_pipeline(instance, HttpBackend(CompletionConfig(endpoint=keepalive_server)))
+        assert trace.tool_result == instance.gold_answer
+        assert [len(p) for p in _StubHandler.prompts_by_connection.values()] == [3]
+
     def test_idle_connection_closed_by_server_is_resent_once(self, keepalive_server):
         backend = HttpBackend(CompletionConfig(endpoint=keepalive_server, retry_count=0))
         # every reply leaves the lane's kept connection closed at the server's end
         _StubHandler.close_after_reply = True
-        (trace,) = run_corpus(_corpus(1)[:1], backend, REGISTRY, workers=1)
+        (trace,) = run_corpus(_corpus(1)[:1], backend, workers=1)
         prompts = [s.prompt for s in trace.stages if s.prompt]
         assert len(prompts) >= 2
         assert [s.raw_output for s in trace.stages if s.prompt] == prompts
@@ -683,7 +693,7 @@ class TestEventLoopRuns:
 
         async def in_a_notebook():  # asyncio.run refuses a thread whose loop runs
             backend = HttpBackend(CompletionConfig(endpoint=keepalive_server))
-            return run_corpus(instances, backend, REGISTRY, workers=4, base_dir=tmp_path)
+            return run_corpus(instances, backend, workers=4, base_dir=tmp_path)
 
         traces = asyncio.run(in_a_notebook())
         stored["in a running loop"] = [json.loads(json.dumps(trace_to_json(t))) for t in traces]

@@ -350,3 +350,35 @@ def test_malformed_trace_line_is_reported_with_file_and_line(tmp_path, capsys, c
     target = out / ("alpaca.json" if command == "build-dataset" else "eval")
     assert run_cli(command, "--traces", str(traces), "--corpus", str(corpus), "--out", str(target)) == 1
     assert capsys.readouterr().err == f"error: {traces}:2: missing key 'raw_output'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--count", "-1"],
+        ["generate", "--budget", "0"],
+        ["run", "--workers", "0"],
+        ["run", "--backend", "http", "--endpoint", "http://127.0.0.1:1/v1", "--workers", "-2", "--timeout-ms", "-5"],
+        ["run", "--timeout-ms", "0"],
+        ["run", "--max-tokens", "0"],
+        ["run", "--retries", "-3"],
+        ["build-dataset", "--fill-quota", "-4"],
+        ["build-dataset", "--fill-quota", "1", "--fill-rounds", "-1"],
+        ["run", "--workers", "two"],
+    ],
+)
+def test_integer_flag_out_of_range_is_usage_error(tmp_path, capsys, argv):
+    corpus_dir = tmp_path / "corpus"
+    corpus, traces = corpus_dir / "corpus.jsonl", corpus_dir / "traces.jsonl"
+    assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "1", "--out", str(corpus_dir)) == 0
+    assert run_cli("run", "--corpus", str(corpus), "--out", str(traces)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    inputs = {
+        "generate": [],
+        "run": ["--corpus", str(corpus)],
+        "build-dataset": ["--corpus", str(corpus), "--traces", str(traces), "--stats", str(tmp_path / "stats.json")],
+    }[argv[0]]
+    assert run_cli(*argv, *inputs, "--out", str(out)) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]

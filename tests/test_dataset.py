@@ -62,7 +62,7 @@ def test_oracle_traces_match():
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
     for inst in corpus:
-        trace = run_pipeline(inst, backend, REGISTRY)
+        trace = run_pipeline(inst, backend)
         assert _retained(trace, inst)
 
 
@@ -91,7 +91,7 @@ def test_dropped_edge_with_correct_answer_is_rejected():
         return out.replace(", (0, 4)", "")
 
     backend = _Rewriter([inst], StageKind.GRAPH, drop_last_edge)
-    trace = run_pipeline(inst, backend, REGISTRY)
+    trace = run_pipeline(inst, backend)
     assert trace.tool_result == inst.gold_answer  # answer is still right
     assert not _retained(trace, inst)  # but the graph label is not
 
@@ -106,7 +106,7 @@ def test_swapped_endpoints_same_answer_rejected():
         return f"source={b}, target={a}"
 
     backend = _Rewriter([inst], StageKind.PARAMS, swap)
-    trace = run_pipeline(inst, backend, REGISTRY)
+    trace = run_pipeline(inst, backend)
     assert trace.tool_result == inst.gold_answer  # undirected distance is symmetric
     assert not _retained(trace, inst)
 
@@ -114,14 +114,14 @@ def test_swapped_endpoints_same_answer_rejected():
 def test_parse_failure_rejects():
     inst = _corpus(1)[0]
     backend = _Rewriter([inst], StageKind.GRAPH, lambda i, out: "nothing useful")
-    trace = run_pipeline(inst, backend, REGISTRY)
+    trace = run_pipeline(inst, backend)
     assert not _retained(trace, inst)
 
 
 def test_build_dataset_oracle_counts_and_order():
     corpus = _corpus(2)
     backend = OracleBackend(corpus)
-    traces = run_corpus(corpus, backend, REGISTRY)
+    traces = run_corpus(corpus, backend)
     entries, stats = build_dataset(traces, corpus)
     assert stats["retained_instances"] == len(corpus)
     assert stats["retained_fraction"] == 1.0
@@ -139,7 +139,7 @@ def test_build_dataset_empty():
 def test_orphan_trace_raises():
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
-    trace = run_pipeline(corpus[0], backend, REGISTRY)
+    trace = run_pipeline(corpus[0], backend)
     with pytest.raises(OrphanTrace):
         build_dataset([trace], corpus[1:])
 
@@ -174,7 +174,7 @@ def test_fault_retention_matches_reexecution():
     oracle = OracleBackend(corpus)
     plan = FaultPlan(drop_graph_edges=0.3, wrong_tool_name=0.3, swap_parameters=0.3)
     fault = FaultBackend(oracle, plan, seed=13)
-    traces = run_corpus(corpus, fault, REGISTRY)
+    traces = run_corpus(corpus, fault)
     entries, stats = build_dataset(traces, corpus)
     by_id = {i.id: i for i in corpus}
     survivors = sum(_reexecute_matches(t, by_id[t.instance_id]) for t in traces)
@@ -188,7 +188,7 @@ def test_fault_retention_matches_reexecution():
 def test_export_alpaca_shape_and_idempotence(tmp_path):
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
-    traces = run_corpus(corpus, backend, REGISTRY)
+    traces = run_corpus(corpus, backend)
     entries, _ = build_dataset(traces, corpus)
     out = tmp_path / "alpaca.json"
     export_alpaca(entries, out)

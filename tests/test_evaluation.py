@@ -12,7 +12,6 @@ from graphstage import (
     TaskKind,
     aggregate,
     build_dataset,
-    default_registry,
     evaluate_traces,
     generate_instance,
     render_report,
@@ -21,8 +20,6 @@ from graphstage import (
     score_trace,
 )
 from graphstage.evaluation import EmptyInput, Report, record_from_json, record_to_json
-
-REGISTRY = default_registry()
 
 
 def _corpus(per_kind=2, seed=0):
@@ -39,7 +36,7 @@ def test_oracle_trace_scores_correct():
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
     for inst in corpus:
-        record = score_trace(run_pipeline(inst, backend, REGISTRY), inst)
+        record = score_trace(run_pipeline(inst, backend), inst)
         assert record.category is Category.CORRECT
         assert record.graph_match and record.name_match and record.answer_match
         assert record.param_match is (None if not inst.kind.parametric else True)
@@ -55,7 +52,7 @@ def test_unregistered_tool_name_is_syntax_error():
             out = oracle.complete(prompt)
             return "API_name: banana" if out.startswith("API_name:") else out
 
-    record = score_trace(run_pipeline(inst, Wrapper(), REGISTRY), inst)
+    record = score_trace(run_pipeline(inst, Wrapper()), inst)
     assert record.category is Category.SYNTAX
     assert not record.name_match
 
@@ -63,7 +60,7 @@ def test_unregistered_tool_name_is_syntax_error():
 def test_mismatched_ids_rejected():
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
-    trace = run_pipeline(corpus[0], backend, REGISTRY)
+    trace = run_pipeline(corpus[0], backend)
     with pytest.raises(ValueError):
         score_trace(trace, corpus[1])
 
@@ -72,7 +69,7 @@ def _fault_records(plan, per_kind=3, seed=21):
     corpus = _corpus(per_kind, seed=seed)
     oracle = OracleBackend(corpus)
     fault = FaultBackend(oracle, plan, seed=seed)
-    traces = run_corpus(corpus, fault, REGISTRY)
+    traces = run_corpus(corpus, fault)
     by_id = {i.id: i for i in corpus}
     return corpus, traces, fault, by_id
 
@@ -136,7 +133,7 @@ def test_matching_implies_correct_category():
 def test_aggregate_all_correct():
     corpus = _corpus(2)
     backend = OracleBackend(corpus)
-    traces = run_corpus(corpus, backend, REGISTRY)
+    traces = run_corpus(corpus, backend)
     records = evaluate_traces(traces, corpus)
     report = aggregate(records, corpus)
     assert len(report.rows) == 20
@@ -157,7 +154,7 @@ def test_aggregate_overall_is_unweighted_mean():
     corpus = _corpus(2)
     oracle = OracleBackend(corpus)
     fault = FaultBackend(oracle, FaultPlan(drop_graph_edges=0.5), seed=3)
-    traces = run_corpus(corpus, fault, REGISTRY)
+    traces = run_corpus(corpus, fault)
     records = evaluate_traces(traces, corpus)
     report = aggregate(records, corpus)
     mean = sum(r.answer_acc for r in report.rows) / len(report.rows)
@@ -172,7 +169,7 @@ def test_aggregate_empty_raises():
 def test_report_rendering_and_roundtrip():
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
-    traces = run_corpus(corpus, backend, REGISTRY)
+    traces = run_corpus(corpus, backend)
     records = evaluate_traces(traces, corpus)
     report = aggregate(records, corpus)
     txt = render_report(report, "txt")
@@ -188,5 +185,5 @@ def test_report_rendering_and_roundtrip():
 def test_record_json_roundtrip():
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
-    record = score_trace(run_pipeline(corpus[0], backend, REGISTRY), corpus[0])
+    record = score_trace(run_pipeline(corpus[0], backend), corpus[0])
     assert record_from_json(record_to_json(record)) == record

@@ -28,7 +28,6 @@ from graphstage.pipeline import (
     assemble_prompt,
     parse_prompt_meta,
     run_blocking,
-    serialize_registry,
 )
 from graphstage.serialize import atomic_write_text, trace_to_json
 from graphstage.tools import TOOL_NAMES, UnknownTool, tool_arity
@@ -43,7 +42,7 @@ def _instance(label="shortest_path:undirected", index=0, size=SizeClass.WL):
 
 def _prompts(inst):
     """The prompt run_pipeline records for each stage, under the oracle backend."""
-    trace = run_pipeline(inst, OracleBackend([inst]), REGISTRY)
+    trace = run_pipeline(inst, OracleBackend([inst]))
     return {record.stage: record.prompt for record in trace.stages}
 
 
@@ -87,14 +86,6 @@ def test_task_prompt_lists_every_tool_and_anchor():
     assert "API_name:" in prompt
 
 
-def test_registry_extension_appears_in_prompt():
-    from graphstage.toolset import ToolRegistry, ToolSpec
-
-    extended = ToolRegistry(list(REGISTRY))
-    extended.register(ToolSpec("bipartite_matching", "Match the two sides.", (), "integer"))
-    assert "bipartite_matching" in serialize_registry(extended)
-
-
 def test_default_registry_has_exactly_eleven_tools():
     assert len(REGISTRY) == 11
 
@@ -103,6 +94,12 @@ def test_default_registry_matches_the_tool_table():
     assert [spec.name for spec in REGISTRY] == list(TOOL_NAMES)
     for spec in REGISTRY:
         assert len(spec.parameters) == tool_arity(spec.name), spec.name
+        # the graph, then one argument per declared parameter
+        assert len(inspect.signature(spec.function).parameters) == 1 + len(spec.parameters), spec.name
+
+
+def test_default_registry_is_one_object():
+    assert default_registry() is default_registry() is REGISTRY
 
 
 def test_prompts_do_not_leak_gold_labels():
@@ -153,7 +150,7 @@ def test_stage_counts_by_category():
         _instance("degree_count:directed", 1),
     ]
     backend = OracleBackend(corpus)
-    traces = [run_pipeline(i, backend, REGISTRY) for i in corpus]
+    traces = [run_pipeline(i, backend) for i in corpus]
     assert len(traces[0].stages) == 2 and traces[0].skipped_parameter_stage
     assert len(traces[1].stages) == 3 and not traces[1].skipped_parameter_stage
     assert [s.stage for s in traces[1].stages] == [StageKind.GRAPH, StageKind.NAME, StageKind.PARAMS]
@@ -163,7 +160,7 @@ def test_oracle_run_reaches_gold_answer():
     corpus = [_instance(k.label, i) for i, k in enumerate(ALL_KINDS)]
     backend = OracleBackend(corpus)
     for inst in corpus:
-        trace = run_pipeline(inst, backend, REGISTRY)
+        trace = run_pipeline(inst, backend)
         assert trace.tool_result == inst.gold_answer
         assert trace.tool_error is None
 
@@ -177,7 +174,7 @@ def test_unregistered_name_short_circuits():
             out = oracle.complete(prompt)
             return "API_name: banana" if out.startswith("API_name:") else out
 
-    trace = run_pipeline(inst, Wrapper(), REGISTRY)
+    trace = run_pipeline(inst, Wrapper())
     assert trace.tool_result is None
     assert "banana" in trace.tool_error
 
@@ -193,7 +190,7 @@ def test_failed_name_stage_fails_parameter_stage_without_call():
             out = oracle.complete(prompt)
             return "no anchor at all" if out.startswith("API_name:") else out
 
-    trace = run_pipeline(inst, Wrapper(), REGISTRY)
+    trace = run_pipeline(inst, Wrapper())
     assert StageKind.PARAMS not in calls
     param_stage = trace.stage(StageKind.PARAMS)
     assert not param_stage.parsed.ok
@@ -208,7 +205,7 @@ def test_backend_exception_recorded_not_raised():
         def complete(self, prompt):
             raise RuntimeError("socket closed")
 
-    trace = run_pipeline(inst, Exploding(), REGISTRY)
+    trace = run_pipeline(inst, Exploding())
     assert trace.tool_result is None
     assert all(not s.parsed.ok for s in trace.stages)
     assert "socket closed" in trace.stages[0].parsed.reason
@@ -232,7 +229,7 @@ def test_run_corpus_runs_in_process_backends_serially_in_order(faults):
     runs = {}
     for workers in (1, 8):
         backend = OnThread()
-        traces = run_corpus(corpus, backend, REGISTRY, workers=workers)
+        traces = run_corpus(corpus, backend, workers=workers)
         assert backend.threads == {threading.get_ident()}
         assert [t.instance_id for t in traces] == [i.id for i in corpus]
         runs[workers] = _without_latency(traces), getattr(backend.backend, "injected", None)
@@ -248,9 +245,9 @@ def test_run_pipeline_inside_a_running_event_loop():
     backend = OracleBackend([inst])
 
     async def in_a_notebook():
-        return run_pipeline(inst, backend, REGISTRY)
+        return run_pipeline(inst, backend)
 
-    outside = run_pipeline(inst, backend, REGISTRY)
+    outside = run_pipeline(inst, backend)
     assert _without_latency([asyncio.run(in_a_notebook())]) == _without_latency([outside])
 
 
@@ -286,7 +283,7 @@ def test_number_answers_that_do_not_parse_are_syntax_errors():
                 return "node=" + "9" * 5000
             return oracle.complete(prompt)
 
-    traces = run_corpus(corpus, BadNumbers(), REGISTRY)
+    traces = run_corpus(corpus, BadNumbers())
     failed = [traces[0].stage(StageKind.GRAPH), traces[1].stage(StageKind.PARAMS)]
     assert [not record.parsed.ok for record in failed] == [True, True]
     for trace, inst in zip(traces, corpus):
@@ -306,7 +303,7 @@ def test_el_pipeline_reads_graph_file(tmp_path):
     inst = _instance("maximum_flow:directed", size=SizeClass.EL)
     atomic_write_text(tmp_path / inst.graph_file, format_el_graph(inst.graph))
     backend = OracleBackend([inst])
-    trace = run_pipeline(inst, backend, REGISTRY, base_dir=tmp_path)
+    trace = run_pipeline(inst, backend, base_dir=tmp_path)
     assert trace.stage(StageKind.GRAPH).file_path == inst.graph_file
     assert trace.tool_result == inst.gold_answer
 
@@ -314,7 +311,7 @@ def test_el_pipeline_reads_graph_file(tmp_path):
 def test_el_pipeline_missing_file_is_parse_failure(tmp_path):
     inst = _instance("maximum_flow:directed", size=SizeClass.EL)
     backend = OracleBackend([inst])
-    trace = run_pipeline(inst, backend, REGISTRY, base_dir=tmp_path)
+    trace = run_pipeline(inst, backend, base_dir=tmp_path)
     graph_stage = trace.stage(StageKind.GRAPH)
     assert not graph_stage.parsed.ok
     assert "file read" in graph_stage.parsed.reason
@@ -347,7 +344,7 @@ def test_el_path_must_stay_in_corpus_dir(tmp_path, answer, failure):
                 return f"The graph file path is: {path}"
             return oracle.complete(prompt)
 
-    trace = run_pipeline(inst, PathAnswer(), REGISTRY, base_dir=corpus_dir)
+    trace = run_pipeline(inst, PathAnswer(), base_dir=corpus_dir)
     graph_stage = trace.stage(StageKind.GRAPH)
     assert graph_stage.file_path == path
     if failure is None:

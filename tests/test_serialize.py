@@ -36,7 +36,7 @@ from graphstage.serialize import (
     trace_from_json,
     trace_to_json,
 )
-from graphstage.toolset import ToolRegistry, ToolSpec, default_registry
+from graphstage.toolset import default_registry
 
 REGISTRY = default_registry()
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -86,7 +86,7 @@ def test_instruction_table_holds_each_distinct_text_once():
 
 
 def test_oracle_traces_of_both_sizes_round_trip(corpus, corpus_dir):
-    traces = run_corpus(corpus, OracleBackend(corpus), REGISTRY, base_dir=corpus_dir)
+    traces = run_corpus(corpus, OracleBackend(corpus), base_dir=corpus_dir)
     assert {i.size_class for i in corpus} == {SizeClass.WL, SizeClass.EL}
     assert all(t.task_text is not None for t in traces)
     _assert_round_trips(traces)
@@ -95,14 +95,14 @@ def test_oracle_traces_of_both_sizes_round_trip(corpus, corpus_dir):
 @pytest.mark.parametrize("mode", FAULT_MODES)
 def test_fault_traces_round_trip(corpus, corpus_dir, mode):
     backend = FaultBackend(OracleBackend(corpus), FaultPlan(**{mode: 1.0}), seed=3)
-    traces = run_corpus(corpus, backend, REGISTRY, base_dir=corpus_dir)
+    traces = run_corpus(corpus, backend, base_dir=corpus_dir)
     assert any(mode in stages.values() for stages in backend.injected.values())
     _assert_round_trips(traces)
 
 
 def test_parameter_stage_without_a_call_round_trips_without_text(corpus, corpus_dir):
     backend = FaultBackend(OracleBackend(corpus), FaultPlan(emit_garbage=1.0), seed=3)
-    traces = run_corpus(corpus, backend, REGISTRY, base_dir=corpus_dir)
+    traces = run_corpus(corpus, backend, base_dir=corpus_dir)
     uncalled = [(t, r) for t in traces for r in t.stages if not r.prompt]
     assert uncalled and all(r.stage is StageKind.PARAMS and not r.instruction_text for _, r in uncalled)
     for trace, _ in uncalled:
@@ -113,19 +113,8 @@ def test_parameter_stage_without_a_call_round_trips_without_text(corpus, corpus_
 
 def test_backend_error_traces_round_trip(corpus):
     config = CompletionConfig(endpoint="http://127.0.0.1:1/v1/chat/completions", retry_count=0)
-    traces = run_corpus(corpus[:4], HttpBackend(config), REGISTRY)
+    traces = run_corpus(corpus[:4], HttpBackend(config))
     assert all(r.parsed.reason.startswith("backend error") for t in traces for r in t.stages)
-    _assert_round_trips(traces)
-
-
-def test_custom_registry_trace_keeps_its_instruction_verbatim(corpus, corpus_dir):
-    extended = ToolRegistry(list(REGISTRY))
-    extended.register(ToolSpec("bipartite_matching", "Match the two sides.", (), "integer"))
-    traces = run_corpus(corpus[:6], OracleBackend(corpus), extended, base_dir=corpus_dir)
-    for trace in traces:
-        stored = {s["stage"]: s for s in trace_to_json(trace)["stages"]}
-        assert stored["name"]["instruction_text"] == task_instruction_text(extended)
-        assert "prompt" not in stored["name"]
     _assert_round_trips(traces)
 
 
@@ -143,7 +132,7 @@ def test_hand_built_records_round_trip_verbatim():
 
 def test_wl_oracle_line_holds_no_instruction_and_the_task_text_once(corpus):
     inst = next(i for i in corpus if i.size_class is SizeClass.WL and i.kind.parametric)
-    (trace,) = run_corpus([inst], OracleBackend([inst]), REGISTRY)
+    (trace,) = run_corpus([inst], OracleBackend([inst]))
     line = dump_line(trace_to_json(trace))
     for text in INSTRUCTION_TEXTS.values():
         assert json.dumps(text, ensure_ascii=False)[1:-1] not in line
@@ -175,7 +164,7 @@ def test_format_1_fixture_loads_to_the_objects_of_a_fresh_run(tmp_path):
 
 
 def test_unknown_instruction_key_names_the_key_file_and_line(tmp_path, corpus):
-    (trace,) = run_corpus(corpus[:1], OracleBackend(corpus), REGISTRY)
+    (trace,) = run_corpus(corpus[:1], OracleBackend(corpus))
     good = trace_to_json(trace)
     bad = json.loads(dump_line(good))
     bad["stages"][0]["instruction"] = "G:xl"
@@ -186,7 +175,7 @@ def test_unknown_instruction_key_names_the_key_file_and_line(tmp_path, corpus):
 
 
 def test_unknown_trace_format_is_rejected(corpus):
-    (trace,) = run_corpus(corpus[:1], OracleBackend(corpus), REGISTRY)
+    (trace,) = run_corpus(corpus[:1], OracleBackend(corpus))
     obj = dict(trace_to_json(trace), format=TRACE_FORMAT + 1)
     with pytest.raises(ValueError, match=f"unknown trace format {TRACE_FORMAT + 1}"):
         trace_from_json(obj)
@@ -272,7 +261,7 @@ def test_malformed_corpus_line_names_file_and_line(corpus_dir, tmp_path, edit, m
 
 
 def test_malformed_trace_line_names_file_and_line(corpus, tmp_path):
-    traces = run_corpus(corpus[:2], OracleBackend(corpus), REGISTRY)
+    traces = run_corpus(corpus[:2], OracleBackend(corpus))
     lines = [trace_to_json(t) for t in traces]
     del lines[1]["skipped_parameter_stage"]
     path = tmp_path / "traces.jsonl"
