@@ -13,8 +13,9 @@ import gc
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .backends import (
@@ -32,8 +33,7 @@ from .generator import (
     SizeClass,
     TaskKind,
     generate_corpus,
-    generate_instance,
-    _derived_rng,
+    generate_planned,
 )
 from .pipeline import run_corpus
 from .codec import format_el_graph
@@ -64,9 +64,10 @@ def _int_at_least(low: int):
     return parse
 
 
-def _parse_tasks(spec: str) -> List[str]:
+def _parse_tasks(spec: str) -> Tuple[str, ...]:
+    """An argparse ``type``: 'all' or a comma list of tools and kind labels."""
     if spec.strip() == "all":
-        return [k.label for k in ALL_KINDS]
+        return tuple(k.label for k in ALL_KINDS)
     labels: List[str] = []
     valid = {k.label for k in ALL_KINDS}
     tools = {k.tool for k in ALL_KINDS}
@@ -75,15 +76,15 @@ def _parse_tasks(spec: str) -> List[str]:
             continue
         if ":" in token:
             if token not in valid:
-                raise UsageError(f"unknown task {token!r}")
+                raise argparse.ArgumentTypeError(f"unknown task {token!r}")
             labels.append(token)
         elif token in tools:
             labels.extend(k.label for k in ALL_KINDS if k.tool == token)
         else:
-            raise UsageError(f"unknown task {token!r}")
+            raise argparse.ArgumentTypeError(f"unknown task {token!r}")
     if not labels:
-        raise UsageError("no tasks selected")
-    return labels
+        raise argparse.ArgumentTypeError("no tasks selected")
+    return tuple(labels)
 
 
 def _load_config_file(path: Optional[str]) -> Dict:
@@ -93,23 +94,24 @@ def _load_config_file(path: Optional[str]) -> Dict:
         return json.load(handle)
 
 
-def _resolve(flag, env_name: str, file_cfg: Dict, key: str, default=None):
-    if flag is not None:
-        return flag
-    env = os.environ.get(env_name)
-    if env is not None:
-        return env
-    return file_cfg.get(key, default)
+def _resolve(flag, env_name: str, file_cfg: Dict, key: str):
+    return flag if flag is not None else os.environ.get(env_name, file_cfg.get(key))
+
+
+def _settings(cls, args, **resolved):
+    """``cls`` built from the given flags whose dest names one of its fields,
+    and from ``resolved``; a field left unset keeps the default that ``cls``
+    declares. A value that ``cls`` rejects is a usage error."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    values.update(resolved)
+    try:
+        return cls(**{name: value for name, value in values.items() if value is not None})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_generate(args) -> int:
-    config = GenConfig(
-        count=args.count,
-        seed=args.seed,
-        kinds=tuple(_parse_tasks(args.tasks)),
-        sizes=args.size,
-        token_budget=args.budget,
-    )
+    config = _settings(GenConfig, args)
     out_dir = Path(args.out)
     corpus_path = out_dir / "corpus.jsonl"
     total = 0
@@ -132,49 +134,24 @@ def _write_graph_file(corpus_dir: Path, instance) -> None:
         atomic_write_text(corpus_dir / instance.graph_file, format_el_graph(instance.graph))
 
 
-def _make_backend(args, file_cfg: Dict, corpus):
+def _make_backend(args, corpus):
     if args.backend == "oracle":
         return OracleBackend(corpus)
     if args.backend == "fault":
-        plan = FaultPlan(
-            drop_graph_edges=args.fault_drop,
-            wrong_tool_name=args.fault_name,
-            swap_parameters=args.fault_swap,
-            emit_garbage=args.fault_garbage,
-        )
-        return FaultBackend(OracleBackend(corpus), plan, seed=args.seed or 0)
-    if args.backend == "http":
-        endpoint = _resolve(args.endpoint, "GRAPHSTAGE_ENDPOINT", file_cfg, "endpoint")
-        if not endpoint:
-            raise UsageError("http backend needs --endpoint or GRAPHSTAGE_ENDPOINT")
-        model = _resolve(args.model, "GRAPHSTAGE_MODEL", file_cfg, "model", "local-model")
-        api_key = _resolve(args.api_key, "GRAPHSTAGE_API_KEY", file_cfg, "api_key", "")
-        return HttpBackend(
-            CompletionConfig(
-                model=model,
-                endpoint=endpoint,
-                api_key=api_key,
-                max_new_tokens=args.max_tokens,
-                top_p=args.top_p,
-                temperature=args.temperature,
-                retry_count=args.retries,
-                timeout_ms=args.timeout_ms,
-            )
-        )
-    raise UsageError(f"unknown backend {args.backend!r}")
+        seed = {} if args.seed is None else {"seed": args.seed}
+        return FaultBackend(OracleBackend(corpus), _settings(FaultPlan, args), **seed)
+    file_cfg = _load_config_file(args.config)
+    endpoint = _resolve(args.endpoint, "GRAPHSTAGE_ENDPOINT", file_cfg, "endpoint")
+    if not endpoint:
+        raise UsageError("http backend needs --endpoint or GRAPHSTAGE_ENDPOINT")
+    model = _resolve(args.model, "GRAPHSTAGE_MODEL", file_cfg, "model")
+    api_key = _resolve(args.api_key, "GRAPHSTAGE_API_KEY", file_cfg, "api_key")
+    return HttpBackend(_settings(CompletionConfig, args, endpoint=endpoint, model=model, api_key=api_key))
 
 
 def _cmd_run(args) -> int:
-    if args.backend != "fault" and (
-        any((args.fault_drop, args.fault_name, args.fault_swap, args.fault_garbage))
-        or args.fault_labels
-    ):
-        raise UsageError(f"--fault-* flags need --backend fault, not {args.backend}")
-    if args.backend != "fault" and args.seed is not None:
-        raise UsageError(f"--seed needs --backend fault, not {args.backend}")
-    file_cfg = _load_config_file(args.config)
     corpus = load_corpus(args.corpus)
-    backend = _make_backend(args, file_cfg, corpus)
+    backend = _make_backend(args, corpus)
     base_dir = Path(args.corpus).parent
     traces = run_corpus(corpus, backend, workers=args.workers, base_dir=base_dir)
     write_jsonl(args.out, (trace_to_json(t) for t in traces))
@@ -187,10 +164,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_build_dataset(args) -> int:
-    fill_flags = {"--seed": args.seed, "--size": args.size, "--fill-rounds": args.fill_rounds}
-    given = [flag for flag, value in fill_flags.items() if value is not None]
-    if given and not args.fill_quota:
-        raise UsageError(f"{', '.join(given)} need --fill-quota")
     corpus = load_corpus(args.corpus)
     traces = load_traces(args.traces)
     entries, stats = build_dataset(traces, corpus)
@@ -209,50 +182,30 @@ def _cmd_build_dataset(args) -> int:
 
 
 def _fill_quota(args, corpus, traces, entries, stats):
-    """Regenerate-and-retry until each kind holds the requested number of
-    retained instances (oracle backend only; bounded rounds). Fresh EL
-    instances get their graph files next to the corpus, and with --size both
-    the size alternates by plan index."""
-    quota = args.fill_quota
-    base_config = GenConfig(seed=args.seed or 0, sizes=args.size or "wl")
-    corpus_dir = Path(args.corpus).parent
-    corpus = list(corpus)
-    traces = list(traces)
-    kind_counts: Dict[str, int] = {}
-    for label, kind_stats in stats["per_kind"].items():
-        kind_counts[label] = kind_stats["retained"]
+    """Generate fresh instances for each kind that retains fewer than
+    --fill-quota, run them through the oracle and filter again. The oracle's
+    traces are always retained, so one pass reaches the quota. Fresh indexes
+    follow each kind's highest plan index; with --size both the size
+    alternates by plan index. Fresh EL graph files go next to the corpus."""
+    config = _settings(GenConfig, args)
+    sizes = (SizeClass.WL, SizeClass.EL) if config.sizes == "both" else (SizeClass(config.sizes),)
     next_index: Dict[str, int] = {}
-    for inst in corpus:
-        next_index[inst.kind.label] = max(next_index.get(inst.kind.label, 0), 1 + _plan_index(inst))
-    for _ in range(5 if args.fill_rounds is None else args.fill_rounds):
-        missing = {label: quota - kind_counts.get(label, 0) for label in kind_counts}
-        missing = {label: n for label, n in missing.items() if n > 0}
-        if not missing:
-            break
-        fresh = []
-        for label, needed in sorted(missing.items()):
-            kind = TaskKind.parse(label)
-            for _ in range(needed):
-                index = next_index.get(label, 0)
-                next_index[label] = index + 1
-                if base_config.sizes == "both":
-                    size = (SizeClass.WL, SizeClass.EL)[index % 2]
-                else:
-                    size = SizeClass(base_config.sizes)
-                rng = _derived_rng(base_config.seed, kind, size, index)
-                instance = generate_instance(kind, size, rng, base_config, index=index)
-                _write_graph_file(corpus_dir, instance)
-                fresh.append(instance)
-        fresh_traces = run_corpus(fresh, OracleBackend(fresh), base_dir=corpus_dir)
-        corpus.extend(fresh)
-        traces.extend(fresh_traces)
-        entries, stats = build_dataset(traces, corpus)
-        kind_counts = {k: v["retained"] for k, v in stats["per_kind"].items()}
-    return entries, stats
-
-
-def _plan_index(instance) -> int:
-    return int(instance.id.rsplit("-", 1)[1])
+    for inst in corpus:  # an id ends in its plan index
+        label = inst.kind.label
+        next_index[label] = max(next_index.get(label, 0), 1 + int(inst.id.rsplit("-", 1)[1]))
+    plan = []
+    for label, kind_stats in sorted(stats["per_kind"].items()):
+        start = next_index.get(label, 0)
+        for index in range(start, start + args.fill_quota - kind_stats["retained"]):
+            plan.append((TaskKind.parse(label), sizes[index % len(sizes)], index))
+    if not plan:
+        return entries, stats
+    corpus_dir = Path(args.corpus).parent
+    fresh = list(generate_planned(plan, config))
+    for instance in fresh:
+        _write_graph_file(corpus_dir, instance)
+    fresh_traces = run_corpus(fresh, OracleBackend(fresh), base_dir=corpus_dir)
+    return build_dataset([*traces, *fresh_traces], [*corpus, *fresh])
 
 
 def _cmd_evaluate(args) -> int:
@@ -275,7 +228,54 @@ def _cmd_report(args) -> int:
     return 0
 
 
+# Flags that only some modes of a command read, by command: a function naming
+# the mode of the parsed arguments, the flags every mode reads, and the flags
+# that only each mode reads. main rejects a flag given outside its mode before
+# the command runs. A command not listed reads all its flags in one mode.
+FLAG_SCOPE = {
+    "run": (
+        lambda args: f"--backend {args.backend}",
+        # --workers stays with every backend: the benchmark's offline_oracle
+        # workload passes it to an oracle run (ROADMAP item 1); only http reads it
+        ("--corpus", "--backend", "--workers", "--out"),
+        {
+            "--backend oracle": (),
+            "--backend fault": ("--seed", "--fault-drop", "--fault-name", "--fault-swap",
+                                "--fault-garbage", "--fault-labels"),
+            "--backend http": ("--endpoint", "--model", "--api-key", "--max-tokens", "--top-p",
+                               "--temperature", "--retries", "--timeout-ms", "--config"),
+        },
+    ),
+    "build-dataset": (
+        lambda args: "--fill-quota N" if args.fill_quota else "--fill-quota 0",
+        ("--traces", "--corpus", "--out", "--stats", "--fill-quota"),
+        {"--fill-quota 0": (), "--fill-quota N": ("--seed", "--size")},
+    ),
+}
+
+
+def _flags(parser: argparse.ArgumentParser, command: str) -> Dict[str, argparse.Action]:
+    """Long option -> action for each flag of ``command``."""
+    (commands,) = parser._subparsers._group_actions  # argparse has no public handle
+    actions = commands.choices[command]._actions
+    return {option: a for a in actions for option in a.option_strings if option.startswith("--")}
+
+
+def _check_scope(parser: argparse.ArgumentParser, args) -> None:
+    """A scoped flag (its default is None) given outside its mode is a usage error."""
+    if args.command in FLAG_SCOPE:
+        pick, _, modes = FLAG_SCOPE[args.command]
+        mode, flags = pick(args), _flags(parser, args.command)
+        for other, scoped in modes.items():
+            for flag in scoped:
+                if flag not in modes[mode] and getattr(args, flags[flag].dest) is not None:
+                    raise UsageError(f"{flag} is read only with {other}, not {mode}")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command line. A flag whose dest names a field of GenConfig,
+    CompletionConfig or FaultPlan defaults to None: the field's default is
+    declared only in its dataclass (see _settings)."""
     parser = argparse.ArgumentParser(
         prog="graphstage",
         description="Graph-reasoning task generation, staged pipeline runs, "
@@ -285,11 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a task corpus")
-    p.add_argument("--tasks", default="all", help="'all' or comma list, e.g. shortest_path:directed")
-    p.add_argument("--count", type=_int_at_least(0), default=2000, help="instances per task kind")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", choices=("wl", "el", "both"), default="wl")
-    p.add_argument("--budget", type=_int_at_least(1), default=4096,
+    p.add_argument("--tasks", dest="kinds", type=_parse_tasks,
+                   help="'all' (the default) or comma list, e.g. shortest_path:directed")
+    p.add_argument("--count", type=_int_at_least(0), help="instances per task kind")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--size", dest="sizes", choices=("wl", "el", "both"))
+    p.add_argument("--budget", dest="token_budget", type=_int_at_least(1),
                    help="token budget for size classification")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_generate)
@@ -297,23 +298,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the staged pipeline over a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--backend", choices=("http", "oracle", "fault"), default="oracle")
-    p.add_argument("--endpoint", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--api-key", default=None)
+    p.add_argument("--endpoint")
+    p.add_argument("--model")
+    p.add_argument("--api-key")
     p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="keep-alive connections, a request in flight on each (http backend only)")
-    p.add_argument("--seed", type=int, default=None, help="fault backend seed (default 0)")
-    p.add_argument("--fault-drop", type=float, default=0.0)
-    p.add_argument("--fault-name", type=float, default=0.0)
-    p.add_argument("--fault-swap", type=float, default=0.0)
-    p.add_argument("--fault-garbage", type=float, default=0.0)
-    p.add_argument("--fault-labels", default=None, help="write injected fault labels to this file")
-    p.add_argument("--max-tokens", type=_int_at_least(1), default=4096)
-    p.add_argument("--top-p", type=float, default=1.0)
-    p.add_argument("--temperature", type=float, default=0.7)
-    p.add_argument("--retries", type=_int_at_least(0), default=2)
-    p.add_argument("--timeout-ms", type=_int_at_least(1), default=60_000)
-    p.add_argument("--config", default=None, help="optional JSON config file")
+    p.add_argument("--seed", type=int, help="fault backend seed")
+    p.add_argument("--fault-drop", dest="drop_graph_edges", type=float)
+    p.add_argument("--fault-name", dest="wrong_tool_name", type=float)
+    p.add_argument("--fault-swap", dest="swap_parameters", type=float)
+    p.add_argument("--fault-garbage", dest="emit_garbage", type=float)
+    p.add_argument("--fault-labels", help="write injected fault labels to this file")
+    p.add_argument("--max-tokens", dest="max_new_tokens", type=_int_at_least(1))
+    p.add_argument("--top-p", type=float)
+    p.add_argument("--temperature", type=float)
+    p.add_argument("--retries", dest="retry_count", type=_int_at_least(0))
+    p.add_argument("--timeout-ms", type=_int_at_least(1))
+    p.add_argument("--config", help="optional JSON config file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
 
@@ -321,13 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--stats", default=None)
+    p.add_argument("--stats")
     p.add_argument("--fill-quota", type=_int_at_least(0), default=0,
-                   help="regenerate and retry until each kind retains this many instances")
-    p.add_argument("--fill-rounds", type=_int_at_least(0), default=None, help="with --fill-quota (default 5)")
-    p.add_argument("--seed", type=int, default=None, help="with --fill-quota (default 0)")
-    p.add_argument("--size", choices=("wl", "el", "both"), default=None,
-                   help="with --fill-quota (default wl)")
+                   help="generate fresh instances until each kind retains this many")
+    p.add_argument("--seed", type=int, help="with --fill-quota")
+    p.add_argument("--size", dest="sizes", choices=("wl", "el", "both"), help="with --fill-quota")
     p.set_defaults(func=_cmd_build_dataset)
 
     p = sub.add_parser("evaluate", help="score traces and write accuracy reports")
@@ -354,6 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
+        _check_scope(parser, args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -270,18 +270,6 @@ def record_to_json(record: EvalRecord) -> dict:
     }
 
 
-def record_from_json(obj: dict) -> EvalRecord:
-    return EvalRecord(
-        instance_id=obj["instance_id"],
-        graph_match=obj["graph_match"],
-        name_match=obj["name_match"],
-        param_match=obj["param_match"],
-        answer_match=obj["answer_match"],
-        category=Category(obj["category"]),
-        fault_count=obj["fault_count"],
-    )
-
-
 def evaluate_traces(
     traces: Iterable[PipelineTrace], corpus: Sequence[TaskInstance]
 ) -> List[EvalRecord]:

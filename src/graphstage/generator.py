@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import templates
 from .codec import GRAPH_FILE_SUFFIX, render_edge_list
@@ -54,6 +54,10 @@ class SizeClass(str, Enum):
 
 SIZE_NODE_RANGE = {SizeClass.WL: (2, 40), SizeClass.EL: (41, 100)}
 SIZE_EDGE_CAP = {SizeClass.WL: 300, SizeClass.EL: 1000}
+EDGE_PROBABILITY = (0.05, 0.25)  # each draw's G(n, p) takes p uniformly from here
+WEIGHT_RANGE = (1, 10)  # weights and capacities, inclusive
+RETRY_CAP = 10_000  # draws per instance before ExhaustedRetries
+GRAPH_DIR = "graphs"  # EL graph files, relative to the corpus directory
 
 
 @dataclass(frozen=True)
@@ -132,20 +136,11 @@ class GenConfig:
     seed: int = 0
     kinds: Tuple[str, ...] = tuple(k.label for k in ALL_KINDS)
     sizes: str = "wl"  # wl | el | both
-    edge_probability: Tuple[float, float] = (0.05, 0.25)
-    weight_range: Tuple[int, int] = (1, 10)
     token_budget: int = 4096
-    retry_cap: int = 10_000
-    graph_dir: str = "graphs"
 
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be non-negative")
-        lo, hi = self.edge_probability
-        if not (0 < lo <= hi <= 1):
-            raise ValueError("edge probability range must lie in (0, 1]")
-        if self.weight_range[0] < 1:
-            raise ValueError("weights must be at least 1")
         if self.sizes not in ("wl", "el", "both"):
             raise ValueError("sizes must be wl, el or both")
 
@@ -217,15 +212,10 @@ def _cover_last_node(edges: List[Tuple[int, int]], n: int) -> List[Tuple[int, in
     ]
 
 
-def _attach_weights(
-    edges: Sequence[Tuple[int, int]],
-    weight_kind: WeightKind,
-    rng: random.Random,
-    weight_range: Tuple[int, int],
-):
+def _attach_weights(edges: Sequence[Tuple[int, int]], weight_kind: WeightKind, rng: random.Random):
     if weight_kind is WeightKind.NONE:
         return list(edges)
-    return [(u, v, rng.randint(*weight_range)) for u, v in edges]
+    return [(u, v, rng.randint(*WEIGHT_RANGE)) for u, v in edges]
 
 
 def _random_graph(
@@ -235,7 +225,6 @@ def _random_graph(
     weight_kind: WeightKind,
     rng: random.Random,
     edge_cap: int,
-    weight_range: Tuple[int, int],
 ) -> Optional[Graph]:
     """One G(n, p) draw, or None when it misses the edge-count window."""
     pairs = _bernoulli_indexes(_pair_count(n, directed), p, rng)
@@ -243,7 +232,7 @@ def _random_graph(
         return None
     edges = _decode_pairs(pairs, n, directed)
     edges = _cover_last_node(edges, n)
-    return build_graph(directed, n, _attach_weights(edges, weight_kind, rng, weight_range), weight_kind)
+    return build_graph(directed, n, _attach_weights(edges, weight_kind, rng), weight_kind)
 
 
 def _random_forest(n: int, rng: random.Random) -> Graph:
@@ -337,16 +326,15 @@ def _draw_graph_and_params(
     kind: TaskKind,
     size: SizeClass,
     rng: random.Random,
-    config: GenConfig,
     target_bool: Optional[bool],
 ) -> Tuple[Graph, Tuple[int, ...]]:
     tool = kind.tool
     lo, hi = _node_range(kind, size)
     cap = SIZE_EDGE_CAP[size]
 
-    for _ in range(config.retry_cap):
+    for _ in range(RETRY_CAP):
         n = rng.randint(lo, hi)
-        p = rng.uniform(*config.edge_probability)
+        p = rng.uniform(*EDGE_PROBABILITY)
 
         if tool == "topological_sort":
             g = _unique_order_dag(n, p, rng, cap)
@@ -360,7 +348,7 @@ def _draw_graph_and_params(
                 return g, ()
             continue
 
-        g = _random_graph(n, p, kind.directed, kind.weight_kind, rng, cap, config.weight_range)
+        g = _random_graph(n, p, kind.directed, kind.weight_kind, rng, cap)
         if g is None:
             continue
 
@@ -442,17 +430,13 @@ def generate_instance(
     if target_bool is None and kind.tool in BOOLEAN_TOOLS:
         target_bool = index % 2 == 0
     variant = (index % templates.VARIANTS_PER_TOOL) if variant is None else variant
-    graph, params = _draw_graph_and_params(kind, size, rng, config, target_bool)
+    graph, params = _draw_graph_and_params(kind, size, rng, target_bool)
     answer = dispatch(kind.tool, graph, params)
     if target_bool is not None and answer.value is not target_bool:
         raise AssertionError("constraint sampler returned the wrong answer class")
     direction = "d" if kind.directed else "u"
     instance_id = f"{kind.tool}-{direction}-{size.value}-{index:05d}"
-    graph_file = (
-        f"{config.graph_dir}/{instance_id}{GRAPH_FILE_SUFFIX}"
-        if size is SizeClass.EL
-        else None
-    )
+    graph_file = f"{GRAPH_DIR}/{instance_id}{GRAPH_FILE_SUFFIX}" if size is SizeClass.EL else None
     text = render_task_text(kind, graph, params, variant, size, graph_file)
     if size is SizeClass.WL and classify_size(text, config.token_budget) is not SizeClass.WL:
         raise ExhaustedRetries(f"wl instance {instance_id} rendered over the token budget")
@@ -484,15 +468,25 @@ def _size_plan(sizes: str, count: int) -> List[SizeClass]:
     return [SizeClass.WL] * wl + [SizeClass.EL] * (count - wl)
 
 
+def generate_planned(
+    plan: Iterable[Tuple[TaskKind, SizeClass, int]], config: GenConfig
+) -> Iterator[TaskInstance]:
+    """One instance per ``(kind, size, index)`` entry of ``plan``, each from
+    its own seed derived from ``config.seed`` and the entry."""
+    for kind, size, index in plan:
+        rng = _derived_rng(config.seed, kind, size, index)
+        try:
+            yield generate_instance(kind, size, rng, config, index=index)
+        except ExhaustedRetries as exc:
+            raise ExhaustedRetries(f"{kind.label}[{index}]: {exc}") from exc
+
+
 def generate_corpus(config: GenConfig) -> Iterator[TaskInstance]:
     """Deterministic instance stream: per-kind counts, cycled description
-    variants, alternating boolean targets, per-instance derived seeds."""
-    for label in config.kinds:
-        kind = TaskKind.parse(label)
-        plan = _size_plan(config.sizes, config.count)
-        for index, size in enumerate(plan):
-            rng = _derived_rng(config.seed, kind, size, index)
-            try:
-                yield generate_instance(kind, size, rng, config, index=index)
-            except ExhaustedRetries as exc:
-                raise ExhaustedRetries(f"{kind.label}[{index}]: {exc}") from exc
+    variants, alternating boolean targets, per-instance derived seeds. With
+    ``sizes="both"`` the first half of each kind is WL and the rest EL."""
+    sizes = _size_plan(config.sizes, config.count)
+    kinds = (TaskKind.parse(label) for label in config.kinds)
+    return generate_planned(
+        ((kind, size, index) for kind in kinds for index, size in enumerate(sizes)), config
+    )

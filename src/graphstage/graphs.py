@@ -221,13 +221,3 @@ def graphs_equal(a: Graph, b: Graph) -> bool:
         and (a.edges == b.edges or canonical_edge_set(a) == canonical_edge_set(b))
     )
 
-
-def max_referenced_node(g: Graph) -> int:
-    """Largest node id appearing in any edge, or -1 for an edgeless graph."""
-    best = -1
-    for u, v, _ in g.edges:
-        if u > best:
-            best = u
-        if v > best:
-            best = v
-    return best

@@ -110,7 +110,7 @@ def file_graph_clause(weight_kind: str, path: str) -> str:
     return f"Its {_WEIGHT_NOUN[weight_kind]} are listed in the file: {path}."
 
 
-def _pair_phrase(tool: str, directed: bool, params: Sequence[int]) -> str:
+def _pair_phrase(directed: bool, params: Sequence[int]) -> str:
     a, b = params[0], params[1]
     if directed:
         return f"from node {a} to node {b}"
@@ -122,7 +122,7 @@ def render_task_clause(
 ) -> str:
     clause = _TASK_CLAUSES[tool][variant % VARIANTS_PER_TOOL]
     if "{pair}" in clause:
-        clause = clause.replace("{pair}", _pair_phrase(tool, directed, params))
+        clause = clause.replace("{pair}", _pair_phrase(directed, params))
     for i, value in enumerate(params):
         clause = clause.replace("{p%d}" % i, str(value))
     return clause

@@ -239,28 +239,6 @@ def topological_sort(g: Graph) -> Answer:
     return Answer.node_seq(order)
 
 
-def has_unique_topological_order(g: Graph) -> bool:
-    """True iff Kahn's frontier holds exactly one node at every step."""
-    if not g.directed:
-        return False
-    indegree = [0] * g.node_count
-    adj = _adjacency(g)
-    for _, v, _ in g.edges:
-        indegree[v] += 1
-    ready = [n for n in range(g.node_count) if indegree[n] == 0]
-    taken = 0
-    while ready:
-        if len(ready) != 1:
-            return False
-        node = ready.pop()
-        taken += 1
-        for nxt in adj[node]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-    return taken == g.node_count
-
-
 def degree_count(g: Graph, node: int) -> Answer:
     """Incident edge count; for directed graphs in-degree plus out-degree."""
     _check_node(g, node)

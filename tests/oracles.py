@@ -3,7 +3,8 @@
 Each oracle enumerates rather than searches: vertex subsets for cycles,
 vertex triples for triangles, permutations for topological orders, simple
 paths for distances and source-side cuts for flow. None of them share code
-with the library's algorithms.
+with the library's algorithms. Two checks on generated graphs close the
+module: a unique topological order, and the highest node id in an edge.
 """
 
 from __future__ import annotations
@@ -135,3 +136,31 @@ def oracle_shortest(g: Graph, u: int, v: int) -> Optional[int]:
             elif nxt not in seen:
                 stack.append((nxt, seen | {nxt}, cost + w))
     return best
+
+
+def has_unique_topological_order(g: Graph) -> bool:
+    """True iff Kahn's frontier holds exactly one node at every step."""
+    if not g.directed:
+        return False
+    successors = [[] for _ in range(g.node_count)]
+    indegree = [0] * g.node_count
+    for u, v, _ in g.edges:
+        successors[u].append(v)
+        indegree[v] += 1
+    ready = [n for n in range(g.node_count) if indegree[n] == 0]
+    taken = 0
+    while ready:
+        if len(ready) != 1:
+            return False
+        node = ready.pop()
+        taken += 1
+        for nxt in successors[node]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                ready.append(nxt)
+    return taken == g.node_count
+
+
+def max_referenced_node(g: Graph) -> int:
+    """Largest node id appearing in any edge, or -1 for an edgeless graph."""
+    return max((max(u, v) for u, v, _ in g.edges), default=-1)

@@ -50,11 +50,11 @@ from graphstage.tools import (
     NoTriangle,
     ToolError,
     Unreachable,
-    has_unique_topological_order,
 )
 
 from conftest import random_test_graph
 from oracles import (
+    has_unique_topological_order,
     oracle_cycle,
     oracle_degree,
     oracle_edge_exists,

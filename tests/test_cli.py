@@ -1,11 +1,18 @@
 import gc
+import importlib.util
 import json
+import re
+import shlex
+import sys
 import threading
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from graphstage.backends import OracleBackend
-from graphstage.cli import main
+from graphstage.backends import CompletionConfig, FaultPlan, OracleBackend
+from graphstage.cli import FLAG_SCOPE, _check_scope, _flags, build_parser, main
+from graphstage.generator import GenConfig
 from graphstage.serialize import load_corpus, read_jsonl
 
 
@@ -261,7 +268,9 @@ def test_cyclic_garbage_does_not_grow_with_the_corpus(tmp_path):
 
 @pytest.mark.parametrize("backend", [["oracle"], ["http", "--endpoint", "http://127.0.0.1:1/v1"]])
 @pytest.mark.parametrize(
-    "fault_flag", [["--fault-drop", "0.5"], ["--fault-labels", "labels.json"], ["--seed", "5"]]
+    "fault_flag",
+    [["--fault-drop", "0.5"], ["--fault-drop", "0"], ["--fault-labels", "labels.json"],
+     ["--seed", "5"], ["--seed", "0"]],
 )
 def test_fault_flags_need_the_fault_backend(tmp_path, capsys, backend, fault_flag):
     out = tmp_path / "d"
@@ -272,7 +281,7 @@ def test_fault_flags_need_the_fault_backend(tmp_path, capsys, backend, fault_fla
         "--out", str(out / "traces.jsonl"),
     )
     assert code == 2
-    assert "--backend fault" in capsys.readouterr().err
+    assert f"{fault_flag[0]} is read only with --backend fault, not --backend {backend[0]}" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl"]
 
 
@@ -287,7 +296,7 @@ def test_truncated_corpus_line_is_reported_with_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {corpus}:3: Unterminated string")
 
 
-@pytest.mark.parametrize("flag", [["--seed", "9"], ["--size", "el"], ["--fill-rounds", "3"]])
+@pytest.mark.parametrize("flag", [["--seed", "9"], ["--seed", "0"], ["--size", "el"]])
 def test_fill_flags_need_fill_quota(tmp_path, capsys, flag):
     out = tmp_path / "d"
     corpus, traces = str(out / "corpus.jsonl"), str(out / "traces.jsonl")
@@ -299,7 +308,7 @@ def test_fill_flags_need_fill_quota(tmp_path, capsys, flag):
         "--stats", str(out / "stats.json"), *flag,
     )
     assert code == 2
-    assert f"{flag[0]} need --fill-quota" in capsys.readouterr().err
+    assert f"{flag[0]} is read only with --fill-quota N" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "traces.jsonl"]
 
 
@@ -363,11 +372,13 @@ def test_malformed_trace_line_is_reported_with_file_and_line(tmp_path, capsys, c
         ["run", "--max-tokens", "0"],
         ["run", "--retries", "-3"],
         ["build-dataset", "--fill-quota", "-4"],
-        ["build-dataset", "--fill-quota", "1", "--fill-rounds", "-1"],
         ["run", "--workers", "two"],
+        ["run", "--backend", "http", "--endpoint", "http://127.0.0.1:1/v1", "--top-p", "7"],
+        ["run", "--backend", "http", "--endpoint", "http://127.0.0.1:1/v1", "--temperature", "-1"],
+        ["run", "--backend", "fault", "--fault-drop", "2"],
     ],
 )
-def test_integer_flag_out_of_range_is_usage_error(tmp_path, capsys, argv):
+def test_config_value_out_of_range_is_usage_error(tmp_path, capsys, argv):
     corpus_dir = tmp_path / "corpus"
     corpus, traces = corpus_dir / "corpus.jsonl", corpus_dir / "traces.jsonl"
     assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "1", "--out", str(corpus_dir)) == 0
@@ -380,5 +391,110 @@ def test_integer_flag_out_of_range_is_usage_error(tmp_path, capsys, argv):
         "build-dataset": ["--corpus", str(corpus), "--traces", str(traces), "--stats", str(tmp_path / "stats.json")],
     }[argv[0]]
     assert run_cli(*argv, *inputs, "--out", str(out)) == 2
-    assert "usage:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("usage")  # argparse's "usage:" or main's "usage error:"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+
+REPO = Path(__file__).resolve().parents[1]
+CLOSED_ENDPOINT = "http://127.0.0.1:1/v1/chat/completions"
+
+
+def _commands(parser):
+    (commands,) = parser._subparsers._group_actions
+    return commands.choices
+
+
+def _scope_cases():
+    """(command, mode, flag) for every flag of a scoped command that the
+    table does not give to the mode: its common flags or the mode's own."""
+    parser = build_parser()
+    for command, (_, common, modes) in FLAG_SCOPE.items():
+        for mode, own in modes.items():
+            for flag in sorted(set(_flags(parser, command)) - {"--help", *common, *own}):
+                yield command, mode, flag
+
+
+def test_scope_table_classifies_every_flag_once():
+    parser = build_parser()
+    backends = _flags(parser, "run")["--backend"].choices
+    assert set(FLAG_SCOPE["run"][2]) == {f"--backend {b}" for b in backends}
+    for command, (_, common, modes) in FLAG_SCOPE.items():
+        listed = [*common, *(flag for own in modes.values() for flag in own)]
+        assert sorted(listed) == sorted(set(_flags(parser, command)) - {"--help"}), command
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small")
+    corpus, traces = out / "corpus.jsonl", out / "traces.jsonl"
+    assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "2", "--out", str(out)) == 0
+    assert run_cli("run", "--corpus", str(corpus), "--out", str(traces)) == 0
+    return corpus, traces
+
+
+@pytest.mark.parametrize("command, mode, flag", list(_scope_cases()))
+def test_flag_outside_its_mode_is_usage_error(small_run, tmp_path, monkeypatch, capsys, command, mode, flag):
+    corpus, traces = small_run
+    monkeypatch.chdir(tmp_path)  # a relative path in a probe value would land here
+    option, value = mode.split()
+    argv = [command, "--corpus", str(corpus), "--out", "out", option, "1" if value == "N" else value]
+    if command == "build-dataset":
+        argv += ["--traces", str(traces), "--stats", "stats.json"]
+    if value == "http":
+        argv += ["--endpoint", CLOSED_ENDPOINT]
+    parser = build_parser()
+    assert FLAG_SCOPE[command][0](parser.parse_args(argv)) == mode
+    action = _flags(parser, command)[flag]
+    probe = action.choices[0] if action.choices else "1"
+    capsys.readouterr()
+    assert run_cli(*argv, flag, probe) == 2
+    assert f"usage error: {flag} is read only with " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dataclass_backed_flags_default_to_none():
+    """Each default of a GenConfig, CompletionConfig or FaultPlan field is
+    declared in its dataclass only, never again in the parser."""
+    names = {f.name for cls in (GenConfig, CompletionConfig, FaultPlan) for f in fields(cls)}
+    parser = build_parser()
+    defaults = {
+        f"{command} {option}": action.default
+        for command in _commands(parser)
+        for option, action in _flags(parser, command).items()
+        if action.dest in names
+    }
+    assert {"generate --count", "run --max-tokens", "run --fault-drop", "build-dataset --size"} <= set(defaults)
+    assert {flag: default for flag, default in defaults.items() if default is not None} == {}
+
+
+def _readme_commands():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```bash\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["graphstage"]:
+                yield words[1:]
+
+
+def _benchmark_commands(monkeypatch):
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    out = Path("bench")
+    yield workloads.generate_argv(10, 1, out)
+    for workload in workloads.WORKLOADS.values():
+        corpus_dir = out / "corpus" if workload.corpus_in_setup else None
+        for _, argv in workloads.steps(workload, 1, out, corpus_dir, CLOSED_ENDPOINT):
+            yield argv
+
+
+def test_documented_and_benchmark_commands_pass_the_parser_and_scope_check(monkeypatch):
+    parser = build_parser()
+    readme, bench = list(_readme_commands()), list(_benchmark_commands(monkeypatch))
+    assert len(readme) >= 7 and len(bench) == 8
+    for argv in readme + bench:
+        try:
+            _check_scope(parser, parser.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv}")

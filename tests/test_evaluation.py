@@ -19,7 +19,7 @@ from graphstage import (
     run_pipeline,
     score_trace,
 )
-from graphstage.evaluation import EmptyInput, Report, record_from_json, record_to_json
+from graphstage.evaluation import EmptyInput, EvalRecord, Report, record_to_json
 
 
 def _corpus(per_kind=2, seed=0):
@@ -186,4 +186,5 @@ def test_record_json_roundtrip():
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
     record = score_trace(run_pipeline(corpus[0], backend), corpus[0])
-    assert record_from_json(record_to_json(record)) == record
+    obj = record_to_json(record)
+    assert EvalRecord(**{**obj, "category": Category(obj["category"])}) == record

@@ -16,9 +16,9 @@ from graphstage import (
     graphs_equal,
 )
 from graphstage.generator import BOOLEAN_TOOLS, render_task_text
-from graphstage.graphs import max_referenced_node
-from graphstage.tools import has_unique_topological_order
 from graphstage.serialize import dump_line, instance_from_json, instance_to_json
+
+from oracles import has_unique_topological_order, max_referenced_node
 
 
 def test_exactly_twenty_kinds():

@@ -16,7 +16,6 @@ from graphstage.tools import (
     cycle_detection,
     degree_count,
     edge_existence,
-    has_unique_topological_order,
     max_triangle_sum,
     maximum_flow,
     node_existence,
@@ -27,6 +26,7 @@ from graphstage.tools import (
 
 from conftest import random_test_graph
 from oracles import (
+    has_unique_topological_order,
     oracle_cycle,
     oracle_degree,
     oracle_edge_exists,
