@@ -43,7 +43,6 @@ from .dataset import DatasetEntry, build_dataset, export_alpaca
 from .evaluation import (
     Category,
     EvalRecord,
-    Report,
     aggregate,
     evaluate_traces,
     render_report,

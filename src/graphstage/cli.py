@@ -26,7 +26,7 @@ from .backends import (
     OracleBackend,
 )
 from .dataset import build_dataset, export_alpaca
-from .evaluation import aggregate, evaluate_traces, record_to_json, render_report, Report
+from .evaluation import aggregate, evaluate_traces, record_to_json, render_report
 from .generator import (
     ALL_KINDS,
     GenConfig,
@@ -134,24 +134,30 @@ def _write_graph_file(corpus_dir: Path, instance) -> None:
         atomic_write_text(corpus_dir / instance.graph_file, format_el_graph(instance.graph))
 
 
-def _make_backend(args, corpus):
+def _backend_for(args):
+    """The function that makes the backend from the corpus. Every backend
+    setting is checked here, so a bad one is reported before the corpus is
+    read; only the oracle needs the corpus."""
     if args.backend == "oracle":
-        return OracleBackend(corpus)
+        return OracleBackend
     if args.backend == "fault":
+        plan = _settings(FaultPlan, args)
         seed = {} if args.seed is None else {"seed": args.seed}
-        return FaultBackend(OracleBackend(corpus), _settings(FaultPlan, args), **seed)
+        return lambda corpus: FaultBackend(OracleBackend(corpus), plan, **seed)
     file_cfg = _load_config_file(args.config)
     endpoint = _resolve(args.endpoint, "GRAPHSTAGE_ENDPOINT", file_cfg, "endpoint")
     if not endpoint:
         raise UsageError("http backend needs --endpoint or GRAPHSTAGE_ENDPOINT")
     model = _resolve(args.model, "GRAPHSTAGE_MODEL", file_cfg, "model")
     api_key = _resolve(args.api_key, "GRAPHSTAGE_API_KEY", file_cfg, "api_key")
-    return HttpBackend(_settings(CompletionConfig, args, endpoint=endpoint, model=model, api_key=api_key))
+    backend = HttpBackend(_settings(CompletionConfig, args, endpoint=endpoint, model=model, api_key=api_key))
+    return lambda corpus: backend
 
 
 def _cmd_run(args) -> int:
+    make_backend = _backend_for(args)
     corpus = load_corpus(args.corpus)
-    backend = _make_backend(args, corpus)
+    backend = make_backend(corpus)
     base_dir = Path(args.corpus).parent
     traces = run_corpus(corpus, backend, workers=args.workers, base_dir=base_dir)
     write_jsonl(args.out, (trace_to_json(t) for t in traces))
@@ -215,7 +221,7 @@ def _cmd_evaluate(args) -> int:
     report = aggregate(records, corpus)
     out_dir = Path(args.out)
     write_jsonl(out_dir / "records.jsonl", (record_to_json(r) for r in records))
-    atomic_write_text(out_dir / "report.json", json.dumps(report.to_json(), indent=2) + "\n")
+    atomic_write_text(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
     atomic_write_text(out_dir / "report.txt", render_report(report, "txt"))
     print(f"evaluated {len(records)} traces -> {out_dir}")
     return 0
@@ -223,8 +229,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(Path(args.in_dir) / "report.json", "r", encoding="utf-8") as handle:
-        report = Report.from_json(json.load(handle))
-    sys.stdout.write(render_report(report, args.format))
+        sys.stdout.write(render_report(json.load(handle), args.format))
     return 0
 
 
@@ -290,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_int_at_least(0), help="instances per task kind")
     p.add_argument("--seed", type=int)
     p.add_argument("--size", dest="sizes", choices=("wl", "el", "both"))
-    p.add_argument("--budget", dest="token_budget", type=_int_at_least(1),
-                   help="token budget for size classification")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_generate)
 

@@ -41,6 +41,10 @@ class EmptyInput(ValueError):
     pass
 
 
+class OrphanTrace(ValueError):
+    """A trace or record names an instance id missing from the corpus."""
+
+
 def score_trace(trace: PipelineTrace, instance: TaskInstance) -> EvalRecord:
     if trace.instance_id != instance.id:
         raise ValueError(f"trace {trace.instance_id!r} does not belong to {instance.id!r}")
@@ -94,69 +98,22 @@ def score_trace(trace: PipelineTrace, instance: TaskInstance) -> EvalRecord:
     )
 
 
-@dataclass
-class ReportRow:
-    kind: str
-    size_class: str
-    count: int
-    answer_acc: float
-    graph_acc: float
-    name_acc: float
-    param_acc: Optional[float]
-    histogram: Dict[str, int]
-    multi_fault: int  # records with more than one failing dimension
-
-
-@dataclass
-class Report:
-    rows: List[ReportRow]
-    overall: Dict[str, Dict[str, Optional[float]]]  # size class -> mean accuracies
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "kind": r.kind,
-                    "size_class": r.size_class,
-                    "count": r.count,
-                    "answer_acc": r.answer_acc,
-                    "graph_acc": r.graph_acc,
-                    "name_acc": r.name_acc,
-                    "param_acc": r.param_acc,
-                    "histogram": r.histogram,
-                    "multi_fault": r.multi_fault,
-                }
-                for r in self.rows
-            ],
-            "overall": self.overall,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "Report":
-        rows = [
-            ReportRow(
-                kind=r["kind"],
-                size_class=r["size_class"],
-                count=r["count"],
-                answer_acc=r["answer_acc"],
-                graph_acc=r["graph_acc"],
-                name_acc=r["name_acc"],
-                param_acc=r.get("param_acc"),
-                histogram=r["histogram"],
-                multi_fault=r["multi_fault"],
-            )
-            for r in obj["rows"]
-        ]
-        return Report(rows=rows, overall=obj["overall"])
+_ACCURACIES = ("answer_acc", "graph_acc", "name_acc", "param_acc")
 
 
 def _percent(hits: int, count: int) -> float:
     return 100.0 * hits / count
 
 
-def aggregate(records: Sequence[EvalRecord], corpus: Sequence[TaskInstance]) -> Report:
-    """Per kind and size class percentages; the overall row is the unweighted
-    mean across task kinds within each size class."""
+def _mean(values: List[float]) -> Optional[float]:
+    return sum(values) / len(values) if values else None
+
+
+def aggregate(records: Sequence[EvalRecord], corpus: Sequence[TaskInstance]) -> dict:
+    """The report, as ``report.json`` holds it: ``rows`` gives percentages per
+    kind and size class, and ``overall`` maps each size class to the
+    unweighted mean across task kinds (``param_acc`` over the parametric
+    kinds alone, None without any)."""
     if not records:
         raise EmptyInput("no records to aggregate")
     by_id: Dict[str, TaskInstance] = {inst.id: inst for inst in corpus}
@@ -164,84 +121,62 @@ def aggregate(records: Sequence[EvalRecord], corpus: Sequence[TaskInstance]) -> 
     for record in records:
         instance = by_id.get(record.instance_id)
         if instance is None:
-            raise EmptyInput(f"record for unknown instance {record.instance_id!r}")
+            raise OrphanTrace(f"record for unknown instance {record.instance_id!r}")
         groups.setdefault((instance.kind.label, instance.size_class.value), []).append(record)
 
-    rows: List[ReportRow] = []
+    rows = []
     for (kind, size), recs in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         n = len(recs)
         has_params = any(r.param_match is not None for r in recs)
         histogram = {cat.value: 0 for cat in Category}
         for r in recs:
             histogram[r.category.value] += 1
-        rows.append(
-            ReportRow(
-                kind=kind,
-                size_class=size,
-                count=n,
-                answer_acc=_percent(sum(r.answer_match for r in recs), n),
-                graph_acc=_percent(sum(r.graph_match for r in recs), n),
-                name_acc=_percent(sum(r.name_match for r in recs), n),
-                param_acc=(
-                    _percent(sum(bool(r.param_match) for r in recs), n) if has_params else None
-                ),
-                histogram=histogram,
-                multi_fault=sum(r.fault_count > 1 for r in recs),
-            )
-        )
+        rows.append({
+            "kind": kind,
+            "size_class": size,
+            "count": n,
+            "answer_acc": _percent(sum(r.answer_match for r in recs), n),
+            "graph_acc": _percent(sum(r.graph_match for r in recs), n),
+            "name_acc": _percent(sum(r.name_match for r in recs), n),
+            "param_acc": _percent(sum(bool(r.param_match) for r in recs), n) if has_params else None,
+            "histogram": histogram,
+            "multi_fault": sum(r.fault_count > 1 for r in recs),  # more than one failing dimension
+        })
 
     overall: Dict[str, Dict[str, Optional[float]]] = {}
-    for size in sorted({row.size_class for row in rows}):
-        size_rows = [row for row in rows if row.size_class == size]
-        param_rows = [row for row in size_rows if row.param_acc is not None]
+    for size in sorted({row["size_class"] for row in rows}):
+        size_rows = [row for row in rows if row["size_class"] == size]
         overall[size] = {
-            "answer_acc": sum(r.answer_acc for r in size_rows) / len(size_rows),
-            "graph_acc": sum(r.graph_acc for r in size_rows) / len(size_rows),
-            "name_acc": sum(r.name_acc for r in size_rows) / len(size_rows),
-            "param_acc": (
-                sum(r.param_acc for r in param_rows) / len(param_rows) if param_rows else None
-            ),
+            **{key: _mean([row[key] for row in size_rows if row[key] is not None]) for key in _ACCURACIES},
             "kinds": len(size_rows),
         }
-    return Report(rows=rows, overall=overall)
+    return {"rows": rows, "overall": overall}
 
 
 def _fmt(value: Optional[float]) -> str:
     return "n/a" if value is None else f"{value:.1f}"
 
 
-def render_report(report: Report, format: str = "txt") -> str:
-    """Human-readable accuracy table, plain text or markdown."""
+def render_report(report: dict, format: str = "txt") -> str:
+    """Human-readable accuracy table of a report from :func:`aggregate` or
+    ``report.json``, plain text or markdown."""
     if format not in ("txt", "md"):
         raise ValueError(f"unknown report format {format!r}")
     headers = ["kind", "size", "n", "answer", "graph", "name", "param", "correct", "syntax",
                "graph_mis", "name_mis", "para_mis", "multi"]
     table: List[List[str]] = []
-    for row in report.rows:
+    for row in report["rows"]:
         table.append([
-            row.kind,
-            row.size_class,
-            str(row.count),
-            _fmt(row.answer_acc),
-            _fmt(row.graph_acc),
-            _fmt(row.name_acc),
-            _fmt(row.param_acc),
-            str(row.histogram.get(Category.CORRECT.value, 0)),
-            str(row.histogram.get(Category.SYNTAX.value, 0)),
-            str(row.histogram.get(Category.GRAPH.value, 0)),
-            str(row.histogram.get(Category.NAME.value, 0)),
-            str(row.histogram.get(Category.PARA.value, 0)),
-            str(row.multi_fault),
+            row["kind"],
+            row["size_class"],
+            str(row["count"]),
+            *(_fmt(row[key]) for key in _ACCURACIES),
+            *(str(row["histogram"].get(cat.value, 0)) for cat in Category),
+            str(row["multi_fault"]),
         ])
-    for size, means in report.overall.items():
+    for size, means in report["overall"].items():
         table.append([
-            "Overall",
-            size,
-            str(means["kinds"]),
-            _fmt(means["answer_acc"]),
-            _fmt(means["graph_acc"]),
-            _fmt(means["name_acc"]),
-            _fmt(means["param_acc"]),
+            "Overall", size, str(means["kinds"]), *(_fmt(means[key]) for key in _ACCURACIES),
             "", "", "", "", "", "",
         ])
 
@@ -273,11 +208,12 @@ def record_to_json(record: EvalRecord) -> dict:
 def evaluate_traces(
     traces: Iterable[PipelineTrace], corpus: Sequence[TaskInstance]
 ) -> List[EvalRecord]:
+    """One record per trace, in trace order."""
     by_id = {inst.id: inst for inst in corpus}
     records = []
     for trace in traces:
         instance = by_id.get(trace.instance_id)
         if instance is None:
-            raise EmptyInput(f"trace for unknown instance {trace.instance_id!r}")
+            raise OrphanTrace(f"trace for unknown instance {trace.instance_id!r}")
         records.append(score_trace(trace, instance))
     return records

@@ -136,7 +136,6 @@ class GenConfig:
     seed: int = 0
     kinds: Tuple[str, ...] = tuple(k.label for k in ALL_KINDS)
     sizes: str = "wl"  # wl | el | both
-    token_budget: int = 4096
 
     def __post_init__(self):
         if self.count < 0:
@@ -419,14 +418,12 @@ def generate_instance(
     kind: TaskKind,
     size: SizeClass,
     rng: random.Random,
-    config: GenConfig | None = None,
     *,
     target_bool: Optional[bool] = None,
     index: int = 0,
     variant: Optional[int] = None,
 ) -> TaskInstance:
     """One constraint-satisfying instance; the driver controls balance targets."""
-    config = config or GenConfig()
     if target_bool is None and kind.tool in BOOLEAN_TOOLS:
         target_bool = index % 2 == 0
     variant = (index % templates.VARIANTS_PER_TOOL) if variant is None else variant
@@ -438,7 +435,7 @@ def generate_instance(
     instance_id = f"{kind.tool}-{direction}-{size.value}-{index:05d}"
     graph_file = f"{GRAPH_DIR}/{instance_id}{GRAPH_FILE_SUFFIX}" if size is SizeClass.EL else None
     text = render_task_text(kind, graph, params, variant, size, graph_file)
-    if size is SizeClass.WL and classify_size(text, config.token_budget) is not SizeClass.WL:
+    if size is SizeClass.WL and classify_size(text) is not SizeClass.WL:
         raise ExhaustedRetries(f"wl instance {instance_id} rendered over the token budget")
     return TaskInstance(
         id=instance_id,
@@ -476,7 +473,7 @@ def generate_planned(
     for kind, size, index in plan:
         rng = _derived_rng(config.seed, kind, size, index)
         try:
-            yield generate_instance(kind, size, rng, config, index=index)
+            yield generate_instance(kind, size, rng, index=index)
         except ExhaustedRetries as exc:
             raise ExhaustedRetries(f"{kind.label}[{index}]: {exc}") from exc
 

@@ -200,7 +200,18 @@ def atomic_write_text(path: str | Path, writer: Callable | str) -> None:
 
 
 def load_corpus(path: str | Path) -> list:
-    return list(read_jsonl(path, instance_from_json))
+    """The instances of a corpus file; a line that repeats an earlier line's
+    instance id is rejected, since every lookup by id would keep only one."""
+    seen = set()
+
+    def instance(obj: dict) -> TaskInstance:
+        inst = instance_from_json(obj)
+        if inst.id in seen:
+            raise ValueError(f"duplicate instance id {inst.id!r}")
+        seen.add(inst.id)
+        return inst
+
+    return list(read_jsonl(path, instance))
 
 
 TRACE_FORMAT = 3

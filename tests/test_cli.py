@@ -296,6 +296,40 @@ def test_truncated_corpus_line_is_reported_with_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {corpus}:3: Unterminated string")
 
 
+@pytest.mark.parametrize(
+    "backend",
+    [
+        ["http", "--endpoint", "http://127.0.0.1:1/v1", "--top-p", "7"],
+        ["fault", "--fault-drop", "2"],
+        ["http"],
+    ],
+)
+def test_run_checks_backend_settings_before_reading_the_corpus(tmp_path, capsys, monkeypatch, backend):
+    monkeypatch.delenv("GRAPHSTAGE_ENDPOINT", raising=False)
+    out = tmp_path / "d"
+    assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "4", "--out", str(out)) == 0
+    corpus = out / "corpus.jsonl"
+    corpus.write_bytes(corpus.read_bytes()[:200])
+    capsys.readouterr()
+    assert run_cli("run", "--corpus", str(corpus), "--backend", *backend, "--out", str(out / "traces.jsonl")) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "evaluate"])
+def test_trace_for_an_instance_missing_from_the_corpus_is_an_error(tmp_path, capsys, command):
+    out = tmp_path / "d"
+    corpus, traces = out / "corpus.jsonl", out / "traces.jsonl"
+    assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "2", "--out", str(out)) == 0
+    assert run_cli("run", "--corpus", str(corpus), "--out", str(traces)) == 0
+    corpus.write_text(corpus.read_text(encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
+    capsys.readouterr()
+    target = out / ("alpaca.json" if command == "build-dataset" else "eval")
+    assert run_cli(command, "--traces", str(traces), "--corpus", str(corpus), "--out", str(target)) == 1
+    assert capsys.readouterr().err == "error: trace for unknown instance 'edge_count-d-wl-00001'\n"
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "traces.jsonl"]
+
+
 @pytest.mark.parametrize("flag", [["--seed", "9"], ["--seed", "0"], ["--size", "el"]])
 def test_fill_flags_need_fill_quota(tmp_path, capsys, flag):
     out = tmp_path / "d"
@@ -319,6 +353,7 @@ def test_fill_flags_need_fill_quota(tmp_path, capsys, flag):
         (lambda o: o.pop("task_text"), "missing key 'task_text'"),
         (lambda o: o["graph"].update(edges=[[0, 1], 7]), "object of type 'int' has no len()"),
         (lambda o: o["graph"]["edges"].pop(), "not a multiple of 2"),
+        (lambda o: o.update(id="edge_count-d-wl-00000"), "duplicate instance id 'edge_count-d-wl-00000'"),
     ],
 )
 def test_malformed_corpus_line_is_reported_with_file_and_line(tmp_path, capsys, command, edit, message):
@@ -365,7 +400,6 @@ def test_malformed_trace_line_is_reported_with_file_and_line(tmp_path, capsys, c
     "argv",
     [
         ["generate", "--count", "-1"],
-        ["generate", "--budget", "0"],
         ["run", "--workers", "0"],
         ["run", "--backend", "http", "--endpoint", "http://127.0.0.1:1/v1", "--workers", "-2", "--timeout-ms", "-5"],
         ["run", "--timeout-ms", "0"],
@@ -476,11 +510,18 @@ def _readme_commands():
                 yield words[1:]
 
 
+def _load_benchmark_module(monkeypatch, name):
+    """``perfbench/<name>.py``, loaded by path: perfbench/tests has a conftest
+    of its own, so tier-1 cannot collect that directory."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # a dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def _benchmark_commands(monkeypatch):
-    spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
-    spec.loader.exec_module(workloads)
+    workloads = _load_benchmark_module(monkeypatch, "workloads")
     out = Path("bench")
     yield workloads.generate_argv(10, 1, out)
     for workload in workloads.WORKLOADS.values():
@@ -498,3 +539,31 @@ def test_documented_and_benchmark_commands_pass_the_parser_and_scope_check(monke
             _check_scope(parser, parser.parse_args(argv))
         except SystemExit:
             pytest.fail(f"argparse rejects {argv}")
+
+
+def test_benchmark_imports_and_wraps_resolve(tmp_path, monkeypatch):
+    """Every name that the benchmark's modules import from the package, or
+    wrap in place for its traced run, exists; a traced oracle chain records
+    the CLI-level spans, and restoring puts every original back."""
+    tracing = _load_benchmark_module(monkeypatch, "tracing")
+    for name in ("checks", "stub"):
+        _load_benchmark_module(monkeypatch, name)
+    sites = [(tracing._owner(path), attr) for path, attr, *_ in (*tracing.WRAPS, *tracing.ITERATOR_WRAPS)]
+    originals = [owner.__dict__.get(attr) for owner, attr in sites]
+    recorder = tracing.Recorder()
+    restore = tracing.install(recorder)
+    try:
+        corpus, traces = tmp_path / "corpus.jsonl", tmp_path / "traces.jsonl"
+        assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "2", "--size", "both",
+                       "--out", str(tmp_path)) == 0
+        assert run_cli("run", "--corpus", str(corpus), "--out", str(traces)) == 0
+        assert run_cli("build-dataset", "--traces", str(traces), "--corpus", str(corpus),
+                       "--out", str(tmp_path / "alpaca.json")) == 0
+        assert run_cli("evaluate", "--traces", str(traces), "--corpus", str(corpus),
+                       "--out", str(tmp_path / "eval")) == 0
+    finally:
+        restore()
+    assert [owner.__dict__.get(attr) for owner, attr in sites] == originals
+    recorded = {span.name for span in recorder.spans}
+    assert {"generator.generate_instance", "pipeline.run_pipeline", "dataset.build_dataset",
+            "evaluation.evaluate_traces", "evaluation.aggregate"} <= recorded

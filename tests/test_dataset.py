@@ -17,7 +17,7 @@ from graphstage import (
     run_corpus,
     run_pipeline,
 )
-from graphstage.dataset import OrphanTrace
+from graphstage.evaluation import OrphanTrace
 from graphstage.codec import extract_graph, extract_parameters, extract_tool_name
 from graphstage.graphs import graphs_equal
 from graphstage.pipeline import StageKind

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from graphstage import (
     run_pipeline,
     score_trace,
 )
-from graphstage.evaluation import EmptyInput, EvalRecord, Report, record_to_json
+from graphstage.evaluation import EmptyInput, EvalRecord, OrphanTrace, record_to_json
 
 
 def _corpus(per_kind=2, seed=0):
@@ -136,18 +137,18 @@ def test_aggregate_all_correct():
     traces = run_corpus(corpus, backend)
     records = evaluate_traces(traces, corpus)
     report = aggregate(records, corpus)
-    assert len(report.rows) == 20
-    for row in report.rows:
-        assert row.answer_acc == 100.0
-        assert row.graph_acc == 100.0
-        assert row.name_acc == 100.0
-        assert row.histogram[Category.CORRECT.value] == row.count
-        if row.kind.split(":")[0] in ("cycle_detection", "max_triangle_sum", "edge_count", "node_count", "topological_sort"):
-            assert row.param_acc is None
+    assert len(report["rows"]) == 20
+    for row in report["rows"]:
+        assert row["answer_acc"] == 100.0
+        assert row["graph_acc"] == 100.0
+        assert row["name_acc"] == 100.0
+        assert row["histogram"][Category.CORRECT.value] == row["count"]
+        if row["kind"].split(":")[0] in ("cycle_detection", "max_triangle_sum", "edge_count", "node_count", "topological_sort"):
+            assert row["param_acc"] is None
         else:
-            assert row.param_acc == 100.0
-    assert report.overall["wl"]["answer_acc"] == 100.0
-    assert report.overall["wl"]["kinds"] == 20
+            assert row["param_acc"] == 100.0
+    assert report["overall"]["wl"]["answer_acc"] == 100.0
+    assert report["overall"]["wl"]["kinds"] == 20
 
 
 def test_aggregate_overall_is_unweighted_mean():
@@ -157,13 +158,23 @@ def test_aggregate_overall_is_unweighted_mean():
     traces = run_corpus(corpus, fault)
     records = evaluate_traces(traces, corpus)
     report = aggregate(records, corpus)
-    mean = sum(r.answer_acc for r in report.rows) / len(report.rows)
-    assert report.overall["wl"]["answer_acc"] == pytest.approx(mean)
+    mean = sum(r["answer_acc"] for r in report["rows"]) / len(report["rows"])
+    assert report["overall"]["wl"]["answer_acc"] == pytest.approx(mean)
 
 
 def test_aggregate_empty_raises():
     with pytest.raises(EmptyInput):
         aggregate([], [])
+
+
+def test_unknown_instance_raises_orphan_trace():
+    corpus = _corpus(1)
+    trace = run_pipeline(corpus[0], OracleBackend(corpus))
+    with pytest.raises(OrphanTrace, match="trace for unknown instance"):
+        evaluate_traces([trace], corpus[1:])
+    record = score_trace(trace, corpus[0])
+    with pytest.raises(OrphanTrace, match="record for unknown instance"):
+        aggregate([record], corpus[1:])
 
 
 def test_report_rendering_and_roundtrip():
@@ -178,8 +189,7 @@ def test_report_rendering_and_roundtrip():
     assert md.startswith("| kind |")
     with pytest.raises(ValueError):
         render_report(report, "html")
-    rebuilt = Report.from_json(report.to_json())
-    assert render_report(rebuilt, "txt") == txt
+    assert render_report(json.loads(json.dumps(report)), "txt") == txt
 
 
 def test_record_json_roundtrip():
