@@ -39,10 +39,9 @@ from .backends import (
     HttpBackend,
     OracleBackend,
 )
-from .dataset import DatasetEntry, build_dataset, export_alpaca
+from .dataset import build_dataset, export_alpaca
 from .evaluation import (
     Category,
-    EvalRecord,
     aggregate,
     evaluate_traces,
     render_report,

@@ -422,10 +422,10 @@ class OracleBackend:
                 return f"The graph file path is: {instance.graph_file}"
             return f"The edges are: {render_edge_list(instance.graph)}"
         if stage == "name":
-            return f"API_name: {instance.gold_tool}"
+            return f"API_name: {instance.kind.tool}"
         if stage == "params":
-            spec = TOOLS.get(instance.gold_tool)
-            pairs = zip(spec.parameter_names(), instance.gold_params)
+            spec = TOOLS.get(instance.kind.tool)
+            pairs = zip(spec.parameter_names(), instance.params)
             return ", ".join(f"{name}={value}" for name, value in pairs)
         raise BackendError(f"unknown stage {stage!r}")
 
@@ -541,14 +541,14 @@ class FaultBackend:
                 instance.graph.directed, node_count, keep, instance.graph.weight_kind
             )
             try:
-                dispatch(instance.gold_tool, reduced, instance.gold_params)
+                dispatch(instance.kind.tool, reduced, instance.params)
             except ToolError:
                 continue
             return f"The edges are: {render_edge_list(reduced)}"
         return None
 
     def _wrong_name(self, instance: TaskInstance, rng: random.Random) -> Optional[str]:
-        tool = instance.gold_tool
+        tool = instance.kind.tool
         if not instance.kind.parametric:
             options = [t for t in _SAFE_PARAM_FREE_SUBSTITUTES if t != tool]
         elif tool == "degree_count":
@@ -556,7 +556,7 @@ class FaultBackend:
         elif tool == "node_existence":
             # degree_count errors on a nonexistent node, so only positive
             # queries can take this substitution
-            node = instance.gold_params[0]
+            node = instance.params[0]
             options = ["degree_count"] if node < instance.graph.node_count else []
         elif tool == "edge_existence":
             options = ["path_existence"]
@@ -571,13 +571,13 @@ class FaultBackend:
         return f"API_name: {options[rng.randrange(len(options))]}"
 
     def _swap_params(self, instance: TaskInstance, rng: random.Random) -> Optional[str]:
-        if len(instance.gold_params) != 2:
+        if len(instance.params) != 2:
             return None
-        a, b = instance.gold_params
+        a, b = instance.params
         try:
-            dispatch(instance.gold_tool, instance.graph, (b, a))
+            dispatch(instance.kind.tool, instance.graph, (b, a))
         except ToolError:
             return None  # e.g. the reversed pair is unreachable on a directed graph
-        spec = TOOLS.get(instance.gold_tool)
+        spec = TOOLS.get(instance.kind.tool)
         names = spec.parameter_names()
         return f"{names[0]}={b}, {names[1]}={a}"

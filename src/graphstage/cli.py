@@ -26,7 +26,7 @@ from .backends import (
     OracleBackend,
 )
 from .dataset import build_dataset, export_alpaca
-from .evaluation import aggregate, evaluate_traces, record_to_json, render_report
+from .evaluation import aggregate, evaluate_traces, render_report
 from .generator import (
     ALL_KINDS,
     GenConfig,
@@ -220,7 +220,7 @@ def _cmd_evaluate(args) -> int:
     records = evaluate_traces(traces, corpus)
     report = aggregate(records, corpus)
     out_dir = Path(args.out)
-    write_jsonl(out_dir / "records.jsonl", (record_to_json(r) for r in records))
+    write_jsonl(out_dir / "records.jsonl", records)
     atomic_write_text(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
     atomic_write_text(out_dir / "report.txt", render_report(report, "txt"))
     print(f"evaluated {len(records)} traces -> {out_dir}")
@@ -228,8 +228,17 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(Path(args.in_dir) / "report.json", "r", encoding="utf-8") as handle:
-        sys.stdout.write(render_report(json.load(handle), args.format))
+    """A report.json that is not JSON or not of the shape that ``evaluate``
+    writes raises ``ValueError`` prefixed with its path, naming a missing key."""
+    path = Path(args.in_dir) / "report.json"
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = render_report(json.load(handle), args.format)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    sys.stdout.write(text)
     return 0
 
 

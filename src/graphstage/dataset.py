@@ -9,7 +9,6 @@ entry per executed stage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -22,61 +21,40 @@ from .pipeline import PipelineTrace, StageKind
 from .serialize import atomic_write_text
 
 
-@dataclass(frozen=True)
-class DatasetEntry:
-    instruction: str
-    input: str
-    output: str
-    stage: StageKind
-    instance_id: str
-
-
 _STAGE_RANK = {StageKind.GRAPH: 0, StageKind.NAME: 1, StageKind.PARAMS: 2}
 
 
 def build_dataset(
     traces: Sequence[PipelineTrace], corpus: Sequence[TaskInstance]
-) -> Tuple[List[DatasetEntry], Dict]:
-    """Entries for every trace that scores Correct with the gold answer, plus
-    retention statistics."""
+) -> Tuple[List[dict], Dict]:
+    """The Alpaca entries ``{instruction, input, output}`` of every trace that
+    scores Correct with the gold answer, one per stage, ordered by instance id
+    and then stage; plus retention statistics."""
     by_id = {inst.id: inst for inst in corpus}
-    entries: List[DatasetEntry] = []
-    retained = 0
+    kept: List[Tuple[TaskInstance, PipelineTrace]] = []
     per_kind: Dict[str, Dict[str, int]] = {}
     for trace, record in zip(traces, evaluate_traces(traces, corpus)):
         instance = by_id[trace.instance_id]
         kind_stats = per_kind.setdefault(instance.kind.label, {"total": 0, "retained": 0})
         kind_stats["total"] += 1
-        if record.category is not Category.CORRECT or not record.answer_match:
-            continue
-        retained += 1
-        kind_stats["retained"] += 1
-        for stage in trace.stages:
-            entries.append(
-                DatasetEntry(
-                    instruction=stage.instruction_text,
-                    input=instance.task_text,
-                    output=stage.raw_output,
-                    stage=stage.stage,
-                    instance_id=instance.id,
-                )
-            )
-    entries.sort(key=lambda e: (e.instance_id, _STAGE_RANK[e.stage]))
+        if record["category"] == Category.CORRECT and record["answer_match"]:
+            kind_stats["retained"] += 1
+            kept.append((instance, trace))
+    entries = [
+        {"instruction": stage.instruction_text, "input": instance.task_text, "output": stage.raw_output}
+        for instance, trace in sorted(kept, key=lambda pair: pair[0].id)
+        for stage in sorted(trace.stages, key=lambda s: _STAGE_RANK[s.stage])
+    ]
     stats = {
         "traces": len(traces),
-        "retained_instances": retained,
-        "retained_fraction": (retained / len(traces)) if traces else 0.0,
+        "retained_instances": len(kept),
+        "retained_fraction": (len(kept) / len(traces)) if traces else 0.0,
         "entries": len(entries),
         "per_kind": {label: per_kind[label] for label in sorted(per_kind)},
     }
     return entries, stats
 
 
-def export_alpaca(entries: Sequence[DatasetEntry], path: str | Path) -> None:
-    """Write the instruction/input/output triples as a JSON array."""
-    payload = [
-        {"instruction": e.instruction, "input": e.input, "output": e.output}
-        for e in entries
-    ]
-    text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    atomic_write_text(path, text)
+def export_alpaca(entries: Sequence[dict], path: str | Path) -> None:
+    """Write the entries of :func:`build_dataset` as a JSON array."""
+    atomic_write_text(path, json.dumps(entries, ensure_ascii=False, indent=2) + "\n")

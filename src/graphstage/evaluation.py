@@ -9,7 +9,6 @@ to be right, so answer accuracy can exceed the per-subtask accuracies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -26,17 +25,6 @@ class Category(str, Enum):
     PARA = "ParaMismatch"
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    instance_id: str
-    graph_match: bool
-    name_match: bool
-    param_match: Optional[bool]  # None for tasks without a parameter stage
-    answer_match: bool
-    category: Category
-    fault_count: int
-
-
 class EmptyInput(ValueError):
     pass
 
@@ -45,7 +33,10 @@ class OrphanTrace(ValueError):
     """A trace or record names an instance id missing from the corpus."""
 
 
-def score_trace(trace: PipelineTrace, instance: TaskInstance) -> EvalRecord:
+def score_trace(trace: PipelineTrace, instance: TaskInstance) -> dict:
+    """The record of one trace, as a line of ``records.jsonl`` holds it.
+    ``param_match`` is None for a task without a parameter stage, and
+    ``category`` is a :class:`Category` value."""
     if trace.instance_id != instance.id:
         raise ValueError(f"trace {trace.instance_id!r} does not belong to {instance.id!r}")
     graph_stage = trace.stage(StageKind.GRAPH)
@@ -58,18 +49,18 @@ def score_trace(trace: PipelineTrace, instance: TaskInstance) -> EvalRecord:
 
     graph_match = bool(
         graph_stage and graph_stage.parsed.ok
-        and graphs_equal(graph_stage.parsed.graph, instance.gold_graph)
+        and graphs_equal(graph_stage.parsed.graph, instance.graph)
     )
     name_match = bool(
         name_stage and name_stage.parsed.ok
-        and name_stage.parsed.name.strip().lower() == instance.gold_tool
+        and name_stage.parsed.name.strip().lower() == instance.kind.tool
     )
     if not instance.kind.parametric:
         param_match: Optional[bool] = None
     else:
         param_match = bool(
             param_stage and param_stage.parsed.ok
-            and tuple(param_stage.parsed.params) == tuple(instance.gold_params)
+            and tuple(param_stage.parsed.params) == tuple(instance.params)
         )
     answer_match = trace.tool_result is not None and trace.tool_result == instance.gold_answer
 
@@ -87,15 +78,15 @@ def score_trace(trace: PipelineTrace, instance: TaskInstance) -> EvalRecord:
     fault_count = (
         int(syntax) + int(not graph_match) + int(not name_match) + int(param_match is False)
     )
-    return EvalRecord(
-        instance_id=instance.id,
-        graph_match=graph_match,
-        name_match=name_match,
-        param_match=param_match,
-        answer_match=answer_match,
-        category=category,
-        fault_count=fault_count,
-    )
+    return {
+        "instance_id": instance.id,
+        "graph_match": graph_match,
+        "name_match": name_match,
+        "param_match": param_match,
+        "answer_match": answer_match,
+        "category": category.value,
+        "fault_count": fault_count,
+    }
 
 
 _ACCURACIES = ("answer_acc", "graph_acc", "name_acc", "param_acc")
@@ -109,7 +100,7 @@ def _mean(values: List[float]) -> Optional[float]:
     return sum(values) / len(values) if values else None
 
 
-def aggregate(records: Sequence[EvalRecord], corpus: Sequence[TaskInstance]) -> dict:
+def aggregate(records: Sequence[dict], corpus: Sequence[TaskInstance]) -> dict:
     """The report, as ``report.json`` holds it: ``rows`` gives percentages per
     kind and size class, and ``overall`` maps each size class to the
     unweighted mean across task kinds (``param_acc`` over the parametric
@@ -117,30 +108,30 @@ def aggregate(records: Sequence[EvalRecord], corpus: Sequence[TaskInstance]) -> 
     if not records:
         raise EmptyInput("no records to aggregate")
     by_id: Dict[str, TaskInstance] = {inst.id: inst for inst in corpus}
-    groups: Dict[tuple, List[EvalRecord]] = {}
+    groups: Dict[tuple, List[dict]] = {}
     for record in records:
-        instance = by_id.get(record.instance_id)
+        instance = by_id.get(record["instance_id"])
         if instance is None:
-            raise OrphanTrace(f"record for unknown instance {record.instance_id!r}")
+            raise OrphanTrace(f"record for unknown instance {record['instance_id']!r}")
         groups.setdefault((instance.kind.label, instance.size_class.value), []).append(record)
 
     rows = []
     for (kind, size), recs in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         n = len(recs)
-        has_params = any(r.param_match is not None for r in recs)
+        has_params = any(r["param_match"] is not None for r in recs)
         histogram = {cat.value: 0 for cat in Category}
         for r in recs:
-            histogram[r.category.value] += 1
+            histogram[r["category"]] += 1
         rows.append({
             "kind": kind,
             "size_class": size,
             "count": n,
-            "answer_acc": _percent(sum(r.answer_match for r in recs), n),
-            "graph_acc": _percent(sum(r.graph_match for r in recs), n),
-            "name_acc": _percent(sum(r.name_match for r in recs), n),
-            "param_acc": _percent(sum(bool(r.param_match) for r in recs), n) if has_params else None,
+            "answer_acc": _percent(sum(r["answer_match"] for r in recs), n),
+            "graph_acc": _percent(sum(r["graph_match"] for r in recs), n),
+            "name_acc": _percent(sum(r["name_match"] for r in recs), n),
+            "param_acc": _percent(sum(bool(r["param_match"]) for r in recs), n) if has_params else None,
             "histogram": histogram,
-            "multi_fault": sum(r.fault_count > 1 for r in recs),  # more than one failing dimension
+            "multi_fault": sum(r["fault_count"] > 1 for r in recs),  # more than one failing dimension
         })
 
     overall: Dict[str, Dict[str, Optional[float]]] = {}
@@ -193,22 +184,10 @@ def render_report(report: dict, format: str = "txt") -> str:
     return "\n".join(lines) + "\n"
 
 
-def record_to_json(record: EvalRecord) -> dict:
-    return {
-        "instance_id": record.instance_id,
-        "graph_match": record.graph_match,
-        "name_match": record.name_match,
-        "param_match": record.param_match,
-        "answer_match": record.answer_match,
-        "category": record.category.value,
-        "fault_count": record.fault_count,
-    }
-
-
 def evaluate_traces(
     traces: Iterable[PipelineTrace], corpus: Sequence[TaskInstance]
-) -> List[EvalRecord]:
-    """One record per trace, in trace order."""
+) -> List[dict]:
+    """One :func:`score_trace` record per trace, in trace order."""
     by_id = {inst.id: inst for inst in corpus}
     records = []
     for trace in traces:

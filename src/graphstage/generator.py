@@ -28,11 +28,9 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from . import templates
 from .codec import GRAPH_FILE_SUFFIX, render_edge_list
 from .graphs import Graph, WeightKind, build_graph
-from .tools import Answer, NoTriangle, TOOL_NAMES, dispatch, tool_arity
+from .tools import TOOLS, TOOL_NAMES, Answer, NoTriangle, _adjacency, dispatch, tool_arity
 
-BOOLEAN_TOOLS = frozenset(
-    ("cycle_detection", "edge_existence", "node_existence", "path_existence")
-)
+BOOLEAN_TOOLS = frozenset(spec.name for spec in TOOLS if spec.returns == "boolean")
 TOOL_WEIGHT_KIND = {
     "max_triangle_sum": WeightKind.WEIGHT,
     "shortest_path": WeightKind.WEIGHT,
@@ -280,11 +278,7 @@ def _unique_order_dag(
 
 
 def _reachable(g: Graph, start: int) -> set:
-    adj: List[List[int]] = [[] for _ in range(g.node_count)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        if not g.directed:
-            adj[v].append(u)
+    adj = _adjacency(g)
     seen = {start}
     stack = [start]
     while stack:

@@ -28,7 +28,7 @@ import json
 import os
 import tempfile
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -199,19 +199,26 @@ def atomic_write_text(path: str | Path, writer: Callable | str) -> None:
         raise
 
 
-def load_corpus(path: str | Path) -> list:
-    """The instances of a corpus file; a line that repeats an earlier line's
-    instance id is rejected, since every lookup by id would keep only one."""
+def _unique_ids(convert: Callable[[dict], object], id_of: Callable[[object], str]) -> Callable:
+    """``convert``, rejecting an object whose id an earlier one had: every
+    lookup by instance id would keep only one of them."""
     seen = set()
 
-    def instance(obj: dict) -> TaskInstance:
-        inst = instance_from_json(obj)
-        if inst.id in seen:
-            raise ValueError(f"duplicate instance id {inst.id!r}")
-        seen.add(inst.id)
-        return inst
+    def checked(obj: dict):
+        item = convert(obj)
+        ident = id_of(item)
+        if ident in seen:
+            raise ValueError(f"duplicate instance id {ident!r}")
+        seen.add(ident)
+        return item
 
-    return list(read_jsonl(path, instance))
+    return checked
+
+
+def load_corpus(path: str | Path) -> list:
+    """The instances of a corpus file; a line that repeats an earlier line's
+    instance id is rejected."""
+    return list(read_jsonl(path, _unique_ids(instance_from_json, attrgetter("id"))))
 
 
 TRACE_FORMAT = 3
@@ -310,4 +317,6 @@ def trace_from_json(obj: dict) -> PipelineTrace:
 
 
 def load_traces(path: str | Path) -> list:
-    return list(read_jsonl(path, trace_from_json))
+    """The traces of a trace file; a line that repeats an earlier line's
+    instance id is rejected."""
+    return list(read_jsonl(path, _unique_ids(trace_from_json, attrgetter("instance_id"))))

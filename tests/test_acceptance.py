@@ -269,7 +269,7 @@ def test_criterion_5_end_to_end_oracle_soundness(tmp_path):
     backend = OracleBackend(corpus)
     traces = run_corpus(corpus, backend, workers=4, base_dir=tmp_path)
     records = evaluate_traces(traces, corpus)
-    assert all(r.category is Category.CORRECT for r in records)
+    assert all(r["category"] == Category.CORRECT for r in records)
     report = aggregate(records, corpus)
     for row in report["rows"]:
         assert row["answer_acc"] == 100.0
@@ -316,12 +316,18 @@ def fault_run(tmp_path_factory):
     return corpus, traces, entries, stats
 
 
+def _entries_by_instance(corpus, traces):
+    """Instance id -> the entries that build_dataset keeps from its trace alone."""
+    by_id = {inst.id: inst for inst in corpus}
+    return {t.instance_id: build_dataset([t], [by_id[t.instance_id]])[0] for t in traces}
+
+
 def test_criterion_6_dataset_filter_soundness(fault_run):
     start = time.perf_counter()
     corpus, traces, entries, stats = fault_run
     assert len(corpus) >= 1000
     by_id = {inst.id: inst for inst in corpus}
-    retained_ids = {e.instance_id for e in entries}
+    retained_ids = {i for i, own in _entries_by_instance(corpus, traces).items() if own}
     for instance_id in retained_ids:
         assert _reexecute_matches(
             next(t for t in traces if t.instance_id == instance_id), by_id[instance_id]
@@ -366,7 +372,7 @@ def test_criterion_7_error_taxonomy_fidelity():
                 continue
             labeled += 1
             record = score_trace(trace, by_id[trace.instance_id])
-            assert record.category is expected[mode], (mode, trace.instance_id, record)
+            assert record["category"] == expected[mode], (mode, trace.instance_id, record)
         assert labeled >= 200, (mode, labeled)
         _passed(f"criterion 7[{mode}]: {labeled} single-fault traces all classified {expected[mode].value}")
 
@@ -381,14 +387,13 @@ def test_criterion_8_alpaca_export_validity(fault_run, tmp_path):
     assert len(payload) == len(entries)
     for item in payload:
         assert set(item) == {"instruction", "input", "output"}
-    # all-or-nothing: every retained instance contributes one entry per stage
+    # all-or-nothing: every retained instance contributes one entry per stage,
+    # and the dataset lists them by instance id
     by_id = {inst.id: inst for inst in corpus}
-    per_instance = {}
-    for entry in entries:
-        per_instance[entry.instance_id] = per_instance.get(entry.instance_id, 0) + 1
-    for instance_id, count in per_instance.items():
-        expected = 2 if not by_id[instance_id].kind.parametric else 3
-        assert count == expected, instance_id
+    per_instance = _entries_by_instance(corpus, traces)
+    for instance_id, own in per_instance.items():
+        assert len(own) in (0, 2 if not by_id[instance_id].kind.parametric else 3), instance_id
+    assert [e for _, own in sorted(per_instance.items()) for e in own] == entries
     export_alpaca(entries, out)
     assert out.read_bytes() == first
     _passed(

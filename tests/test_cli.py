@@ -396,6 +396,37 @@ def test_malformed_trace_line_is_reported_with_file_and_line(tmp_path, capsys, c
     assert capsys.readouterr().err == f"error: {traces}:2: missing key 'raw_output'\n"
 
 
+@pytest.mark.parametrize("command", ["build-dataset", "evaluate"])
+def test_duplicate_trace_id_is_reported_with_file_and_line(tmp_path, capsys, command):
+    out = tmp_path / "d"
+    corpus, traces = out / "corpus.jsonl", out / "traces.jsonl"
+    assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "2", "--out", str(out)) == 0
+    assert run_cli("run", "--corpus", str(corpus), "--out", str(traces)) == 0
+    lines = traces.read_text(encoding="utf-8").splitlines(keepends=True)
+    traces.write_text("".join([*lines, lines[0]]), encoding="utf-8")
+    capsys.readouterr()
+    target = out / ("alpaca.json" if command == "build-dataset" else "eval")
+    assert run_cli(command, "--traces", str(traces), "--corpus", str(corpus), "--out", str(target)) == 1
+    assert capsys.readouterr().err == f"error: {traces}:3: duplicate instance id 'edge_count-d-wl-00000'\n"
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "traces.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"rows": [{"kind": "x"}], "overall": {}}', "missing key 'size_class'"),
+        ('{"rows": 5, "overall": {}}', "'int' object is not iterable"),
+        ('{"rows": [], "overall": []}', "'list' object has no attribute 'items'"),
+        ('{"rows": [], ', "Expecting property name enclosed in double quotes: line 1 column 14 (char 13)"),
+    ],
+)
+def test_malformed_report_json_is_reported_with_its_path(tmp_path, capsys, text, message):
+    (tmp_path / "report.json").write_text(text, encoding="utf-8")
+    assert run_cli("report", "--in", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {tmp_path / 'report.json'}: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -127,8 +127,13 @@ def test_build_dataset_oracle_counts_and_order():
     assert stats["retained_fraction"] == 1.0
     expected_entries = sum(2 if not i.kind.parametric else 3 for i in corpus)
     assert len(entries) == expected_entries
-    ids = [e.instance_id for e in entries]
-    assert ids == sorted(ids)
+    by_id = {inst.id: inst for inst in corpus}
+    assert entries == [
+        {"instruction": stage.instruction_text, "input": by_id[trace.instance_id].task_text,
+         "output": stage.raw_output}
+        for trace in sorted(traces, key=lambda t: t.instance_id)
+        for stage in trace.stages
+    ]
 
 
 def test_build_dataset_empty():
@@ -175,13 +180,12 @@ def test_fault_retention_matches_reexecution():
     plan = FaultPlan(drop_graph_edges=0.3, wrong_tool_name=0.3, swap_parameters=0.3)
     fault = FaultBackend(oracle, plan, seed=13)
     traces = run_corpus(corpus, fault)
-    entries, stats = build_dataset(traces, corpus)
+    _, stats = build_dataset(traces, corpus)
     by_id = {i.id: i for i in corpus}
     survivors = sum(_reexecute_matches(t, by_id[t.instance_id]) for t in traces)
     assert stats["retained_instances"] == survivors
-    retained_ids = {e.instance_id for e in entries}
     for trace in traces:
-        if trace.instance_id in retained_ids:
+        if _retained(trace, by_id[trace.instance_id]):
             assert _reexecute_matches(trace, by_id[trace.instance_id])
 
 
@@ -202,15 +206,11 @@ def test_export_alpaca_shape_and_idempotence(tmp_path):
 
 
 def test_export_alpaca_escapes_tricky_text(tmp_path):
-    from graphstage.dataset import DatasetEntry
-
-    entry = DatasetEntry(
-        instruction='say "hi"\nplease',
-        input="line1\nline2\twith\ttabs",
-        output="done \\ and unicode: é",
-        stage=StageKind.GRAPH,
-        instance_id="x-u-wl-00000",
-    )
+    entry = {
+        "instruction": 'say "hi"\nplease',
+        "input": "line1\nline2\twith\ttabs",
+        "output": "done \\ and unicode: é",
+    }
     out = tmp_path / "alpaca.json"
     export_alpaca([entry], out)
     loaded = json.loads(out.read_text(encoding="utf-8"))

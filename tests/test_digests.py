@@ -4,7 +4,8 @@ One small corpus goes through ``run``, ``build-dataset`` and ``evaluate``
 five ways: the oracle backend, a four-fault plan with its labels, the HTTP
 backend at one and at three connections against a local stub that answers
 from the same fault plan, and ``build-dataset --fill-quota``. Each output
-file is hashed against :data:`DIGESTS`. A change that moves a digest re-pins
+file, and what ``report`` prints for the fault run in either format, is
+hashed against :data:`DIGESTS`. A change that moves a digest re-pins
 it and says in its change notes which artifact moved and why.
 """
 
@@ -35,6 +36,8 @@ DIGESTS = {
     "fault/eval/report.json": "9239ec2e089369e1e4cd4071b3f80ca7d944f9ab942b8fe1c91f63cd77789652",
     "fault/eval/report.txt": "7648d8d4bf3cbcf98eb80af14936eeb5365d4d499fe52fda99614089f12a4de0",
     "fault/labels.json": "fc2b43cd7a064ecc2fb475782daf453507fcac0e30d4ed329bc223526793881e",
+    "fault/report --format md": "4f75be66559be95c250dbc3a8496cb7d80927f171accb02151e75600c76c8b18",
+    "fault/report --format txt": "7648d8d4bf3cbcf98eb80af14936eeb5365d4d499fe52fda99614089f12a4de0",
     "fault/stats.json": "47c0fe0d461949741abe485b68ae08337dfa0ac0ebfa0a2038037b3eadb83552",
     "fault/traces.jsonl": "e7148ce555f0c1092e01804555ce7ca988132510d3483ad87ed4c5bfa530a58c",
     "fill/alpaca.json": "51a43cb952b05384e65ae09b9d72d2268e317415d35234a555df2f04178bf66a",
@@ -87,7 +90,7 @@ def _digests(root):
     return found
 
 
-def test_seeded_outputs_match_pinned_digests(tmp_path, keepalive_server):
+def test_seeded_outputs_match_pinned_digests(tmp_path, keepalive_server, capsys):
     corpus_dir = tmp_path / "corpus"
     corpus = corpus_dir / "corpus.jsonl"
     _run("generate", "--tasks", "all", "--count", 3, "--size", "both", "--seed", 11, "--out", corpus_dir)
@@ -126,4 +129,8 @@ def test_seeded_outputs_match_pinned_digests(tmp_path, keepalive_server):
             key.split("/", 1)[1]: digest for key, digest in found.items()
             if key.startswith("fault/") and key != "fault/labels.json"
         }, name
+    for fmt in ("md", "txt"):
+        capsys.readouterr()
+        _run("report", "--in", tmp_path / "fault" / "eval", "--format", fmt)
+        found[f"fault/report --format {fmt}"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert found == DIGESTS

@@ -288,7 +288,7 @@ def test_number_answers_that_do_not_parse_are_syntax_errors():
     assert [not record.parsed.ok for record in failed] == [True, True]
     for trace, inst in zip(traces, corpus):
         assert trace.tool_result is None
-        assert score_trace(trace, inst).category is Category.SYNTAX
+        assert score_trace(trace, inst)["category"] == Category.SYNTAX
 
 
 def test_importing_the_cli_leaves_asyncio_out():
@@ -352,4 +352,4 @@ def test_el_path_must_stay_in_corpus_dir(tmp_path, answer, failure):
     else:
         assert failure in graph_stage.parsed.reason
         assert trace.tool_result is None
-        assert score_trace(trace, inst).category is Category.SYNTAX
+        assert score_trace(trace, inst)["category"] == Category.SYNTAX
