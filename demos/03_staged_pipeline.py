@@ -9,6 +9,7 @@ import random
 from graphstage import (
     OracleBackend,
     SizeClass,
+    StageKind,
     TaskKind,
     generate_instance,
     run_pipeline,
@@ -28,5 +29,5 @@ for record in trace.stages:
     print(f"model output: {record.raw_output}")
     print(f"parsed: {record.parsed}\n")
 
-print(f"parameter stage skipped: {trace.skipped_parameter_stage}")
+print(f"parameter stage ran: {trace.stage(StageKind.PARAMS) is not None}")
 print(f"tool result: {trace.tool_result}  (gold: {instance.gold_answer})")

@@ -189,14 +189,11 @@ def format_el_graph(g: Graph) -> str:
 _EL_BODY = re.compile(r"(?:[0-9]+, [0-9]+\n)*|((?:[0-9]+, [0-9]+, [0-9]+\n)+)")
 
 
-def read_el_graph_file(
-    path: str | Path, weight_kind: WeightKind | str | None = None
-) -> Graph:
+def read_el_graph_file(path: str | Path, weight_kind: WeightKind | str) -> Graph:
     """Parse a graph file; node_count is reconstructed as max id + 1.
 
-    weight_kind disambiguates weight vs capacity for three-column files
-    (the file format itself does not record which); when omitted, three
-    columns are read as plain weights.
+    weight_kind is the graph's: the file format itself does not record
+    whether a third column is a weight or a capacity.
 
     A file in the exact form format_el_graph writes (a bare header line,
     then "u, v" or "u, v, w" lines of ASCII numbers without leading zeros,
@@ -217,12 +214,12 @@ def read_el_graph_file(
         us, vs = columns[:2]
         if not any(map(operator.eq, us, vs)):
             node_count = 1 + max(max(us), max(vs)) if numbers else 0
-            kind = _el_weight_kind({width}, weight_kind)
+            kind = WeightKind(weight_kind)
             return build_graph(header == "directed", node_count, columns, kind, columns=True)
     return _read_el_lines(text, weight_kind)
 
 
-def _read_el_lines(text: str, weight_kind: WeightKind | str | None) -> Graph:
+def _read_el_lines(text: str, weight_kind: WeightKind | str) -> Graph:
     lines = text.splitlines()
     if not lines or lines[0].strip() not in ("directed", "undirected"):
         raise MalformedLine(1, "expected 'directed' or 'undirected' header")
@@ -245,10 +242,4 @@ def _read_el_lines(text: str, weight_kind: WeightKind | str | None) -> Graph:
     if len(widths) > 1:
         raise MalformedLine(1, "mixed weighted and unweighted edge lines")
     node_count = 1 + max(max(e[0], e[1]) for e in edges) if edges else 0
-    return build_graph(directed, node_count, edges, _el_weight_kind(widths, weight_kind))
-
-
-def _el_weight_kind(widths: set, weight_kind: WeightKind | str | None) -> WeightKind:
-    if weight_kind is None:
-        return WeightKind.NONE if widths == {2} or not widths else WeightKind.WEIGHT
-    return WeightKind(weight_kind)
+    return build_graph(directed, node_count, edges, WeightKind(weight_kind))

@@ -10,11 +10,13 @@ to be right, so answer accuracy can exceed the per-subtask accuracies.
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .generator import TaskInstance
 from .graphs import graphs_equal
 from .pipeline import PipelineTrace, StageKind
+from .serialize import unique_ids
 
 
 class Category(str, Enum):
@@ -187,12 +189,14 @@ def render_report(report: dict, format: str = "txt") -> str:
 def evaluate_traces(
     traces: Iterable[PipelineTrace], corpus: Sequence[TaskInstance]
 ) -> List[dict]:
-    """One :func:`score_trace` record per trace, in trace order."""
+    """One :func:`score_trace` record per trace, in trace order; a trace that
+    repeats an earlier trace's instance id raises ``ValueError``."""
     by_id = {inst.id: inst for inst in corpus}
-    records = []
-    for trace in traces:
+
+    def score(trace: PipelineTrace) -> dict:
         instance = by_id.get(trace.instance_id)
         if instance is None:
             raise OrphanTrace(f"trace for unknown instance {trace.instance_id!r}")
-        records.append(score_trace(trace, instance))
-    return records
+        return score_trace(trace, instance)
+
+    return list(map(unique_ids(score, itemgetter("instance_id")), traces))

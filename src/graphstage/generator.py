@@ -142,11 +142,9 @@ class GenConfig:
             raise ValueError("sizes must be wl, el or both")
 
 
-def classify_size(text: str, budget: int = 4096) -> SizeClass:
-    """wl iff the estimated token count (ceil of chars/4) fits the budget."""
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    return SizeClass.WL if math.ceil(len(text) / 4) <= budget else SizeClass.EL
+def classify_size(text: str) -> SizeClass:
+    """wl iff the estimated token count (ceil of chars/4) fits 4,096 tokens."""
+    return SizeClass.WL if math.ceil(len(text) / 4) <= 4096 else SizeClass.EL
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +411,12 @@ def generate_instance(
     size: SizeClass,
     rng: random.Random,
     *,
-    target_bool: Optional[bool] = None,
     index: int = 0,
-    variant: Optional[int] = None,
 ) -> TaskInstance:
-    """One constraint-satisfying instance; the driver controls balance targets."""
-    if target_bool is None and kind.tool in BOOLEAN_TOOLS:
-        target_bool = index % 2 == 0
-    variant = (index % templates.VARIANTS_PER_TOOL) if variant is None else variant
+    """One constraint-satisfying instance. ``index`` sets the description
+    variant and, for a boolean tool, the answer: true at even indexes."""
+    target_bool = index % 2 == 0 if kind.tool in BOOLEAN_TOOLS else None
+    variant = index % templates.VARIANTS_PER_TOOL
     graph, params = _draw_graph_and_params(kind, size, rng, target_bool)
     answer = dispatch(kind.tool, graph, params)
     if target_bool is not None and answer.value is not target_bool:

@@ -6,9 +6,10 @@ instance id and stage, then the task text. The metadata line is transport
 plumbing: it lets self-contained backends (oracle, fault injection) look up
 which instance and stage a prompt belongs to without a side channel, and it
 carries no gold labels. A prompt is thus a function of the instruction text,
-the instance id, the stage and the task text (:func:`layout_prompt`), and the
-instruction texts are few (:data:`INSTRUCTION_TEXTS`), so a stored trace can
-keep a short key and the task text and rebuild the rest.
+the instance id, the stage and the task text (:func:`layout_prompt`). The
+instruction texts are few, and each has a key (:data:`INSTRUCTION_TEXTS`): a
+stage record names the instruction it sent by its key, and a stored trace
+keeps that key and the task text and rebuilds the rest.
 
 Each stage is attempted exactly once; a parse failure in any stage
 short-circuits tool execution but the trace still records every stage. The
@@ -57,23 +58,27 @@ _META_PATTERN = re.compile(r"\[task (\S+) \| stage ([GNP])\]")
 @dataclass
 class StageRecord:
     stage: StageKind
-    instruction_text: str
+    # the key of INSTRUCTION_TEXTS that was sent; "" for a parameter stage
+    # that made no call
+    instruction: str
     prompt: str
     raw_output: str
     parsed: ExtractionResult
     latency_ms: float
-    file_path: Optional[str] = None
+
+    @property
+    def instruction_text(self) -> str:
+        return INSTRUCTION_TEXTS[self.instruction] if self.instruction else ""
 
 
 @dataclass
 class PipelineTrace:
     instance_id: str
+    # the instance's task text, which every prompt of the trace ends with
+    task_text: str
     stages: List[StageRecord]
     tool_result: Optional[Answer]
     tool_error: Optional[str]
-    skipped_parameter_stage: bool
-    # the instance's task text, which every prompt of the trace ends with
-    task_text: Optional[str] = None
 
     def stage(self, kind: StageKind) -> Optional[StageRecord]:
         for record in self.stages:
@@ -207,16 +212,20 @@ def run_blocking(coroutine):
     raise RuntimeError("a blocking call suspended")
 
 
-async def _ask(complete, prompt: str) -> Tuple[str, Optional[str], float]:
-    """(raw output, backend error or None, latency in ms) of one call."""
-    start = time.perf_counter()
+def _graph_from_file(raw: str, base_dir: Path, weight_kind: WeightKind) -> ExtractionResult:
+    """The graph in the file that an EL graph stage's reply names."""
+    found = extract_file_path(raw)
+    if not found.ok:
+        return found
+    # the path is model output: it may name only files inside base_dir.
+    # Resolved lexically: the model writes text, not symlinks.
+    relative = Path(os.path.normpath(found.path))
+    if relative.anchor or relative.parts[:1] == ("..",):
+        return ExtractionResult.failure(f"file path escapes the corpus directory: {found.path}")
     try:
-        raw = await complete(prompt)
-        error = None
-    except Exception as exc:  # transport errors become data, never escape
-        raw = ""
-        error = f"backend error: {exc}"
-    return raw, error, (time.perf_counter() - start) * 1000.0
+        return ExtractionResult.of_graph(read_el_graph_file(base_dir / relative, weight_kind))
+    except (OSError, MalformedLine, ValueError) as exc:
+        return ExtractionResult.failure(f"file read: {exc}")
 
 
 async def _pipeline(instance: TaskInstance, complete, base_dir: Path) -> PipelineTrace:
@@ -224,49 +233,39 @@ async def _pipeline(instance: TaskInstance, complete, base_dir: Path) -> Pipelin
     function that answers a prompt."""
     stages: List[StageRecord] = []
 
+    async def ask(stage: StageKind, key: str, parse) -> ExtractionResult:
+        """Send the instruction ``key`` for ``stage``, and record the reply
+        with what ``parse`` makes of it."""
+        prompt = assemble_prompt(INSTRUCTION_TEXTS[key], instance, stage)
+        start = time.perf_counter()
+        try:
+            raw, error = await complete(prompt), None
+        except Exception as exc:  # transport errors become data, never escape
+            raw, error = "", f"backend error: {exc}"
+        latency_ms = (time.perf_counter() - start) * 1000.0
+        parsed = parse(raw) if error is None else ExtractionResult.failure(error)
+        stages.append(StageRecord(stage, key, prompt, raw, parsed, latency_ms))
+        return parsed
+
     # stage G: graph (or file path) extraction
-    g_text = graph_instruction_text(instance.size_class, instance.graph.weight_kind)
-    g_prompt = assemble_prompt(g_text, instance, StageKind.GRAPH)
-    raw, error, latency = await _ask(complete, g_prompt)
-    file_path = None
-    if error is not None:
-        parsed = ExtractionResult.failure(error)
-    elif instance.size_class is SizeClass.EL:
-        parsed = extract_file_path(raw)
-        if parsed.ok:
-            file_path = parsed.path
-            # the path is model output: it may name only files inside base_dir.
-            # Resolved lexically: the model writes text, not symlinks.
-            relative = Path(os.path.normpath(file_path))
-            if relative.anchor or relative.parts[:1] == ("..",):
-                parsed = ExtractionResult.failure(f"file path escapes the corpus directory: {file_path}")
-            else:
-                try:
-                    loaded = read_el_graph_file(base_dir / relative, instance.graph.weight_kind)
-                    parsed = ExtractionResult.of_graph(loaded)
-                except (OSError, MalformedLine, ValueError) as exc:
-                    parsed = ExtractionResult.failure(f"file read: {exc}")
+    weight_kind = instance.graph.weight_kind
+    if instance.size_class is SizeClass.EL:
+        await ask(StageKind.GRAPH, "G:el", lambda raw: _graph_from_file(raw, base_dir, weight_kind))
     else:
-        parsed = extract_graph(raw, instance.graph.weight_kind, instance.kind.directed)
-    stages.append(StageRecord(StageKind.GRAPH, g_text, g_prompt, raw, parsed, latency, file_path))
+        key = "G:wl:capacity" if weight_kind is WeightKind.CAPACITY else "G:wl"
+        await ask(StageKind.GRAPH, key, lambda raw: extract_graph(raw, weight_kind, instance.kind.directed))
 
     # stage N: tool name identification
-    n_text = INSTRUCTION_TEXTS["N"]
-    n_prompt = assemble_prompt(n_text, instance, StageKind.NAME)
-    raw, error, latency = await _ask(complete, n_prompt)
-    parsed = ExtractionResult.failure(error) if error is not None else extract_tool_name(raw)
-    stages.append(StageRecord(StageKind.NAME, n_text, n_prompt, raw, parsed, latency))
-    name_record = stages[-1]
+    name = await ask(StageKind.NAME, "N", extract_tool_name)
 
     # stage P: parameter extraction, parametric tasks only
-    skipped = not instance.kind.parametric
-    if not skipped:
+    if instance.kind.parametric:
         spec = None
-        if not name_record.parsed.ok:
+        if not name.ok:
             reason = "tool template unavailable: name stage failed"
         else:
             try:
-                spec = TOOLS.get(name_record.parsed.name)
+                spec = TOOLS.get(name.name)
                 reason = f"tool template for {spec.name!r} takes no parameters"
             except UnknownTool as exc:
                 reason = f"tool template unavailable: {exc}"
@@ -275,38 +274,27 @@ async def _pipeline(instance: TaskInstance, complete, base_dir: Path) -> Pipelin
                 StageRecord(StageKind.PARAMS, "", "", "", ExtractionResult.failure(reason), 0.0)
             )
         else:
-            p_text = INSTRUCTION_TEXTS[f"P:{spec.name}"]
-            p_prompt = assemble_prompt(p_text, instance, StageKind.PARAMS)
-            raw, error, latency = await _ask(complete, p_prompt)
-            parsed = (
-                ExtractionResult.failure(error)
-                if error is not None
-                else extract_parameters(raw, spec)
-            )
-            stages.append(StageRecord(StageKind.PARAMS, p_text, p_prompt, raw, parsed, latency))
+            await ask(StageKind.PARAMS, f"P:{spec.name}", lambda raw: extract_parameters(raw, spec))
 
     # tool execution over the three parsed values
     tool_result = None
     tool_error = None
-    failures = [s for s in stages if not s.parsed.ok]
-    if failures:
-        tool_error = f"stage {failures[0].stage.value} parse failure: {failures[0].parsed.reason}"
+    failed = next((s for s in stages if not s.parsed.ok), None)
+    if failed is not None:
+        tool_error = f"stage {failed.stage.value} parse failure: {failed.parsed.reason}"
     else:
-        graph = stages[0].parsed.graph
-        name = stages[1].parsed.name
-        params: Sequence[int] = stages[2].parsed.params if not skipped else ()
+        params = stages[2].parsed.params if len(stages) > 2 else ()
         try:
-            tool_result = dispatch(name, graph, params)
+            tool_result = dispatch(stages[1].parsed.name, stages[0].parsed.graph, params)
         except ToolError as exc:
             tool_error = f"tool dispatch error: {exc}"
 
     return PipelineTrace(
         instance_id=instance.id,
+        task_text=instance.task_text,
         stages=stages,
         tool_result=tool_result,
         tool_error=tool_error,
-        skipped_parameter_stage=skipped,
-        task_text=instance.task_text,
     )
 
 

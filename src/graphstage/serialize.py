@@ -10,16 +10,18 @@ width follows ``weight_kind``). The loader validates it column-wise through
 Older lines that hold ``edges`` as ``[u, v(, w)]`` rows still load, to the
 same graph.
 
-Trace lines are written in format 3 (``"format": 3``): the task text is
+Trace lines are written in format 4 (``"format": 4``): the task text is
 stored once per trace, and a stage stores its instruction as a key of
-:data:`~graphstage.pipeline.INSTRUCTION_TEXTS` and no prompt, whenever the
-loader can rebuild the very same strings from them. Any other instruction
-text or prompt is stored verbatim under its format-1 name (``instruction_text``,
-``prompt``). Format 3 differs from format 2 only in its flat ``edges``
-arrays; the new number makes an older reader reject the line as an unknown
-format rather than fail on the edges. Lines without a ``format`` key are
-format 1, which stored both verbatim in every stage; format-1 and format-2
-lines still load.
+:data:`~graphstage.pipeline.INSTRUCTION_TEXTS` (``""`` when it made no call),
+its raw output, what was parsed from it and its latency. The loader rebuilds
+each prompt from the key, the instance id and the task text. Lines of formats
+1 to 3 still load: format 1 (no ``format`` key) stored each stage's
+instruction text and prompt verbatim, and formats 2 and 3 did so for a text
+without a key or a prompt that the layout did not rebuild. Such a text or
+prompt must be one that the pipeline sends, or the line is rejected. The
+``skipped_parameter_stage`` and ``file_path`` keys of older lines are
+ignored: they follow from the stages and the raw output. Format 3 differed
+from format 2 only in its flat ``edges`` arrays.
 """
 
 from __future__ import annotations
@@ -199,12 +201,12 @@ def atomic_write_text(path: str | Path, writer: Callable | str) -> None:
         raise
 
 
-def _unique_ids(convert: Callable[[dict], object], id_of: Callable[[object], str]) -> Callable:
-    """``convert``, rejecting an object whose id an earlier one had: every
-    lookup by instance id would keep only one of them."""
+def unique_ids(convert: Callable, id_of: Callable[[object], str]) -> Callable:
+    """``convert``, rejecting a result whose instance id an earlier one had:
+    every lookup by instance id would keep only one of them."""
     seen = set()
 
-    def checked(obj: dict):
+    def checked(obj):
         item = convert(obj)
         ident = id_of(item)
         if ident in seen:
@@ -218,30 +220,22 @@ def _unique_ids(convert: Callable[[dict], object], id_of: Callable[[object], str
 def load_corpus(path: str | Path) -> list:
     """The instances of a corpus file; a line that repeats an earlier line's
     instance id is rejected."""
-    return list(read_jsonl(path, _unique_ids(instance_from_json, attrgetter("id"))))
+    return list(read_jsonl(path, unique_ids(instance_from_json, attrgetter("id"))))
 
 
-TRACE_FORMAT = 3
-_INSTRUCTION_KEYS = {text: key for key, text in INSTRUCTION_TEXTS.items()}
+TRACE_FORMAT = 4
+# instruction text -> key, for the texts that older lines stored verbatim
+_INSTRUCTION_KEYS = {"": "", **{text: key for key, text in INSTRUCTION_TEXTS.items()}}
 
 
-def _stage_to_json(record: StageRecord, instance_id: str, task_text: str | None) -> dict:
-    out = {"stage": record.stage.value}
-    text, prompt = record.instruction_text, record.prompt
-    if text or prompt:  # a stage that made no call has neither, and stores neither
-        key = _INSTRUCTION_KEYS.get(text)
-        if key is None:
-            out["instruction_text"] = text
-        else:
-            out["instruction"] = key
-        if task_text is None or prompt != layout_prompt(text, instance_id, record.stage, task_text):
-            out["prompt"] = prompt
-    out["raw_output"] = record.raw_output
-    out["parsed"] = extraction_to_json(record.parsed)
-    out["latency_ms"] = round(record.latency_ms, 3)
-    if record.file_path is not None:
-        out["file_path"] = record.file_path
-    return out
+def _stage_to_json(record: StageRecord) -> dict:
+    return {
+        "stage": record.stage.value,
+        "instruction": record.instruction,
+        "raw_output": record.raw_output,
+        "parsed": extraction_to_json(record.parsed),
+        "latency_ms": round(record.latency_ms, 3),
+    }
 
 
 def trace_to_json(trace: PipelineTrace) -> dict:
@@ -249,74 +243,64 @@ def trace_to_json(trace: PipelineTrace) -> dict:
         "format": TRACE_FORMAT,
         "instance_id": trace.instance_id,
         "task_text": trace.task_text,
-        "stages": [_stage_to_json(r, trace.instance_id, trace.task_text) for r in trace.stages],
+        "stages": [_stage_to_json(r) for r in trace.stages],
         "tool_result": None if trace.tool_result is None else answer_to_json(trace.tool_result),
         "tool_error": trace.tool_error,
-        "skipped_parameter_stage": trace.skipped_parameter_stage,
     }
 
 
-def _stage_from_json(rec: dict, instance_id: str, task_text: str | None) -> StageRecord:
+def _stage_from_json(rec: dict, instance_id: str, task_text: str) -> StageRecord:
+    """A stage of any format; a stored instruction text or prompt must be the
+    one that the pipeline sends."""
     stage = StageKind(rec["stage"])
-    if "instruction" in rec:
-        key = rec["instruction"]
-        if key not in INSTRUCTION_TEXTS:
+    if "instruction_text" in rec:
+        key = _INSTRUCTION_KEYS.get(rec["instruction_text"])
+        if key is None:
+            raise ValueError(f"{stage.value} stage instruction text is not one that the pipeline sends")
+    else:
+        key = rec.get("instruction", "")
+        if key and key not in INSTRUCTION_TEXTS:
             raise ValueError(f"unknown instruction key {key!r}")
-        text = INSTRUCTION_TEXTS[key]
-    else:
-        text = rec.get("instruction_text", "")
-    if "prompt" in rec:
-        prompt = rec["prompt"]
-    elif "instruction" not in rec and "instruction_text" not in rec:
-        prompt = ""  # a stage that made no call
-    elif task_text is None:
-        raise ValueError(f"{stage.value} stage has no prompt and the trace no task text")
-    else:
-        prompt = layout_prompt(text, instance_id, stage, task_text)
-    return StageRecord(
-        stage=stage,
-        instruction_text=text,
-        prompt=prompt,
-        raw_output=rec["raw_output"],
-        parsed=extraction_from_json(rec["parsed"]),
-        latency_ms=rec["latency_ms"],
-        file_path=rec.get("file_path"),
-    )
+    prompt = layout_prompt(INSTRUCTION_TEXTS[key], instance_id, stage, task_text) if key else ""
+    if rec.get("prompt", prompt) != prompt:
+        raise ValueError(f"{stage.value} stage prompt is not one that the pipeline sends")
+    parsed = extraction_from_json(rec["parsed"])
+    return StageRecord(stage, key, prompt, rec["raw_output"], parsed, rec["latency_ms"])
 
 
-def _task_text_of(stages, instance_id: str) -> str | None:
-    """The task text that a format-1 trace's prompts end with, if its first
-    prompt follows the pipeline's layout."""
-    for record in stages:
-        if record.prompt:
-            head = layout_prompt(record.instruction_text, instance_id, record.stage, "")
-            return record.prompt[len(head):] if record.prompt.startswith(head) else None
-    return None
+def _task_text_of(stages: list, instance_id: str) -> str:
+    """The task text that a format-1 trace's first prompt ends with."""
+    if not stages:
+        raise ValueError("a format-1 trace without stages has no task text")
+    first, prompt = stages[0], stages[0]["prompt"]
+    head = layout_prompt(first["instruction_text"], instance_id, StageKind(first["stage"]), "")
+    if type(prompt) is not str or not prompt.startswith(head):
+        raise ValueError(f"{first['stage']} stage prompt is not one that the pipeline sends")
+    return prompt[len(head):]
 
 
 def trace_from_json(obj: dict) -> PipelineTrace:
-    """A trace line of format 1, 2 or 3; an unknown format or instruction key
-    raises ``ValueError``."""
+    """A trace line of format 1 to 4; an unknown format or instruction key, or
+    an instruction text or prompt that the pipeline does not send, raises
+    ``ValueError``."""
     version = obj.get("format", 1)
-    if version not in (1, 2, TRACE_FORMAT):
+    if version not in (1, 2, 3, TRACE_FORMAT):
         raise ValueError(f"unknown trace format {version!r}")
     instance_id = obj["instance_id"]
-    task_text = obj.get("task_text")
-    stages = [_stage_from_json(rec, instance_id, task_text) for rec in obj["stages"]]
-    if version == 1:
-        task_text = _task_text_of(stages, instance_id)
-    result = obj.get("tool_result")
+    task_text = obj["task_text"] if version > 1 else _task_text_of(obj["stages"], instance_id)
+    if type(task_text) is not str:
+        raise ValueError(f"task_text must be a string, got {type(task_text).__name__}")
+    result = obj["tool_result"]
     return PipelineTrace(
         instance_id=instance_id,
-        stages=stages,
-        tool_result=None if result is None else answer_from_json(result),
-        tool_error=obj.get("tool_error"),
-        skipped_parameter_stage=obj["skipped_parameter_stage"],
         task_text=task_text,
+        stages=[_stage_from_json(rec, instance_id, task_text) for rec in obj["stages"]],
+        tool_result=None if result is None else answer_from_json(result),
+        tool_error=obj["tool_error"],
     )
 
 
 def load_traces(path: str | Path) -> list:
     """The traces of a trace file; a line that repeats an earlier line's
     instance id is rejected."""
-    return list(read_jsonl(path, _unique_ids(trace_from_json, attrgetter("instance_id"))))
+    return list(read_jsonl(path, unique_ids(trace_from_json, attrgetter("instance_id"))))

@@ -575,10 +575,11 @@ def test_documented_and_benchmark_commands_pass_the_parser_and_scope_check(monke
 def test_benchmark_imports_and_wraps_resolve(tmp_path, monkeypatch):
     """Every name that the benchmark's modules import from the package, or
     wrap in place for its traced run, exists; a traced oracle chain records
-    the CLI-level spans, and restoring puts every original back."""
+    the CLI-level spans, restoring puts every original back, and the
+    benchmark's output checks pass on that chain's files."""
     tracing = _load_benchmark_module(monkeypatch, "tracing")
-    for name in ("checks", "stub"):
-        _load_benchmark_module(monkeypatch, name)
+    checks = _load_benchmark_module(monkeypatch, "checks")
+    _load_benchmark_module(monkeypatch, "stub")
     sites = [(tracing._owner(path), attr) for path, attr, *_ in (*tracing.WRAPS, *tracing.ITERATOR_WRAPS)]
     originals = [owner.__dict__.get(attr) for owner, attr in sites]
     recorder = tracing.Recorder()
@@ -589,7 +590,7 @@ def test_benchmark_imports_and_wraps_resolve(tmp_path, monkeypatch):
                        "--out", str(tmp_path)) == 0
         assert run_cli("run", "--corpus", str(corpus), "--out", str(traces)) == 0
         assert run_cli("build-dataset", "--traces", str(traces), "--corpus", str(corpus),
-                       "--out", str(tmp_path / "alpaca.json")) == 0
+                       "--out", str(tmp_path / "alpaca.json"), "--stats", str(tmp_path / "stats.json")) == 0
         assert run_cli("evaluate", "--traces", str(traces), "--corpus", str(corpus),
                        "--out", str(tmp_path / "eval")) == 0
     finally:
@@ -598,3 +599,7 @@ def test_benchmark_imports_and_wraps_resolve(tmp_path, monkeypatch):
     recorded = {span.name for span in recorder.spans}
     assert {"generator.generate_instance", "pipeline.run_pipeline", "dataset.build_dataset",
             "evaluation.evaluate_traces", "evaluation.aggregate"} <= recorded
+    # what the benchmark reads of the corpus and of each loaded trace
+    checks.check_corpus(tmp_path, 2)
+    assert checks.check_pipeline(tmp_path, tmp_path, None) == 2
+    assert checks.backend_calls(tmp_path) == (4, 0)

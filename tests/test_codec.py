@@ -135,10 +135,10 @@ def test_el_file_malformed_lines(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("undirected\n0, 0\n", encoding="utf-8")
     with pytest.raises(MalformedLine):
-        read_el_graph_file(path)
+        read_el_graph_file(path, WeightKind.NONE)
     path.write_text("0, 1\n1, 2\n", encoding="utf-8")
     with pytest.raises(MalformedLine) as exc:
-        read_el_graph_file(path)
+        read_el_graph_file(path, WeightKind.NONE)
     assert exc.value.line_number == 1
 
 

@@ -149,6 +149,13 @@ def test_orphan_trace_raises():
         build_dataset([trace], corpus[1:])
 
 
+def test_repeated_trace_id_raises():
+    inst = _corpus(1)[0]
+    trace = run_pipeline(inst, OracleBackend([inst]))
+    with pytest.raises(ValueError, match=f"^duplicate instance id '{inst.id}'$"):
+        build_dataset([trace, trace], [inst])
+
+
 def _reexecute_matches(trace, instance) -> bool:
     """Independent survival check: re-parse raw stage text and re-run the tool."""
     graph_stage = trace.stage(StageKind.GRAPH)

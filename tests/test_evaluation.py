@@ -177,6 +177,13 @@ def test_unknown_instance_raises_orphan_trace():
         aggregate([record], corpus[1:])
 
 
+def test_repeated_trace_id_raises():
+    inst = _corpus(1)[0]
+    trace = run_pipeline(inst, OracleBackend([inst]))
+    with pytest.raises(ValueError, match=f"^duplicate instance id '{inst.id}'$"):
+        aggregate(evaluate_traces([trace, trace], [inst]), [inst])
+
+
 def test_report_rendering_and_roundtrip():
     corpus = _corpus(1)
     backend = OracleBackend(corpus)

@@ -43,12 +43,10 @@ def test_kind_label_roundtrip():
 
 
 def test_classify_size_boundaries():
-    assert classify_size("x" * 100, 4096) is SizeClass.WL
-    assert classify_size("x" * 20_000, 4096) is SizeClass.EL
-    assert classify_size("x" * (4 * 4096), 4096) is SizeClass.WL
-    assert classify_size("x" * (4 * 4096 + 1), 4096) is SizeClass.EL
-    with pytest.raises(ValueError):
-        classify_size("x", 0)
+    assert classify_size("x" * 100) is SizeClass.WL
+    assert classify_size("x" * 20_000) is SizeClass.EL
+    assert classify_size("x" * (4 * 4096)) is SizeClass.WL
+    assert classify_size("x" * (4 * 4096 + 1)) is SizeClass.EL
 
 
 def test_generated_graph_bounds_and_weights(rng):
@@ -114,11 +112,13 @@ def test_el_task_text_has_path_and_no_inline_edges(rng):
 
 def test_variants_change_surface_not_content(rng):
     kind = TaskKind.parse("cycle_detection:undirected")
-    inst0 = generate_instance(kind, SizeClass.WL, random.Random(5), index=0, variant=0)
-    inst1 = generate_instance(kind, SizeClass.WL, random.Random(5), index=0, variant=1)
-    assert inst0.task_text != inst1.task_text
-    a = extract_graph(inst0.task_text, WeightKind.NONE).graph
-    b = extract_graph(inst1.task_text, WeightKind.NONE).graph
+    inst = generate_instance(kind, SizeClass.WL, random.Random(5), index=0)
+    texts = [
+        render_task_text(kind, inst.graph, inst.params, variant, SizeClass.WL, None) for variant in (0, 1)
+    ]
+    assert texts[0] == inst.task_text != texts[1]
+    a = extract_graph(texts[0], WeightKind.NONE).graph
+    b = extract_graph(texts[1], WeightKind.NONE).graph
     assert graphs_equal(a, b)
 
 

@@ -84,7 +84,7 @@ def reference_build_graph(directed, node_count, edges, weight_kind=WeightKind.NO
     return Graph(bool(directed), node_count, tuple(normalized), kind)
 
 
-def reference_read_el_graph_file(path, weight_kind=None):
+def reference_read_el_graph_file(path, weight_kind):
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0].strip() not in ("directed", "undirected"):
@@ -107,12 +107,8 @@ def reference_read_el_graph_file(path, weight_kind=None):
         edges.append(tuple(nums))
     if len(widths) > 1:
         raise MalformedLine(1, "mixed weighted and unweighted edge lines")
-    if weight_kind is None:
-        kind = WeightKind.NONE if widths == {2} or not widths else WeightKind.WEIGHT
-    else:
-        kind = WeightKind(weight_kind)
     node_count = 1 + max(max(e[0], e[1]) for e in edges) if edges else 0
-    return reference_build_graph(directed, node_count, edges, kind)
+    return reference_build_graph(directed, node_count, edges, WeightKind(weight_kind))
 
 
 def reference_extract_graph(text, weight_kind, directed=False):
@@ -366,7 +362,7 @@ def test_read_el_graph_file_matches_line_parser(tmp_path):
         g = build_graph(directed, n, _valid_rows(rng, n, directed, kind), kind)
         text = format_el_graph(g) if case % 3 == 0 else _el_variant(rng, format_el_graph(g))
         path.write_bytes(text.encode("utf-8"))
-        weight_kind = rng.choice((None, None, WeightKind.NONE, WeightKind.WEIGHT, WeightKind.CAPACITY))
+        weight_kind = rng.choice((WeightKind.NONE, WeightKind.WEIGHT, WeightKind.CAPACITY))
         want = outcome(reference_read_el_graph_file, path, weight_kind)
         got = outcome(read_el_graph_file, path, weight_kind)
         assert got == want, (text, weight_kind)
@@ -404,7 +400,7 @@ def test_read_el_graph_file_matches_line_parser(tmp_path):
 def test_read_el_graph_file_edge_cases_match_line_parser(tmp_path, text):
     path = tmp_path / "g.edges"
     path.write_bytes(text.encode("utf-8"))
-    for weight_kind in (None, WeightKind.NONE, WeightKind.CAPACITY):
+    for weight_kind in (WeightKind.NONE, WeightKind.CAPACITY):
         want = outcome(reference_read_el_graph_file, path, weight_kind)
         assert outcome(read_el_graph_file, path, weight_kind) == want
 

@@ -21,13 +21,16 @@ from graphstage import (
     run_corpus,
     run_pipeline,
 )
-from graphstage.codec import format_el_graph
+from graphstage.codec import extract_file_path, format_el_graph
 from graphstage.evaluation import Category, score_trace
 from graphstage.pipeline import (
     StageKind,
     assemble_prompt,
+    graph_instruction_text,
+    parameter_instruction_text,
     parse_prompt_meta,
     run_blocking,
+    task_instruction_text,
 )
 from graphstage.serialize import atomic_write_text, trace_to_json
 from graphstage.tools import TOOL_NAMES, UnknownTool, tool_arity
@@ -59,6 +62,23 @@ def test_prompt_builders_are_pure():
     first = _prompts(inst)
     assert set(first) == {StageKind.GRAPH, StageKind.NAME, StageKind.PARAMS}
     assert _prompts(inst) == first
+
+
+def test_each_stage_names_the_instruction_it_sent():
+    for index, kind in enumerate(ALL_KINDS):
+        for size in SizeClass:
+            inst = _instance(kind.label, index, size)
+            sent = {
+                StageKind.GRAPH: graph_instruction_text(size, kind.weight_kind),
+                StageKind.NAME: task_instruction_text(REGISTRY),
+            }
+            if kind.parametric:
+                sent[StageKind.PARAMS] = parameter_instruction_text(REGISTRY.get(kind.tool))
+            trace = run_pipeline(inst, OracleBackend([inst]))
+            assert [r.stage for r in trace.stages] == list(sent)
+            for record in trace.stages:
+                assert record.instruction_text == sent[record.stage]
+                assert record.prompt == assemble_prompt(sent[record.stage], inst, record.stage)
 
 
 def test_graph_prompt_has_both_exemplars_and_task():
@@ -151,8 +171,8 @@ def test_stage_counts_by_category():
     ]
     backend = OracleBackend(corpus)
     traces = [run_pipeline(i, backend) for i in corpus]
-    assert len(traces[0].stages) == 2 and traces[0].skipped_parameter_stage
-    assert len(traces[1].stages) == 3 and not traces[1].skipped_parameter_stage
+    assert len(traces[0].stages) == 2 and traces[0].stage(StageKind.PARAMS) is None
+    assert len(traces[1].stages) == 3 and traces[1].stage(StageKind.PARAMS) is not None
     assert [s.stage for s in traces[1].stages] == [StageKind.GRAPH, StageKind.NAME, StageKind.PARAMS]
 
 
@@ -304,7 +324,7 @@ def test_el_pipeline_reads_graph_file(tmp_path):
     atomic_write_text(tmp_path / inst.graph_file, format_el_graph(inst.graph))
     backend = OracleBackend([inst])
     trace = run_pipeline(inst, backend, base_dir=tmp_path)
-    assert trace.stage(StageKind.GRAPH).file_path == inst.graph_file
+    assert extract_file_path(trace.stage(StageKind.GRAPH).raw_output).path == inst.graph_file
     assert trace.tool_result == inst.gold_answer
 
 
@@ -346,7 +366,7 @@ def test_el_path_must_stay_in_corpus_dir(tmp_path, answer, failure):
 
     trace = run_pipeline(inst, PathAnswer(), base_dir=corpus_dir)
     graph_stage = trace.stage(StageKind.GRAPH)
-    assert graph_stage.file_path == path
+    assert extract_file_path(graph_stage.raw_output).path == path
     if failure is None:
         assert trace.tool_result == inst.gold_answer
     else:

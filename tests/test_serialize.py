@@ -1,7 +1,8 @@
 """Corpus and trace files: graphs are stored with one flat ``edges`` array,
-and trace lines in format 3 store instruction keys and the task text once;
+and trace lines in format 4 store instruction keys and the task text once;
 the loader rebuilds every record exactly. Nested-edge corpus lines and
-format-1 and format-2 trace lines still load, to the same objects."""
+trace lines of formats 1 to 3 still load, to the same objects, unless they
+hold an instruction text or prompt that the pipeline does not send."""
 
 import dataclasses
 import json
@@ -12,14 +13,12 @@ import pytest
 
 from graphstage.backends import CompletionConfig, FaultBackend, FaultPlan, HttpBackend, OracleBackend
 from graphstage.cli import main
-from graphstage.codec import ExtractionResult
+from graphstage.codec import extract_file_path
 from graphstage.generator import SizeClass
 from graphstage.graphs import WeightKind, build_graph
 from graphstage.pipeline import (
     INSTRUCTION_TEXTS,
-    PipelineTrace,
     StageKind,
-    StageRecord,
     graph_instruction_text,
     parameter_instruction_text,
     run_corpus,
@@ -88,7 +87,7 @@ def test_instruction_table_holds_each_distinct_text_once():
 def test_oracle_traces_of_both_sizes_round_trip(corpus, corpus_dir):
     traces = run_corpus(corpus, OracleBackend(corpus), base_dir=corpus_dir)
     assert {i.size_class for i in corpus} == {SizeClass.WL, SizeClass.EL}
-    assert all(t.task_text is not None for t in traces)
+    assert [t.task_text for t in traces] == [i.task_text for i in corpus]
     _assert_round_trips(traces)
 
 
@@ -100,14 +99,14 @@ def test_fault_traces_round_trip(corpus, corpus_dir, mode):
     _assert_round_trips(traces)
 
 
-def test_parameter_stage_without_a_call_round_trips_without_text(corpus, corpus_dir):
+def test_parameter_stage_without_a_call_round_trips_with_an_empty_key(corpus, corpus_dir):
     backend = FaultBackend(OracleBackend(corpus), FaultPlan(emit_garbage=1.0), seed=3)
     traces = run_corpus(corpus, backend, base_dir=corpus_dir)
     uncalled = [(t, r) for t in traces for r in t.stages if not r.prompt]
     assert uncalled and all(r.stage is StageKind.PARAMS and not r.instruction_text for _, r in uncalled)
     for trace, _ in uncalled:
         (stored,) = [s for s in trace_to_json(trace)["stages"] if s["stage"] == "params"]
-        assert not {"instruction", "instruction_text", "prompt"} & set(stored)
+        assert stored["instruction"] == ""
     _assert_round_trips(t for t, _ in uncalled)
 
 
@@ -118,16 +117,15 @@ def test_backend_error_traces_round_trip(corpus):
     _assert_round_trips(traces)
 
 
-def test_hand_built_records_round_trip_verbatim():
-    record = StageRecord(StageKind.NAME, INSTRUCTION_TEXTS["N"], "a prompt of its own",
-                         "API_name: edge_count", ExtractionResult.of_name("edge_count"), 1.23456)
-    odd = StageRecord(StageKind.GRAPH, "", "", "raw", ExtractionResult.failure("x"), 0.0, "g/a.edges")
-    for task_text in ("the task", None):
-        trace = PipelineTrace("hand-00000", [odd, record], None, "stage graph parse failure: x", True,
-                              task_text=task_text)
-        stored = trace_to_json(trace)["stages"]
-        assert stored[1]["instruction"] == "N" and stored[1]["prompt"] == "a prompt of its own"
-        _assert_round_trips([trace])
+def test_trace_line_stores_only_what_the_loader_cannot_rebuild(corpus, corpus_dir):
+    backend = FaultBackend(OracleBackend(corpus), FaultPlan(emit_garbage=0.5), seed=3)
+    traces = run_corpus(corpus, backend, base_dir=corpus_dir)
+    assert {len(t.stages) for t in traces} == {2, 3}
+    for trace in traces:
+        obj = json.loads(dump_line(trace_to_json(trace)))
+        assert list(obj) == ["format", "instance_id", "task_text", "stages", "tool_result", "tool_error"]
+        for stage in obj["stages"]:
+            assert list(stage) == ["stage", "instruction", "raw_output", "parsed", "latency_ms"]
 
 
 def test_wl_oracle_line_holds_no_instruction_and_the_task_text_once(corpus):
@@ -158,7 +156,7 @@ def test_format_1_fixture_loads_to_the_objects_of_a_fresh_run(tmp_path):
     old = load_traces(FIXTURE_V1)
     assert _without_latency(old) == _without_latency(load_traces(out / "traces.jsonl"))
     stages = [r for t in old for r in t.stages]
-    assert any(r.file_path for r in stages)  # an EL graph stage
+    assert any(r.instruction == "G:el" and extract_file_path(r.raw_output).ok for r in stages)
     assert any(r.stage is StageKind.PARAMS and not r.prompt for r in stages)  # a stage without a call
     _assert_round_trips(old)
 
@@ -229,12 +227,13 @@ def test_graph_edges_are_stored_as_one_flat_array(kind, rows):
     assert graph_from_json(nested) == g
 
 
-def _corpus_with_line_2(corpus_dir, tmp_path, edit):
-    lines = (corpus_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+def _with_line_2_edited(source, path, edit):
+    """``path``, written as a copy of ``source`` whose second line ``edit``
+    has changed."""
+    lines = source.read_text(encoding="utf-8").splitlines()
     obj = json.loads(lines[1])
     edit(obj)
     lines[1] = dump_line(obj)
-    path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -251,7 +250,7 @@ def _corpus_with_line_2(corpus_dir, tmp_path, edit):
     ],
 )
 def test_malformed_corpus_line_names_file_and_line(corpus_dir, tmp_path, edit, message):
-    path = _corpus_with_line_2(corpus_dir, tmp_path, edit)
+    path = _with_line_2_edited(corpus_dir / "corpus.jsonl", tmp_path / "corpus.jsonl", edit)
     graph = json.loads(path.read_text(encoding="utf-8").splitlines()[1])["graph"]
     if "{n}" in message:
         kind = graph["weight_kind"]
@@ -260,11 +259,63 @@ def test_malformed_corpus_line_names_file_and_line(corpus_dir, tmp_path, edit, m
         load_corpus(path)
 
 
-def test_malformed_trace_line_names_file_and_line(corpus, tmp_path):
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda o: o.pop("tool_error"), "missing key 'tool_error'"),
+        (lambda o: o.update(task_text=None), "task_text must be a string, got NoneType"),
+    ],
+)
+def test_malformed_trace_line_names_file_and_line(corpus, tmp_path, edit, message):
     traces = run_corpus(corpus[:2], OracleBackend(corpus))
     lines = [trace_to_json(t) for t in traces]
-    del lines[1]["skipped_parameter_stage"]
+    edit(lines[1])
     path = tmp_path / "traces.jsonl"
     path.write_text("".join(dump_line(obj) + "\n" for obj in lines), encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: missing key 'skipped_parameter_stage'$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+        load_traces(path)
+
+
+def test_format_3_keys_that_follow_from_the_rest_are_ignored(corpus, corpus_dir):
+    """A format-3 line stored ``skipped_parameter_stage``, an EL graph
+    stage's ``file_path``, and a prompt that the layout did not rebuild."""
+    backend = FaultBackend(OracleBackend(corpus), FaultPlan(emit_garbage=0.5), seed=3)
+    traces = run_corpus(corpus, backend, base_dir=corpus_dir)
+    assert any(not r.instruction for t in traces for r in t.stages)
+    for trace in traces:
+        obj = dict(trace_to_json(trace), format=3, skipped_parameter_stage=len(trace.stages) == 2)
+        for stage, record in zip(obj["stages"], trace.stages):
+            if record.instruction:
+                stage["prompt"] = record.prompt
+            else:  # a stage that made no call stored neither
+                del stage["instruction"]
+            if record.instruction == "G:el":
+                stage["file_path"] = extract_file_path(record.raw_output).path
+        assert trace_from_json(json.loads(dump_line(obj))) == _rounded(trace)
+
+
+def _set_stage(index, key, value):
+    return lambda obj: obj["stages"][index].update({key: value})
+
+
+@pytest.mark.parametrize(
+    "fixture, edit, message",
+    [
+        (FIXTURE_V1, _set_stage(1, "instruction_text", "Name the tool."),
+         "name stage instruction text is not one that the pipeline sends"),
+        (FIXTURE_V1, _set_stage(1, "prompt", "Name the tool."),
+         "name stage prompt is not one that the pipeline sends"),
+        (FIXTURE_V1, _set_stage(0, "prompt", "A prompt of its own"),
+         "graph stage prompt is not one that the pipeline sends"),
+        (FIXTURE_V1, _set_stage(0, "prompt", 5), "graph stage prompt is not one that the pipeline sends"),
+        (FIXTURES / "traces_v2.jsonl", _set_stage(1, "instruction_text", "Name the tool."),
+         "name stage instruction text is not one that the pipeline sends"),
+        (FIXTURES / "traces_v2.jsonl", _set_stage(0, "prompt", "A prompt of its own"),
+         "graph stage prompt is not one that the pipeline sends"),
+        (FIXTURE_V1, lambda obj: obj.update(stages=[]), "a format-1 trace without stages has no task text"),
+    ],
+)
+def test_old_line_with_a_text_or_prompt_the_pipeline_does_not_send_is_rejected(tmp_path, fixture, edit, message):
+    path = _with_line_2_edited(fixture, tmp_path / "traces.jsonl", edit)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
         load_traces(path)
