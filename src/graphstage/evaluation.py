@@ -38,9 +38,12 @@ class OrphanTrace(ValueError):
 def score_trace(trace: PipelineTrace, instance: TaskInstance) -> dict:
     """The record of one trace, as a line of ``records.jsonl`` holds it.
     ``param_match`` is None for a task without a parameter stage, and
-    ``category`` is a :class:`Category` value."""
+    ``category`` is a :class:`Category` value. A trace of another instance,
+    or one run on another task text (another corpus's), raises ``ValueError``."""
     if trace.instance_id != instance.id:
         raise ValueError(f"trace {trace.instance_id!r} does not belong to {instance.id!r}")
+    if trace.task_text != instance.task_text:
+        raise ValueError(f"trace {trace.instance_id!r} was run on another task text than the corpus holds")
     graph_stage = trace.stage(StageKind.GRAPH)
     name_stage = trace.stage(StageKind.NAME)
     param_stage = trace.stage(StageKind.PARAMS)
@@ -190,7 +193,8 @@ def evaluate_traces(
     traces: Iterable[PipelineTrace], corpus: Sequence[TaskInstance]
 ) -> List[dict]:
     """One :func:`score_trace` record per trace, in trace order; a trace that
-    repeats an earlier trace's instance id raises ``ValueError``."""
+    repeats an earlier trace's instance id, or whose task text is not its
+    instance's, raises ``ValueError``."""
     by_id = {inst.id: inst for inst in corpus}
 
     def score(trace: PipelineTrace) -> dict:

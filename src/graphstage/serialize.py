@@ -2,26 +2,20 @@
 
 Corpus and trace files are line-delimited JSON, one object per line, with a
 fixed key order so that regeneration under the same seed is byte-identical.
+Each loader reads the one format that its writer writes, and requires every
+key that the writer writes.
 
 A graph's ``edges`` is one flat array of integers, ``[u0, v0, u1, v1, …]``
 for an unweighted graph and ``[u0, v0, w0, u1, v1, w1, …]`` otherwise (the
 width follows ``weight_kind``). The loader validates it column-wise through
 :func:`~graphstage.graphs.build_graph` without building a row per edge.
-Older lines that hold ``edges`` as ``[u, v(, w)]`` rows still load, to the
-same graph.
 
 Trace lines are written in format 4 (``"format": 4``): the task text is
 stored once per trace, and a stage stores its instruction as a key of
 :data:`~graphstage.pipeline.INSTRUCTION_TEXTS` (``""`` when it made no call),
 its raw output, what was parsed from it and its latency. The loader rebuilds
-each prompt from the key, the instance id and the task text. Lines of formats
-1 to 3 still load: format 1 (no ``format`` key) stored each stage's
-instruction text and prompt verbatim, and formats 2 and 3 did so for a text
-without a key or a prompt that the layout did not rebuild. Such a text or
-prompt must be one that the pipeline sends, or the line is rejected. The
-``skipped_parameter_stage`` and ``file_path`` keys of older lines are
-ignored: they follow from the stages and the raw output. Format 3 differed
-from format 2 only in its flat ``edges`` arrays.
+each prompt from the key, the instance id and the task text. A line of any
+other format is rejected; a line without a ``format`` key is format 1.
 """
 
 from __future__ import annotations
@@ -54,14 +48,13 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    """A graph whose ``edges`` is the flat array :func:`graph_to_json` writes,
-    or the list of ``[u, v(, w)]`` rows that older files hold."""
+    """A graph whose ``edges`` is the flat array :func:`graph_to_json` writes."""
     kind = WeightKind(obj["weight_kind"])
     edges = obj["edges"]
     if type(edges) is not list:
         raise ValueError(f"edges must be an array, got {type(edges).__name__}")
     if edges and type(edges[0]) is list:
-        return build_graph(obj["directed"], obj["node_count"], edges, kind)
+        raise ValueError("edges must be a flat integer array, not a list of [u, v(, w)] rows")
     width = 2 if kind is WeightKind.NONE else 3
     if len(edges) % width:
         raise ValueError(
@@ -112,7 +105,7 @@ def instance_from_json(obj: dict) -> TaskInstance:
         description_variant=obj["description_variant"],
         size_class=SizeClass(obj["size_class"]),
         task_text=obj["task_text"],
-        graph_file=obj.get("graph_file"),
+        graph_file=obj["graph_file"],
         gold_answer=answer_from_json(obj["gold_answer"]),
     )
 
@@ -124,8 +117,6 @@ def extraction_to_json(res: ExtractionResult) -> dict:
         return {"kind": "name", "name": res.name}
     if res.kind == "params":
         return {"kind": "params", "params": list(res.params)}
-    if res.kind == "path":
-        return {"kind": "path", "path": res.path}
     return {"kind": "failure", "reason": res.reason}
 
 
@@ -137,9 +128,9 @@ def extraction_from_json(obj: dict) -> ExtractionResult:
         return ExtractionResult.of_name(obj["name"])
     if kind == "params":
         return ExtractionResult.of_params(obj["params"])
-    if kind == "path":
-        return ExtractionResult.of_path(obj["path"])
-    return ExtractionResult.failure(obj["reason"])
+    if kind == "failure":
+        return ExtractionResult.failure(obj["reason"])
+    raise ValueError(f"unknown parsed kind {kind!r}")
 
 
 def dump_line(obj: dict) -> str:
@@ -224,8 +215,6 @@ def load_corpus(path: str | Path) -> list:
 
 
 TRACE_FORMAT = 4
-# instruction text -> key, for the texts that older lines stored verbatim
-_INSTRUCTION_KEYS = {"": "", **{text: key for key, text in INSTRUCTION_TEXTS.items()}}
 
 
 def _stage_to_json(record: StageRecord) -> dict:
@@ -250,44 +239,23 @@ def trace_to_json(trace: PipelineTrace) -> dict:
 
 
 def _stage_from_json(rec: dict, instance_id: str, task_text: str) -> StageRecord:
-    """A stage of any format; a stored instruction text or prompt must be the
-    one that the pipeline sends."""
     stage = StageKind(rec["stage"])
-    if "instruction_text" in rec:
-        key = _INSTRUCTION_KEYS.get(rec["instruction_text"])
-        if key is None:
-            raise ValueError(f"{stage.value} stage instruction text is not one that the pipeline sends")
-    else:
-        key = rec.get("instruction", "")
-        if key and key not in INSTRUCTION_TEXTS:
-            raise ValueError(f"unknown instruction key {key!r}")
+    key = rec["instruction"]
+    if key and key not in INSTRUCTION_TEXTS:
+        raise ValueError(f"unknown instruction key {key!r}")
     prompt = layout_prompt(INSTRUCTION_TEXTS[key], instance_id, stage, task_text) if key else ""
-    if rec.get("prompt", prompt) != prompt:
-        raise ValueError(f"{stage.value} stage prompt is not one that the pipeline sends")
     parsed = extraction_from_json(rec["parsed"])
     return StageRecord(stage, key, prompt, rec["raw_output"], parsed, rec["latency_ms"])
 
 
-def _task_text_of(stages: list, instance_id: str) -> str:
-    """The task text that a format-1 trace's first prompt ends with."""
-    if not stages:
-        raise ValueError("a format-1 trace without stages has no task text")
-    first, prompt = stages[0], stages[0]["prompt"]
-    head = layout_prompt(first["instruction_text"], instance_id, StageKind(first["stage"]), "")
-    if type(prompt) is not str or not prompt.startswith(head):
-        raise ValueError(f"{first['stage']} stage prompt is not one that the pipeline sends")
-    return prompt[len(head):]
-
-
 def trace_from_json(obj: dict) -> PipelineTrace:
-    """A trace line of format 1 to 4; an unknown format or instruction key, or
-    an instruction text or prompt that the pipeline does not send, raises
-    ``ValueError``."""
+    """A format-4 trace line; any other format (a line without ``format`` is
+    format 1) or an unknown instruction key raises ``ValueError``."""
     version = obj.get("format", 1)
-    if version not in (1, 2, 3, TRACE_FORMAT):
+    if version != TRACE_FORMAT:
         raise ValueError(f"unknown trace format {version!r}")
     instance_id = obj["instance_id"]
-    task_text = obj["task_text"] if version > 1 else _task_text_of(obj["stages"], instance_id)
+    task_text = obj["task_text"]
     if type(task_text) is not str:
         raise ValueError(f"task_text must be a string, got {type(task_text).__name__}")
     result = obj["tool_result"]

@@ -330,6 +330,25 @@ def test_trace_for_an_instance_missing_from_the_corpus_is_an_error(tmp_path, cap
     assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "traces.jsonl"]
 
 
+@pytest.mark.parametrize("command", ["build-dataset", "evaluate"])
+def test_trace_scored_against_another_corpus_is_an_error(tmp_path, capsys, command):
+    """Corpora of two seeds share their ids but not their task texts: traces
+    of one are not scored against the other."""
+    first, second = tmp_path / "seed1", tmp_path / "seed2"
+    for seed, out in ((1, first), (2, second)):
+        assert run_cli("generate", "--count", "3", "--size", "both", "--seed", str(seed), "--out", str(out)) == 0
+    traces = first / "traces.jsonl"
+    assert run_cli("run", "--corpus", str(first / "corpus.jsonl"), "--out", str(traces)) == 0
+    capsys.readouterr()
+    target = tmp_path / ("alpaca.json" if command == "build-dataset" else "eval")
+    argv = [command, "--traces", str(traces), "--corpus", str(second / "corpus.jsonl"), "--out", str(target)]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == (
+        "error: trace 'cycle_detection-u-wl-00000' was run on another task text than the corpus holds\n"
+    )
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("flag", [["--seed", "9"], ["--seed", "0"], ["--size", "el"]])
 def test_fill_flags_need_fill_quota(tmp_path, capsys, flag):
     out = tmp_path / "d"
@@ -351,7 +370,7 @@ def test_fill_flags_need_fill_quota(tmp_path, capsys, flag):
     "edit, message",
     [
         (lambda o: o.pop("task_text"), "missing key 'task_text'"),
-        (lambda o: o["graph"].update(edges=[[0, 1], 7]), "object of type 'int' has no len()"),
+        (lambda o: o["graph"].update(edges=[[0, 1], 7]), "edges must be a flat integer array"),
         (lambda o: o["graph"]["edges"].pop(), "not a multiple of 2"),
         (lambda o: o.update(id="edge_count-d-wl-00000"), "duplicate instance id 'edge_count-d-wl-00000'"),
     ],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -21,7 +22,7 @@ from graphstage.evaluation import OrphanTrace
 from graphstage.codec import extract_graph, extract_parameters, extract_tool_name
 from graphstage.graphs import graphs_equal
 from graphstage.pipeline import StageKind
-from graphstage.tools import ToolError, dispatch
+from graphstage.tools import Answer, ToolError, dispatch
 
 REGISTRY = default_registry()
 
@@ -134,6 +135,18 @@ def test_build_dataset_oracle_counts_and_order():
         for trace in sorted(traces, key=lambda t: t.instance_id)
         for stage in trace.stages
     ]
+
+
+def test_instance_whose_gold_answer_disagrees_with_its_tool_is_dropped():
+    """Every subtask of the first trace matches, but its corpus line's
+    ``gold_answer`` is not what the tool returns: only that instance is
+    dropped."""
+    corpus = _corpus(1)
+    traces = run_corpus(corpus, OracleBackend(corpus))
+    edited = [dataclasses.replace(corpus[0], gold_answer=Answer.value(-1)), *corpus[1:]]
+    entries, stats = build_dataset(traces, edited)
+    assert stats["retained_instances"] == len(corpus) - 1
+    assert {entry["input"] for entry in entries} == {inst.task_text for inst in corpus[1:]}
 
 
 def test_build_dataset_empty():

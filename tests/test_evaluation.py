@@ -1,3 +1,13 @@
+"""Per-trace scoring, aggregation and the error taxonomy.
+
+Counting a ``None`` ``param_match`` as a hit in ``aggregate``'s ``param_acc``
+is an equivalent mutant (``tests/mutants.py`` lists it): a row holds the
+records of one kind, whose ``param_match`` is None exactly when the kind has
+no parameter stage, and then the row's ``param_acc`` is None. So the sum
+behind a parametric row never sees a ``None``.
+"""
+
+import dataclasses
 import json
 import random
 
@@ -58,12 +68,37 @@ def test_unregistered_tool_name_is_syntax_error():
     assert not record["name_match"]
 
 
+def test_tool_name_is_matched_without_case():
+    """``extract_tool_name`` accepts ``API_name: Shortest_Path``, and dispatch
+    folds its case: the name is scored as a match."""
+    inst = next(i for i in _corpus(1) if i.kind.tool == "shortest_path")
+    oracle = OracleBackend([inst])
+
+    class Wrapper:
+        def complete(self, prompt):
+            out = oracle.complete(prompt)
+            return "API_name: Shortest_Path" if out.startswith("API_name:") else out
+
+    record = score_trace(run_pipeline(inst, Wrapper()), inst)
+    assert record["name_match"] and record["answer_match"]
+    assert record["category"] == Category.CORRECT
+
+
 def test_mismatched_ids_rejected():
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
     trace = run_pipeline(corpus[0], backend)
     with pytest.raises(ValueError):
         score_trace(trace, corpus[1])
+
+
+def test_trace_of_another_task_text_is_rejected():
+    inst = _corpus(1)[0]
+    trace = run_pipeline(inst, OracleBackend([inst]))
+    other = dataclasses.replace(inst, task_text=inst.task_text + " ")
+    message = f"^trace '{inst.id}' was run on another task text than the corpus holds$"
+    with pytest.raises(ValueError, match=message):
+        evaluate_traces([trace], [other])
 
 
 def _fault_records(plan, per_kind=3, seed=21):

@@ -84,6 +84,12 @@ def test_graphs_equal_directedness_matters():
     assert not graphs_equal(a, b)
 
 
+def test_graphs_equal_weight_kind_matters():
+    a = build_graph(False, 3, [(0, 1, 3), (1, 2, 5)], WeightKind.WEIGHT)
+    b = build_graph(False, 3, [(0, 1, 3), (1, 2, 5)], WeightKind.CAPACITY)
+    assert not graphs_equal(a, b)
+
+
 def test_graphs_equal_tolerates_trailing_isolated_nodes():
     # a graph rebuilt from its edge list cannot see node 3
     a = build_graph(False, 4, [(0, 1), (1, 2)])

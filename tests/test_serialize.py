@@ -1,13 +1,12 @@
 """Corpus and trace files: graphs are stored with one flat ``edges`` array,
 and trace lines in format 4 store instruction keys and the task text once;
-the loader rebuilds every record exactly. Nested-edge corpus lines and
-trace lines of formats 1 to 3 still load, to the same objects, unless they
-hold an instruction text or prompt that the pipeline does not send."""
+the loader rebuilds every record exactly. Each loader reads only what its
+writer writes and requires every key that it writes: trace lines of
+formats 1 to 3 and corpus lines with nested edge rows are rejected."""
 
 import dataclasses
 import json
 import re
-from pathlib import Path
 
 import pytest
 
@@ -31,15 +30,13 @@ from graphstage.serialize import (
     graph_to_json,
     load_corpus,
     load_traces,
-    read_jsonl,
     trace_from_json,
     trace_to_json,
+    write_jsonl,
 )
 from graphstage.toolset import default_registry
 
 REGISTRY = default_registry()
-FIXTURES = Path(__file__).parent / "fixtures"
-FIXTURE_V1 = FIXTURES / "traces_v1.jsonl"
 FAULT_MODES = ("drop_graph_edges", "wrong_tool_name", "swap_parameters", "emit_garbage")
 
 
@@ -55,18 +52,18 @@ def corpus(corpus_dir):
     return load_corpus(corpus_dir / "corpus.jsonl")
 
 
+@pytest.fixture(scope="module")
+def traces_file(corpus, corpus_dir):
+    path = corpus_dir / "traces.jsonl"
+    write_jsonl(path, map(trace_to_json, run_corpus(corpus, OracleBackend(corpus), base_dir=corpus_dir)))
+    return path
+
+
 def _rounded(trace):
     return dataclasses.replace(
         trace,
         stages=[dataclasses.replace(r, latency_ms=round(r.latency_ms, 3)) for r in trace.stages],
     )
-
-
-def _without_latency(traces):
-    return [
-        dataclasses.replace(t, stages=[dataclasses.replace(r, latency_ms=0.0) for r in t.stages])
-        for t in traces
-    ]
 
 
 def _assert_round_trips(traces):
@@ -139,28 +136,6 @@ def test_wl_oracle_line_holds_no_instruction_and_the_task_text_once(corpus):
     assert json.loads(line)["format"] == TRACE_FORMAT
 
 
-def test_format_1_fixture_loads_to_the_objects_of_a_fresh_run(tmp_path):
-    """The fixture was written in format 1 by these two commands."""
-    out = tmp_path / "d"
-    assert main([
-        "generate", "--tasks", "degree_count:undirected,edge_existence:directed,node_count:undirected",
-        "--count", "2", "--size", "both", "--seed", "1", "--out", str(out),
-    ]) == 0
-    assert main([
-        "run", "--corpus", str(out / "corpus.jsonl"), "--backend", "fault", "--fault-name", "0.3",
-        "--fault-garbage", "0.2", "--seed", "8", "--out", str(out / "traces.jsonl"),
-    ]) == 0
-    assert all("format" not in obj for obj in read_jsonl(FIXTURE_V1))
-    assert all(obj["format"] == TRACE_FORMAT for obj in read_jsonl(out / "traces.jsonl"))
-
-    old = load_traces(FIXTURE_V1)
-    assert _without_latency(old) == _without_latency(load_traces(out / "traces.jsonl"))
-    stages = [r for t in old for r in t.stages]
-    assert any(r.instruction == "G:el" and extract_file_path(r.raw_output).ok for r in stages)
-    assert any(r.stage is StageKind.PARAMS and not r.prompt for r in stages)  # a stage without a call
-    _assert_round_trips(old)
-
-
 def test_unknown_instruction_key_names_the_key_file_and_line(tmp_path, corpus):
     (trace,) = run_corpus(corpus[:1], OracleBackend(corpus))
     good = trace_to_json(trace)
@@ -179,36 +154,6 @@ def test_unknown_trace_format_is_rejected(corpus):
         trace_from_json(obj)
 
 
-def test_format_2_fixture_with_nested_edges_loads_to_the_objects_of_a_fresh_run(tmp_path):
-    """``corpus_nested.jsonl`` (edges as ``[u, v(, w)]`` rows) and
-    ``traces_v2.jsonl`` (format 2, nested parsed graphs) were written before
-    edges were stored flat, by these two commands with ``--out`` set to the
-    fixture files."""
-    out = tmp_path / "d"
-    assert main([
-        "generate", "--tasks", "cycle_detection:undirected,shortest_path:directed,maximum_flow:undirected",
-        "--count", "2", "--size", "both", "--seed", "3", "--out", str(out),
-    ]) == 0
-    assert main([
-        "run", "--corpus", str(out / "corpus.jsonl"), "--backend", "fault", "--fault-drop", "0.5",
-        "--fault-name", "0.3", "--seed", "5", "--out", str(out / "traces.jsonl"),
-    ]) == 0
-    nested_corpus, v2_traces = FIXTURES / "corpus_nested.jsonl", FIXTURES / "traces_v2.jsonl"
-    assert all(type(edge) is list for obj in read_jsonl(nested_corpus) for edge in obj["graph"]["edges"])
-    assert all(obj["format"] == 2 for obj in read_jsonl(v2_traces))
-    assert all(type(x) is int for obj in read_jsonl(out / "corpus.jsonl") for x in obj["graph"]["edges"])
-
-    corpus = load_corpus(nested_corpus)
-    assert {i.graph.weight_kind for i in corpus} == set(WeightKind)
-    assert {i.size_class for i in corpus} == {SizeClass.WL, SizeClass.EL}
-    assert corpus == load_corpus(out / "corpus.jsonl")
-    old = load_traces(v2_traces)
-    assert _without_latency(old) == _without_latency(load_traces(out / "traces.jsonl"))
-    parsed = [r.parsed.graph for t in old for r in t.stages if r.parsed.kind == "graph"]
-    assert {g.weight_kind for g in parsed} == set(WeightKind)
-    _assert_round_trips(old)
-
-
 @pytest.mark.parametrize(
     "kind, rows",
     [
@@ -223,8 +168,9 @@ def test_graph_edges_are_stored_as_one_flat_array(kind, rows):
     obj = json.loads(dump_line(graph_to_json(g)))
     assert obj["edges"] == [x for row in rows for x in row]
     assert graph_from_json(obj) == g
-    nested = dict(obj, edges=[list(row) for row in rows])
-    assert graph_from_json(nested) == g
+    if rows:  # rows, as older files held them, are not read
+        with pytest.raises(ValueError, match=re.escape("edges must be a flat integer array")):
+            graph_from_json(dict(obj, edges=[list(row) for row in rows]))
 
 
 def _with_line_2_edited(source, path, edit):
@@ -243,7 +189,8 @@ def _with_line_2_edited(source, path, edit):
     [
         (lambda o: o.pop("task_text"), "missing key 'task_text'"),
         (lambda o: o["graph"].pop("weight_kind"), "missing key 'weight_kind'"),
-        (lambda o: o["graph"].update(edges=[[0, 1], 7]), "object of type 'int' has no len()"),
+        (lambda o: o.pop("graph_file"), "missing key 'graph_file'"),
+        (lambda o: o["graph"].update(edges=[[0, 1], 7]), "edges must be a flat integer array"),
         (lambda o: o["graph"].update(edges=7), "edges must be an array, got int"),
         (lambda o: o["graph"]["edges"].pop(), "flat edge array of a {k} graph holds {n} values, not a multiple of {w}"),
         (lambda o: o.update(params=None), "'NoneType' object is not iterable"),
@@ -264,6 +211,9 @@ def test_malformed_corpus_line_names_file_and_line(corpus_dir, tmp_path, edit, m
     [
         (lambda o: o.pop("tool_error"), "missing key 'tool_error'"),
         (lambda o: o.update(task_text=None), "task_text must be a string, got NoneType"),
+        (lambda o: o["stages"][0].pop("instruction"), "missing key 'instruction'"),
+        (lambda o: o["stages"][1].update(parsed={"kind": "path", "path": "graphs/x.edges"}),
+         "unknown parsed kind 'path'"),
     ],
 )
 def test_malformed_trace_line_names_file_and_line(corpus, tmp_path, edit, message):
@@ -276,46 +226,51 @@ def test_malformed_trace_line_names_file_and_line(corpus, tmp_path, edit, messag
         load_traces(path)
 
 
-def test_format_3_keys_that_follow_from_the_rest_are_ignored(corpus, corpus_dir):
-    """A format-3 line stored ``skipped_parameter_stage``, an EL graph
-    stage's ``file_path``, and a prompt that the layout did not rebuild."""
-    backend = FaultBackend(OracleBackend(corpus), FaultPlan(emit_garbage=0.5), seed=3)
-    traces = run_corpus(corpus, backend, base_dir=corpus_dir)
-    assert any(not r.instruction for t in traces for r in t.stages)
-    for trace in traces:
-        obj = dict(trace_to_json(trace), format=3, skipped_parameter_stage=len(trace.stages) == 2)
+def _nest_edges(graph):
+    """``graph``'s flat ``edges`` as the ``[u, v(, w)]`` rows that older files held."""
+    width = 2 if graph["weight_kind"] == "none" else 3
+    flat = graph["edges"]
+    graph["edges"] = [flat[i:i + width] for i in range(0, len(flat), width)]
+
+
+def _as_format(version):
+    """An edit of a format-4 trace line into the line that format ``version``
+    wrote for the same trace: format 1 stored each stage's instruction text
+    and prompt instead of a key, and no task text; formats 1 to 3 stored
+    ``skipped_parameter_stage`` and an EL graph stage's ``file_path``; and
+    format 2 stored a parsed graph's edges as rows."""
+    def edit(obj):
+        trace = trace_from_json(dict(obj))
+        obj.update(format=version, skipped_parameter_stage=trace.stage(StageKind.PARAMS) is None)
         for stage, record in zip(obj["stages"], trace.stages):
-            if record.instruction:
-                stage["prompt"] = record.prompt
-            else:  # a stage that made no call stored neither
-                del stage["instruction"]
             if record.instruction == "G:el":
                 stage["file_path"] = extract_file_path(record.raw_output).path
-        assert trace_from_json(json.loads(dump_line(obj))) == _rounded(trace)
-
-
-def _set_stage(index, key, value):
-    return lambda obj: obj["stages"][index].update({key: value})
+            if version == 1:
+                del stage["instruction"]
+                stage.update(instruction_text=record.instruction_text, prompt=record.prompt)
+            if version == 2 and stage["parsed"]["kind"] == "graph":
+                _nest_edges(stage["parsed"]["graph"])
+        if version == 1:
+            del obj["format"], obj["task_text"]
+    return edit
 
 
 @pytest.mark.parametrize(
-    "fixture, edit, message",
+    "artifact, edit, message",
     [
-        (FIXTURE_V1, _set_stage(1, "instruction_text", "Name the tool."),
-         "name stage instruction text is not one that the pipeline sends"),
-        (FIXTURE_V1, _set_stage(1, "prompt", "Name the tool."),
-         "name stage prompt is not one that the pipeline sends"),
-        (FIXTURE_V1, _set_stage(0, "prompt", "A prompt of its own"),
-         "graph stage prompt is not one that the pipeline sends"),
-        (FIXTURE_V1, _set_stage(0, "prompt", 5), "graph stage prompt is not one that the pipeline sends"),
-        (FIXTURES / "traces_v2.jsonl", _set_stage(1, "instruction_text", "Name the tool."),
-         "name stage instruction text is not one that the pipeline sends"),
-        (FIXTURES / "traces_v2.jsonl", _set_stage(0, "prompt", "A prompt of its own"),
-         "graph stage prompt is not one that the pipeline sends"),
-        (FIXTURE_V1, lambda obj: obj.update(stages=[]), "a format-1 trace without stages has no task text"),
+        ("traces", _as_format(1), "unknown trace format 1"),
+        ("traces", _as_format(2), "unknown trace format 2"),
+        ("traces", _as_format(3), "unknown trace format 3"),
+        ("corpus", lambda o: _nest_edges(o["graph"]),
+         "edges must be a flat integer array, not a list of [u, v(, w)] rows"),
     ],
 )
-def test_old_line_with_a_text_or_prompt_the_pipeline_does_not_send_is_rejected(tmp_path, fixture, edit, message):
-    path = _with_line_2_edited(fixture, tmp_path / "traces.jsonl", edit)
+def test_line_of_an_older_format_is_rejected(corpus_dir, traces_file, tmp_path, artifact, edit, message):
+    source = traces_file if artifact == "traces" else corpus_dir / "corpus.jsonl"
+    path = _with_line_2_edited(source, tmp_path / source.name, edit)
+    line_2 = [p.read_text(encoding="utf-8").splitlines()[1] for p in (source, path)]
+    assert line_2[0] != line_2[1]
+    load = load_traces if artifact == "traces" else load_corpus
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
-        load_traces(path)
+        load(path)
+
