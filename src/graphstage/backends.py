@@ -494,36 +494,18 @@ class FaultBackend:
         instance, stage = self.oracle._instance(prompt)
         gold = self.oracle.gold_output(instance, stage)
         rng = self._rng(instance.id, stage)
-        plan = self.plan
-
-        structured_p = {
-            "graph": plan.drop_graph_edges,
-            "name": plan.wrong_tool_name,
-            "params": plan.swap_parameters,
-        }[stage]
-        if rng.random() < structured_p:
-            corrupted = self._apply_structured(instance, stage, rng)
+        mode, corrupt = self._STRUCTURED[stage]
+        if rng.random() < getattr(self.plan, mode):
+            corrupted = corrupt(self, instance, rng)
             if corrupted is not None:
-                mode = {
-                    "graph": "drop_graph_edges",
-                    "name": "wrong_tool_name",
-                    "params": "swap_parameters",
-                }[stage]
                 self._record(instance.id, stage, mode)
                 return corrupted
-        if stage in plan.garbage_stages and rng.random() < plan.emit_garbage:
+        if stage in self.plan.garbage_stages and rng.random() < self.plan.emit_garbage:
             self._record(instance.id, stage, "emit_garbage")
             return _GARBAGE_TEXT
         return gold
 
     # -- structured corruptions ------------------------------------------
-
-    def _apply_structured(self, instance: TaskInstance, stage: str, rng: random.Random):
-        if stage == "graph":
-            return self._drop_edges(instance, rng)
-        if stage == "name":
-            return self._wrong_name(instance, rng)
-        return self._swap_params(instance, rng)
 
     def _drop_edges(self, instance: TaskInstance, rng: random.Random) -> Optional[str]:
         if instance.size_class is SizeClass.EL:
@@ -536,10 +518,7 @@ class FaultBackend:
             keep = list(edges)
             for _ in range(k):
                 keep.pop(rng.randrange(len(keep)))
-            node_count = 1 + max(max(u, v) for u, v, _ in keep)
-            reduced = build_graph(
-                instance.graph.directed, node_count, keep, instance.graph.weight_kind
-            )
+            reduced = build_graph(instance.graph.directed, None, keep, instance.graph.weight_kind)
             try:
                 dispatch(instance.kind.tool, reduced, instance.params)
             except ToolError:
@@ -581,3 +560,11 @@ class FaultBackend:
         spec = TOOLS.get(instance.kind.tool)
         names = spec.parameter_names()
         return f"{names[0]}={b}, {names[1]}={a}"
+
+    # stage -> the structured mode that targets it (also the name of its
+    # FaultPlan probability) and the corruption that applies it
+    _STRUCTURED = {
+        "graph": ("drop_graph_edges", _drop_edges),
+        "name": ("wrong_tool_name", _wrong_name),
+        "params": ("swap_parameters", _swap_params),
+    }

@@ -34,6 +34,7 @@ from .generator import (
     TaskKind,
     generate_corpus,
     generate_planned,
+    parse_instance_id,
 )
 from .pipeline import run_corpus
 from .codec import format_el_graph
@@ -69,19 +70,11 @@ def _parse_tasks(spec: str) -> Tuple[str, ...]:
     if spec.strip() == "all":
         return tuple(k.label for k in ALL_KINDS)
     labels: List[str] = []
-    valid = {k.label for k in ALL_KINDS}
-    tools = {k.tool for k in ALL_KINDS}
-    for token in (t.strip() for t in spec.split(",")):
-        if not token:
-            continue
-        if ":" in token:
-            if token not in valid:
-                raise argparse.ArgumentTypeError(f"unknown task {token!r}")
-            labels.append(token)
-        elif token in tools:
-            labels.extend(k.label for k in ALL_KINDS if k.tool == token)
-        else:
+    for token in filter(None, (t.strip() for t in spec.split(","))):
+        chosen = [k.label for k in ALL_KINDS if token in (k.tool, k.label)]
+        if not chosen:
             raise argparse.ArgumentTypeError(f"unknown task {token!r}")
+        labels.extend(chosen)
     if not labels:
         raise argparse.ArgumentTypeError("no tasks selected")
     return tuple(labels)
@@ -114,16 +107,13 @@ def _cmd_generate(args) -> int:
     config = _settings(GenConfig, args)
     out_dir = Path(args.out)
     corpus_path = out_dir / "corpus.jsonl"
-    total = 0
 
     def lines():
-        nonlocal total
         for instance in generate_corpus(config):
             _write_graph_file(out_dir, instance)
-            total += 1
             yield instance_to_json(instance)
 
-    write_jsonl(corpus_path, lines())
+    total = write_jsonl(corpus_path, lines())
     print(f"wrote {total} instances to {corpus_path}")
     return 0
 
@@ -196,9 +186,8 @@ def _fill_quota(args, corpus, traces, entries, stats):
     config = _settings(GenConfig, args)
     sizes = (SizeClass.WL, SizeClass.EL) if config.sizes == "both" else (SizeClass(config.sizes),)
     next_index: Dict[str, int] = {}
-    for inst in corpus:  # an id ends in its plan index
-        label = inst.kind.label
-        next_index[label] = max(next_index.get(label, 0), 1 + int(inst.id.rsplit("-", 1)[1]))
+    for kind, _, index, _, _ in (parse_instance_id(inst.id) for inst in corpus):
+        next_index[kind.label] = max(next_index.get(kind.label, 0), 1 + index)
     plan = []
     for label, kind_stats in sorted(stats["per_kind"].items()):
         start = next_index.get(label, 0)

@@ -111,10 +111,8 @@ def extract_graph(
         numbers = list(map(int, chain.from_iterable(matches)))  # text order: the first bad one is named
     except ValueError as exc:  # a number past int's digit limit
         return ExtractionResult.failure(f"edge number: {exc}")
-    columns = flat_columns(numbers, len(matches[0]))
-    node_count = 1 + max(max(columns[0]), max(columns[1]))
     try:
-        g = build_graph(directed, node_count, columns, kind, columns=True)
+        g = build_graph(directed, None, flat_columns(numbers, len(matches[0])), kind, columns=True)
     except GraphError as exc:
         return ExtractionResult.failure(f"invalid edge list: {exc}")
     return ExtractionResult.of_graph(g)
@@ -137,14 +135,10 @@ def extract_parameters(text: str, spec) -> ExtractionResult:
     names = [name for name, _ in spec.parameters]
     if not names:
         return ExtractionResult.failure("tool takes no parameters")
-    values = []
-    for name in names:
-        m = re.search(rf"{re.escape(name)}\s*=\s*(\d+)", text)
-        if m is None:
-            values = None
-            break
-        values.append(m.group(1))
-    if values is None:
+    named = [re.search(rf"{re.escape(name)}\s*=\s*(\d+)", text) for name in names]
+    if all(named):
+        values = [m.group(1) for m in named]
+    else:
         m = re.search(r"(?:G" + r",\s*(\d+)" * len(names) + ")", text)
         values = m.groups() if m else None
     if values is not None:
@@ -211,11 +205,8 @@ def read_el_graph_file(path: str | Path, weight_kind: WeightKind | str) -> Graph
         except ValueError:  # a leading zero, or past int's digit limit: the line parser decides
             return _read_el_lines(text, weight_kind)
         columns = flat_columns(numbers, width)
-        us, vs = columns[:2]
-        if not any(map(operator.eq, us, vs)):
-            node_count = 1 + max(max(us), max(vs)) if numbers else 0
-            kind = WeightKind(weight_kind)
-            return build_graph(header == "directed", node_count, columns, kind, columns=True)
+        if not any(map(operator.eq, *columns[:2])):
+            return build_graph(header == "directed", None, columns, WeightKind(weight_kind), columns=True)
     return _read_el_lines(text, weight_kind)
 
 
@@ -241,5 +232,4 @@ def _read_el_lines(text: str, weight_kind: WeightKind | str) -> Graph:
         edges.append(tuple(nums))
     if len(widths) > 1:
         raise MalformedLine(1, "mixed weighted and unweighted edge lines")
-    node_count = 1 + max(max(e[0], e[1]) for e in edges) if edges else 0
-    return build_graph(directed, node_count, edges, WeightKind(weight_kind))
+    return build_graph(directed, None, edges, WeightKind(weight_kind))

@@ -142,6 +142,33 @@ class GenConfig:
             raise ValueError("sizes must be wl, el or both")
 
 
+def instance_fields(kind: TaskKind, size: SizeClass, index: int) -> Tuple[str, int, Optional[str]]:
+    """The id ``<tool>-<d|u>-<wl|el>-<index, 5 digits or more>`` of a plan entry, and
+    the description variant and EL graph file path that follow from it."""
+    ident = f"{kind.tool}-{'d' if kind.directed else 'u'}-{size.value}-{index:05d}"
+    graph_file = f"{GRAPH_DIR}/{ident}{GRAPH_FILE_SUFFIX}" if size is SizeClass.EL else None
+    return ident, index % templates.VARIANTS_PER_TOOL, graph_file
+
+
+# an id without its "-<index>" tail -> its kind and size
+_ID_PREFIXES = {instance_fields(k, s, 0)[0].rpartition("-")[0]: (k, s) for k in ALL_KINDS for s in SizeClass}
+
+
+def parse_instance_id(ident: str) -> Tuple[TaskKind, SizeClass, int, int, Optional[str]]:
+    """The plan entry ``(kind, size, index)`` of an id, then the description
+    variant and EL graph file path that follow from it; a string that
+    :func:`instance_fields` does not rebuild exactly raises ``ValueError``."""
+    try:
+        prefix, _, number = ident.rpartition("-")
+        (kind, size), index = _ID_PREFIXES[prefix], int(number)
+        rebuilt, variant, graph_file = instance_fields(kind, size, index)
+        if rebuilt == ident:
+            return kind, size, index, variant, graph_file
+    except (AttributeError, KeyError, ValueError):
+        pass
+    raise ValueError(f"malformed instance id {ident!r}")
+
+
 def classify_size(text: str) -> SizeClass:
     """wl iff the estimated token count (ceil of chars/4) fits 4,096 tokens."""
     return SizeClass.WL if math.ceil(len(text) / 4) <= 4096 else SizeClass.EL
@@ -416,19 +443,16 @@ def generate_instance(
     """One constraint-satisfying instance. ``index`` sets the description
     variant and, for a boolean tool, the answer: true at even indexes."""
     target_bool = index % 2 == 0 if kind.tool in BOOLEAN_TOOLS else None
-    variant = index % templates.VARIANTS_PER_TOOL
     graph, params = _draw_graph_and_params(kind, size, rng, target_bool)
     answer = dispatch(kind.tool, graph, params)
     if target_bool is not None and answer.value is not target_bool:
         raise AssertionError("constraint sampler returned the wrong answer class")
-    direction = "d" if kind.directed else "u"
-    instance_id = f"{kind.tool}-{direction}-{size.value}-{index:05d}"
-    graph_file = f"{GRAPH_DIR}/{instance_id}{GRAPH_FILE_SUFFIX}" if size is SizeClass.EL else None
+    ident, variant, graph_file = instance_fields(kind, size, index)
     text = render_task_text(kind, graph, params, variant, size, graph_file)
     if size is SizeClass.WL and classify_size(text) is not SizeClass.WL:
-        raise ExhaustedRetries(f"wl instance {instance_id} rendered over the token budget")
+        raise ExhaustedRetries(f"wl instance {ident} rendered over the token budget")
     return TaskInstance(
-        id=instance_id,
+        id=ident,
         kind=kind,
         graph=graph,
         params=tuple(params),
@@ -447,11 +471,7 @@ def _derived_rng(seed: int, kind: TaskKind, size: SizeClass, index: int) -> rand
 
 
 def _size_plan(sizes: str, count: int) -> List[SizeClass]:
-    if sizes == "wl":
-        return [SizeClass.WL] * count
-    if sizes == "el":
-        return [SizeClass.EL] * count
-    wl = (count + 1) // 2
+    wl = {"wl": count, "el": 0}.get(sizes, (count + 1) // 2)
     return [SizeClass.WL] * wl + [SizeClass.EL] * (count - wl)
 
 

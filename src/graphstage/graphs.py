@@ -58,7 +58,7 @@ def _normalize_edge(raw) -> Edge:
 
 def build_graph(
     directed: bool,
-    node_count: int,
+    node_count: Optional[int],
     edges: Iterable[Sequence],
     weight_kind: WeightKind | str = WeightKind.NONE,
     *,
@@ -72,6 +72,9 @@ def build_graph(
     ``flat[1::w]``, ``flat[2::3]`` of a flat edge array. Both forms give
     the same graph, or raise the same exception.
 
+    A ``node_count`` of None is derived: the highest node id + 1, or 0
+    without edges. That is all a graph read back from its edges can know.
+
     Raises InvalidEdge for out-of-range ids, self-loops and duplicates
     (undirected duplicates are checked orientation-insensitively), and
     WeightMismatch when weight presence disagrees with ``weight_kind``.
@@ -84,7 +87,7 @@ def build_graph(
     fault.
     """
     kind = WeightKind(weight_kind)
-    if node_count < 0:
+    if node_count is not None and node_count < 0:
         raise GraphError(f"node_count must be non-negative, got {node_count}")
     if columns:
         cols = tuple(edges)
@@ -99,9 +102,10 @@ def build_graph(
         checked = None if cols is None else _checked_columns(directed, node_count, *cols, kind=kind)
     except (TypeError, ValueError, OverflowError):  # a row without a length, a value that does not convert
         checked = None
-    if checked is None:
-        checked = _checked_edges(directed, node_count, list(zip(*cols)) if rows is None else rows, kind)
-    return Graph(bool(directed), node_count, checked, kind)
+    if checked is None:  # edges that pass one by one (mixed row widths) pass the column check too
+        valid = _checked_edges(directed, node_count, list(zip(*cols)) if rows is None else rows, kind)
+        checked = _checked_columns(directed, node_count, *zip(*valid), kind=kind)
+    return Graph(bool(directed), *checked, kind)
 
 
 def flat_columns(flat: list, width: int) -> tuple:
@@ -129,21 +133,21 @@ def _ints(column: Sequence) -> Sequence:
 
 def _checked_columns(
     directed: bool,
-    node_count: int,
+    node_count: Optional[int],
     us: Sequence,
     vs: Sequence,
     ws: Optional[Sequence] = None,
     *,
     kind: WeightKind,
-) -> Optional[Tuple[Edge, ...]]:
-    """The normalized edges when every edge passes, else None. ``ws`` is
-    None when the edges carry no weight column."""
+) -> Optional[Tuple[int, Tuple[Edge, ...]]]:
+    """The node count (None is derived here, the one place) and the normalized
+    edges when every edge passes, else None. ``ws`` is None without weights."""
     if not us:
-        return ()
+        return 0 if node_count is None else node_count, ()
     us = _ints(us)
     vs = _ints(vs)
     ids = {*us, *vs}
-    if min(ids) < 0 or max(ids) >= node_count:
+    if min(ids) < 0 or node_count is not None and max(ids) >= node_count:
         return None
     if any(map(operator.eq, us, vs)):
         return None
@@ -163,19 +167,21 @@ def _checked_columns(
         ws = _ints(ws)  # None raises TypeError
         if min(ws) < 1:
             return None
-    return tuple(zip(us, vs, ws))
+    return 1 + max(ids) if node_count is None else node_count, tuple(zip(us, vs, ws))
 
 
 def _checked_edges(
-    directed: bool, node_count: int, rows: list, kind: WeightKind
+    directed: bool, node_count: Optional[int], rows: list, kind: WeightKind
 ) -> Tuple[Edge, ...]:
-    """Edge by edge: raises for the first bad edge in list order."""
+    """Edge by edge: raises for the first bad edge in list order. A derived
+    node count (None) bounds the ids from below only."""
+    bound = float("inf") if node_count is None else node_count
     normalized = []
     seen: set[Tuple[int, int]] = set()
     for raw in rows:
         u, v, w = _normalize_edge(raw)
-        if not (0 <= u < node_count) or not (0 <= v < node_count):
-            raise InvalidEdge(f"edge ({u}, {v}) references a node outside 0..{node_count - 1}")
+        if not (0 <= u < bound) or not (0 <= v < bound):
+            raise InvalidEdge(f"edge ({u}, {v}) references a node outside 0..{bound - 1}")
         if u == v:
             raise InvalidEdge(f"self-loop ({u}, {v}) is not allowed")
         key = (u, v) if directed else (min(u, v), max(u, v))
@@ -185,11 +191,10 @@ def _checked_edges(
         if kind is WeightKind.NONE:
             if w is not None:
                 raise WeightMismatch(f"edge ({u}, {v}) carries a weight but weight_kind is none")
-        else:
-            if w is None:
-                raise WeightMismatch(f"edge ({u}, {v}) is missing a {kind.value}")
-            if w < 1:
-                raise WeightMismatch(f"edge ({u}, {v}) has non-positive {kind.value} {w}")
+        elif w is None:
+            raise WeightMismatch(f"edge ({u}, {v}) is missing a {kind.value}")
+        elif w < 1:
+            raise WeightMismatch(f"edge ({u}, {v}) has non-positive {kind.value} {w}")
         normalized.append((u, v, w))
     return tuple(normalized)
 

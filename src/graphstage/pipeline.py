@@ -81,10 +81,7 @@ class PipelineTrace:
     tool_error: Optional[str]
 
     def stage(self, kind: StageKind) -> Optional[StageRecord]:
-        for record in self.stages:
-            if record.stage is kind:
-                return record
-        return None
+        return next((record for record in self.stages if record.stage is kind), None)
 
 
 def layout_prompt(instruction_text: str, instance_id: str, stage: StageKind, task_text: str) -> str:

@@ -3,19 +3,24 @@
 Corpus and trace files are line-delimited JSON, one object per line, with a
 fixed key order so that regeneration under the same seed is byte-identical.
 Each loader reads the one format that its writer writes, and requires every
-key that the writer writes.
+key that the writer writes. A line of another format is rejected; a line
+without a ``format`` key is format 1.
 
 A graph's ``edges`` is one flat array of integers, ``[u0, v0, u1, v1, …]``
 for an unweighted graph and ``[u0, v0, w0, u1, v1, w1, …]`` otherwise (the
 width follows ``weight_kind``). The loader validates it column-wise through
 :func:`~graphstage.graphs.build_graph` without building a row per edge.
 
-Trace lines are written in format 4 (``"format": 4``): the task text is
-stored once per trace, and a stage stores its instruction as a key of
+Corpus lines (format 2) store the instance id, params, task text, the gold
+graph's ``edges`` and the gold answer. The loader derives the rest: kind,
+size class, description variant and EL graph file from the id, the graph's
+direction and weight kind from the kind, and its node count from its edges.
+
+Trace lines (format 4) store the task text once per trace, and a stage
+stores its instruction as a key of
 :data:`~graphstage.pipeline.INSTRUCTION_TEXTS` (``""`` when it made no call),
 its raw output, what was parsed from it and its latency. The loader rebuilds
-each prompt from the key, the instance id and the task text. A line of any
-other format is rejected; a line without a ``format`` key is format 1.
+each prompt from the key, the instance id and the task text.
 """
 
 from __future__ import annotations
@@ -29,10 +34,13 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .codec import ExtractionResult
-from .generator import SizeClass, TaskInstance, TaskKind
+from .generator import TaskInstance, parse_instance_id
 from .graphs import Graph, WeightKind, build_graph, flat_columns
 from .pipeline import INSTRUCTION_TEXTS, PipelineTrace, StageKind, StageRecord, layout_prompt
 from .tools import Answer
+
+CORPUS_FORMAT = 2
+TRACE_FORMAT = 4
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -48,20 +56,26 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    """A graph whose ``edges`` is the flat array :func:`graph_to_json` writes."""
+    """A graph whose ``edges`` is the flat array :func:`graph_to_json` writes
+    (a ``node_count`` of None is derived). A load that fails on an array
+    holding a value other than an integer names that value."""
     kind = WeightKind(obj["weight_kind"])
     edges = obj["edges"]
     if type(edges) is not list:
         raise ValueError(f"edges must be an array, got {type(edges).__name__}")
-    if edges and type(edges[0]) is list:
-        raise ValueError("edges must be a flat integer array, not a list of [u, v(, w)] rows")
     width = 2 if kind is WeightKind.NONE else 3
-    if len(edges) % width:
-        raise ValueError(
-            f"flat edge array of a {kind.value} graph holds {len(edges)} values, "
-            f"not a multiple of {width}"
-        )
-    return build_graph(obj["directed"], obj["node_count"], flat_columns(edges, width), kind, columns=True)
+    try:
+        if len(edges) % width:
+            raise ValueError(
+                f"flat edge array of a {kind.value} graph holds {len(edges)} values, "
+                f"not a multiple of {width}"
+            )
+        return build_graph(obj["directed"], obj["node_count"], flat_columns(edges, width), kind, columns=True)
+    except (TypeError, ValueError, OverflowError):
+        others = [x for x in edges if type(x) is not int]
+        if others:
+            raise ValueError(f"edges must be a flat integer array, found {others[0]!r}") from None
+        raise
 
 
 def answer_to_json(a: Answer) -> dict:
@@ -69,43 +83,49 @@ def answer_to_json(a: Answer) -> dict:
     return {"kind": a.kind, "value": value}
 
 
+_ANSWER_OF_KIND = {"node_seq": Answer.node_seq, "bool": Answer.bool_, "count": Answer.count, "value": Answer.value}
+
+
 def answer_from_json(obj: dict) -> Answer:
     kind, value = obj["kind"], obj["value"]
-    if kind == "node_seq":
-        return Answer.node_seq(value)
-    if kind == "bool":
-        return Answer.bool_(value)
-    if kind == "count":
-        return Answer.count(value)
-    if kind == "value":
-        return Answer.value(value)
-    raise ValueError(f"unknown answer kind {kind!r}")
+    if kind not in _ANSWER_OF_KIND:
+        raise ValueError(f"unknown answer kind {kind!r}")
+    return _ANSWER_OF_KIND[kind](value)
 
 
 def instance_to_json(inst: TaskInstance) -> dict:
     return {
+        "format": CORPUS_FORMAT,
         "id": inst.id,
-        "kind": {"tool": inst.kind.tool, "directed": inst.kind.directed},
-        "graph": graph_to_json(inst.graph),
         "params": list(inst.params),
-        "description_variant": inst.description_variant,
-        "size_class": inst.size_class.value,
         "task_text": inst.task_text,
-        "graph_file": inst.graph_file,
+        "edges": graph_to_json(inst.graph)["edges"],
         "gold_answer": answer_to_json(inst.gold_answer),
     }
 
 
 def instance_from_json(obj: dict) -> TaskInstance:
+    """A format-2 corpus line; another format (a line without ``format`` is
+    format 1), a malformed id or a graph without edges raises ``ValueError``."""
+    version = obj["format"] if "format" in obj else 1
+    if version != CORPUS_FORMAT:
+        raise ValueError(f"unknown corpus format {version!r}")
+    ident = obj["id"]
+    kind, size, _, variant, graph_file = parse_instance_id(ident)
+    graph = graph_from_json(
+        {"directed": kind.directed, "node_count": None, "weight_kind": kind.weight_kind, "edges": obj["edges"]}
+    )
+    if not graph.edges:
+        raise ValueError("a corpus graph has at least one edge, got none")
     return TaskInstance(
-        id=obj["id"],
-        kind=TaskKind(obj["kind"]["tool"], obj["kind"]["directed"]),
-        graph=graph_from_json(obj["graph"]),
+        id=ident,
+        kind=kind,
+        graph=graph,
         params=tuple(obj["params"]),
-        description_variant=obj["description_variant"],
-        size_class=SizeClass(obj["size_class"]),
+        description_variant=variant,
+        size_class=size,
         task_text=obj["task_text"],
-        graph_file=obj["graph_file"],
+        graph_file=graph_file,
         gold_answer=answer_from_json(obj["gold_answer"]),
     )
 
@@ -214,9 +234,6 @@ def load_corpus(path: str | Path) -> list:
     return list(read_jsonl(path, unique_ids(instance_from_json, attrgetter("id"))))
 
 
-TRACE_FORMAT = 4
-
-
 def _stage_to_json(record: StageRecord) -> dict:
     return {
         "stage": record.stage.value,
@@ -251,7 +268,7 @@ def _stage_from_json(rec: dict, instance_id: str, task_text: str) -> StageRecord
 def trace_from_json(obj: dict) -> PipelineTrace:
     """A format-4 trace line; any other format (a line without ``format`` is
     format 1) or an unknown instruction key raises ``ValueError``."""
-    version = obj.get("format", 1)
+    version = obj["format"] if "format" in obj else 1
     if version != TRACE_FORMAT:
         raise ValueError(f"unknown trace format {version!r}")
     instance_id = obj["instance_id"]

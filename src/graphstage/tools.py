@@ -242,13 +242,7 @@ def topological_sort(g: Graph) -> Answer:
 def degree_count(g: Graph, node: int) -> Answer:
     """Incident edge count; for directed graphs in-degree plus out-degree."""
     _check_node(g, node)
-    total = 0
-    for u, v, _ in g.edges:
-        if u == node:
-            total += 1
-        if v == node:
-            total += 1
-    return Answer.count(total)
+    return Answer.count(sum((u == node) + (v == node) for u, v, _ in g.edges))
 
 
 def edge_existence(g: Graph, u: int, v: int) -> Answer:

@@ -1,17 +1,19 @@
 """Mutation check of the trust path: does tier-1 notice when one line of the
-scorer, the dataset filter, graph equality or the loaders is wrong?
+scorer, the dataset filter, graph equality, the loaders, the instance id
+parser, the fault injector's labels or the parameter extractor is wrong?
 
 Each mutant below replaces one exact piece of one line of ``src/graphstage/``.
 For each, the script copies the repository's ``src/``, ``tests/``,
 ``perfbench/``, ``pyproject.toml`` and ``README.md`` to a temporary
 directory, applies the mutant there and runs tier-1 on the copy, stopping at
 the first failure. The generator's 40,000-instance criterion is deselected:
-no mutant here touches the generator. The test module of the mutated code
+no mutant here touches generation. The test module of the mutated code
 runs first, so a killed mutant is usually seen within seconds. The unmutated
 copy runs first of all and must pass, or no verdict would mean anything.
 
 Run from the repository root (standard library only; pytest does not
-collect this file, and CI does not run it)::
+collect this file; CI runs it on one Python version with every mutant named
+but 9, which survives until ``retained_fraction`` is decided)::
 
     python tests/mutants.py          # every mutant, a few minutes
     python tests/mutants.py 0 13     # the named mutants only
@@ -64,10 +66,20 @@ MUTANTS = (
     Mutant("stage-instruction", "serialize.py", 'key = rec["instruction"]',
            'key = rec.get("instruction", "")', "test_serialize.py"),
     Mutant("parsed-kind", "serialize.py", 'if kind == "failure":', "if True:", "test_serialize.py"),
-    Mutant("graph-file", "serialize.py", 'graph_file=obj["graph_file"]',
-           'graph_file=obj.get("graph_file")', "test_serialize.py"),
-    Mutant("nested-edges", "serialize.py", "if edges and type(edges[0]) is list:", "if False:",
+    Mutant("corpus-format", "serialize.py", "if version != CORPUS_FORMAT:",
+           "if version > CORPUS_FORMAT:", "test_serialize.py"),
+    Mutant("id-rebuild", "generator.py", "if rebuilt == ident:", "if True:",
            "test_serialize.py"),
+    Mutant("max-id", "graphs.py", "return 1 + max(ids) if", "return 2 + max(ids) if", "test_serialize.py"),
+    Mutant("flat-edges", "serialize.py", "        if others:", "        if False:", "test_serialize.py"),
+    Mutant("fault-table", "backends.py", '"name": ("wrong_tool_name", _wrong_name),',
+           '"name": ("swap_parameters", _wrong_name),', "test_backends.py"),
+    Mutant("fault-label", "backends.py", "self._record(instance.id, stage, mode)", "pass", "test_backends.py"),
+    Mutant("garbage-label", "backends.py", 'self._record(instance.id, stage, "emit_garbage")', "pass",
+           "test_backends.py"),
+    Mutant("named-first", "codec.py", "    if all(named):", '    if all(named) and "G," not in text:',
+           "test_codec.py"),
+    Mutant("positional-anchor", "codec.py", 'r"(?:G" + ', 'r"(?:" + ', "test_codec.py"),
     Mutant("task-text", "evaluation.py", "if trace.task_text != instance.task_text:", "if False:",
            "test_evaluation.py"),
 )

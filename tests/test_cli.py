@@ -12,7 +12,7 @@ import pytest
 
 from graphstage.backends import CompletionConfig, FaultPlan, OracleBackend
 from graphstage.cli import FLAG_SCOPE, _check_scope, _flags, build_parser, main
-from graphstage.generator import GenConfig
+from graphstage.generator import GenConfig, SizeClass, parse_instance_id
 from graphstage.serialize import load_corpus, read_jsonl
 
 
@@ -174,6 +174,9 @@ def test_fill_quota_with_both_sizes_alternates_size(tmp_path):
     inputs = [entry["input"] for entry in json.loads((out / "alpaca.json").read_text())]
     file_backed = {text for text in inputs if ".edges" in text}
     assert len(file_backed) == 2  # plan indexes 3 and 5 of fresh indexes 2..5
+    fresh = sorted(parse_instance_id(path.stem) for path in (out / "graphs").glob("*.edges"))
+    assert [(kind.label, size, index) for kind, size, index, *_ in fresh] == [
+        ("node_count:directed", SizeClass.EL, 3), ("node_count:directed", SizeClass.EL, 5)]
 
 
 def test_run_http_without_endpoint_is_usage_error(tmp_path):
@@ -370,8 +373,10 @@ def test_fill_flags_need_fill_quota(tmp_path, capsys, flag):
     "edit, message",
     [
         (lambda o: o.pop("task_text"), "missing key 'task_text'"),
-        (lambda o: o["graph"].update(edges=[[0, 1], 7]), "edges must be a flat integer array"),
-        (lambda o: o["graph"]["edges"].pop(), "not a multiple of 2"),
+        (lambda o: o.update(edges=[[0, 1], 7]), "edges must be a flat integer array, found [0, 1]"),
+        (lambda o: o["edges"].pop(), "not a multiple of 2"),
+        (lambda o: o.pop("format"), "unknown corpus format 1"),
+        (lambda o: o.update(id="edge_count-d-wl-2"), "malformed instance id 'edge_count-d-wl-2'"),
         (lambda o: o.update(id="edge_count-d-wl-00000"), "duplicate instance id 'edge_count-d-wl-00000'"),
     ],
 )

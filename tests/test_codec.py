@@ -95,6 +95,17 @@ def test_extract_parameters_positional_fallback():
     assert res.params == (3, 7)
 
 
+def test_extract_parameters_named_form_wins_over_positional():
+    spec = REGISTRY.get("shortest_path")
+    assert extract_parameters("source=1, target=2, as in (G, 3, 4)", spec).params == (1, 2)
+
+
+def test_extract_parameters_positional_form_needs_its_g_anchor():
+    spec = REGISTRY.get("shortest_path")
+    assert extract_parameters("target=7, G, 3, 9", spec).params == (3, 9)
+    assert not extract_parameters("target=7, 3, 9", spec).ok
+
+
 def test_extract_parameters_arity_failure():
     spec = REGISTRY.get("shortest_path")
     res = extract_parameters("target=7", spec)

@@ -29,7 +29,7 @@ FAULT_SEED = 5
 # directory as one digest (see _digests). The HTTP runs are not listed: each
 # of their files must equal the fault run's.
 DIGESTS = {
-    "corpus/corpus.jsonl": "a1a4f7d9c8557f0b50132fb5824a82f16aa9e397d183851d6c5504bfda348694",
+    "corpus/corpus.jsonl": "90ba72d20f4461f3aacc31d13544113b2d58ef05f27847c7993a8255480144fc",
     "corpus/graphs/*.edges": "bc157d0617df5aab2079ce7c783045ed5ead24b2898283a3f612d64c9c972280",
     "fault/alpaca.json": "3c3976743b88346c9929dddcfd619d64a4cf8812bf5637c41f1a45c067a12419",
     "fault/eval/records.jsonl": "800b011892aa5b05216bf00a268f1b9d0b3842ec8962eb422fcec8e78d2127d3",

@@ -16,7 +16,7 @@ from graphstage import (
     graphs_equal,
 )
 from graphstage.generator import BOOLEAN_TOOLS, render_task_text
-from graphstage.serialize import dump_line, instance_from_json, instance_to_json
+from graphstage.serialize import dump_line, instance_to_json
 
 from oracles import has_unique_topological_order, max_referenced_node
 
@@ -135,18 +135,6 @@ def test_corpus_is_deterministic():
     second = [dump_line(instance_to_json(i)) for i in generate_corpus(config)]
     assert first == second
     assert len(first) == 12
-
-
-def test_corpus_line_with_old_gold_copies_loads_the_same():
-    config = GenConfig(count=2, seed=5, sizes="both", kinds=("shortest_path:directed", "edge_count:undirected"))
-    for inst in generate_corpus(config):
-        line = instance_to_json(inst)
-        assert not {"gold_graph", "gold_tool", "gold_params"} & set(line)
-        old = dict(line)
-        old["gold_graph"] = line["graph"]
-        old["gold_tool"] = inst.kind.tool
-        old["gold_params"] = list(inst.params)
-        assert instance_from_json(old) == instance_from_json(line) == inst
 
 
 def test_corpus_counts_variants_and_balance():

@@ -18,6 +18,26 @@ def test_triangle_builds():
     assert g.weight_kind is WeightKind.NONE
 
 
+@pytest.mark.parametrize(
+    "edges, columns, count",
+    [
+        ([(0, 4), (2, 1)], False, 5),
+        ([(3, 1), (1, 2, None)], False, 4),  # mixed row widths take the per-edge path
+        (([0, 2], [4, 1]), True, 5),
+        ([], False, 0),
+    ],
+)
+def test_node_count_none_is_the_highest_id_plus_one(edges, columns, count):
+    g = build_graph(False, None, edges, columns=columns)
+    assert g.node_count == count
+    assert g == build_graph(False, count, edges, columns=columns)
+
+
+def test_derived_node_count_still_rejects_a_negative_id():
+    with pytest.raises(InvalidEdge, match="outside 0..inf"):
+        build_graph(True, None, [(0, 1), (-1, 2)])
+
+
 def test_self_loop_rejected():
     with pytest.raises(InvalidEdge):
         build_graph(False, 2, [(0, 0)])

@@ -9,7 +9,9 @@ published tool-name and file-path patterns (which backtrack in polynomial
 time) and the closed-form pair decode, kept here verbatim so the fast code is
 always compared against them: same result, or the same exception type and
 message, on every input. Where the reference extractor raises,
-`extract_graph` returns the failure with that message instead.
+`extract_graph` returns the failure with that message instead; where a
+flat edge array that holds a value other than an integer fails to load, the
+JSON loader names that value instead.
 """
 
 from __future__ import annotations
@@ -248,6 +250,9 @@ def test_build_graph_matches_per_edge_reference():
             got = outcome(partial(build_graph, columns=True), directed, node_count, flat_columns(flat, width), kind)
             assert got == want, (directed, node_count, flat, kind)
             obj = {"directed": directed, "node_count": node_count, "weight_kind": kind.value}
+            others = [x for x in flat if type(x) is not int]
+            if want[0] == "raised" and others:  # the JSON loader names the value that is no integer
+                want = ("raised", "ValueError", f"edges must be a flat integer array, found {others[0]!r}")
             assert outcome(graph_from_json, dict(obj, edges=flat)) == want, (obj, flat)
             flat_raised[want[0] == "raised"] += 1
     # both the accepting and the rejecting paths are exercised, also in the flat form

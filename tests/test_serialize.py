@@ -1,8 +1,9 @@
 """Corpus and trace files: graphs are stored with one flat ``edges`` array,
-and trace lines in format 4 store instruction keys and the task text once;
-the loader rebuilds every record exactly. Each loader reads only what its
-writer writes and requires every key that it writes: trace lines of
-formats 1 to 3 and corpus lines with nested edge rows are rejected."""
+corpus lines in format 2 store the id, params, task text, edges and gold
+answer, and trace lines in format 4 store instruction keys and the task text
+once; the loaders rebuild every record exactly. Each loader reads only what
+its writer writes and requires every key that it writes: corpus lines of
+format 1 and trace lines of formats 1 to 3 are rejected."""
 
 import dataclasses
 import json
@@ -13,7 +14,7 @@ import pytest
 from graphstage.backends import CompletionConfig, FaultBackend, FaultPlan, HttpBackend, OracleBackend
 from graphstage.cli import main
 from graphstage.codec import extract_file_path
-from graphstage.generator import SizeClass
+from graphstage.generator import ALL_KINDS, GenConfig, SizeClass, generate_corpus, parse_instance_id
 from graphstage.graphs import WeightKind, build_graph
 from graphstage.pipeline import (
     INSTRUCTION_TEXTS,
@@ -24,10 +25,12 @@ from graphstage.pipeline import (
     task_instruction_text,
 )
 from graphstage.serialize import (
+    CORPUS_FORMAT,
     TRACE_FORMAT,
     dump_line,
     graph_from_json,
     graph_to_json,
+    instance_from_json,
     load_corpus,
     load_traces,
     trace_from_json,
@@ -38,6 +41,9 @@ from graphstage.toolset import default_registry
 
 REGISTRY = default_registry()
 FAULT_MODES = ("drop_graph_edges", "wrong_tool_name", "swap_parameters", "emit_garbage")
+
+
+CORPUS_CONFIG = GenConfig(count=2, seed=4, sizes="both")  # one WL and one EL instance of each kind
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +75,14 @@ def _rounded(trace):
 def _assert_round_trips(traces):
     for trace in traces:
         assert trace_from_json(json.loads(dump_line(trace_to_json(trace)))) == _rounded(trace)
+
+
+def test_corpus_line_stores_six_keys_and_loads_what_was_generated(corpus_dir, corpus):
+    lines = [json.loads(line) for line in (corpus_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert {tuple(line) for line in lines} == {("format", "id", "params", "task_text", "edges", "gold_answer")}
+    assert {line["format"] for line in lines} == {CORPUS_FORMAT}
+    assert {(i.kind, i.size_class) for i in corpus} == {(k, s) for k in ALL_KINDS for s in SizeClass}
+    assert corpus == list(generate_corpus(CORPUS_CONFIG))
 
 
 def test_instruction_table_holds_each_distinct_text_once():
@@ -147,6 +161,15 @@ def test_unknown_instruction_key_names_the_key_file_and_line(tmp_path, corpus):
         load_traces(path)
 
 
+@pytest.mark.parametrize("load", [load_traces, load_corpus])
+@pytest.mark.parametrize("line", ["[1, 2]", '"text"', "null"])
+def test_line_that_is_not_an_object_names_file_and_line(tmp_path, load, line):
+    path = tmp_path / "lines.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: ')}"):
+        load(path)
+
+
 def test_unknown_trace_format_is_rejected(corpus):
     (trace,) = run_corpus(corpus[:1], OracleBackend(corpus))
     obj = dict(trace_to_json(trace), format=TRACE_FORMAT + 1)
@@ -169,8 +192,15 @@ def test_graph_edges_are_stored_as_one_flat_array(kind, rows):
     assert obj["edges"] == [x for row in rows for x in row]
     assert graph_from_json(obj) == g
     if rows:  # rows, as older files held them, are not read
-        with pytest.raises(ValueError, match=re.escape("edges must be a flat integer array")):
+        with pytest.raises(ValueError, match=re.escape(f"edges must be a flat integer array, found {list(rows[0])}")):
             graph_from_json(dict(obj, edges=[list(row) for row in rows]))
+
+
+@pytest.mark.parametrize("bad", [[2], "x", None, {"u": 2}])
+def test_a_non_integer_anywhere_in_a_flat_edge_array_is_named(bad):
+    obj = {"directed": False, "node_count": 4, "weight_kind": "none", "edges": [0, 1, bad, 3]}
+    with pytest.raises(ValueError, match=f"^{re.escape(f'edges must be a flat integer array, found {bad!r}')}$"):
+        graph_from_json(obj)
 
 
 def _with_line_2_edited(source, path, edit):
@@ -188,21 +218,30 @@ def _with_line_2_edited(source, path, edit):
     "edit, message",
     [
         (lambda o: o.pop("task_text"), "missing key 'task_text'"),
-        (lambda o: o["graph"].pop("weight_kind"), "missing key 'weight_kind'"),
-        (lambda o: o.pop("graph_file"), "missing key 'graph_file'"),
-        (lambda o: o["graph"].update(edges=[[0, 1], 7]), "edges must be a flat integer array"),
-        (lambda o: o["graph"].update(edges=7), "edges must be an array, got int"),
-        (lambda o: o["graph"]["edges"].pop(), "flat edge array of a {k} graph holds {n} values, not a multiple of {w}"),
+        (lambda o: o.pop("edges"), "missing key 'edges'"),
+        (lambda o: o.update(format=3), "unknown corpus format 3"),
+        (lambda o: o.update(id="edge_count-x-wl-00001"), "malformed instance id 'edge_count-x-wl-00001'"),
+        (lambda o: o.update(id="edge_count-d-wl-1"), "malformed instance id 'edge_count-d-wl-1'"),
+        (lambda o: o.update(id="topological_sort-u-wl-00000"),
+         "malformed instance id 'topological_sort-u-wl-00000'"),
+        (lambda o: o.update(id="nope-d-wl-00000"), "malformed instance id 'nope-d-wl-00000'"),
+        (lambda o: o.update(id=7), "malformed instance id 7"),
+        (lambda o: o.update(edges=[]), "a corpus graph has at least one edge, got none"),
+        (lambda o: o.update(edges=[[0, 1], 7]), "edges must be a flat integer array, found [0, 1]"),
+        (lambda o: o.update(edges=[0, 1, [2], 3]), "edges must be a flat integer array, found [2]"),
+        (lambda o: o.update(edges=7), "edges must be an array, got int"),
+        (lambda o: o["edges"].pop(), "flat edge array of a {k} graph holds {n} values, not a multiple of {w}"),
+        (lambda o: o.update(edges=[0, -1]), "edge (0, -1) references a node outside 0..inf"),
         (lambda o: o.update(params=None), "'NoneType' object is not iterable"),
     ],
 )
 def test_malformed_corpus_line_names_file_and_line(corpus_dir, tmp_path, edit, message):
     path = _with_line_2_edited(corpus_dir / "corpus.jsonl", tmp_path / "corpus.jsonl", edit)
-    graph = json.loads(path.read_text(encoding="utf-8").splitlines()[1])["graph"]
+    line = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
     if "{n}" in message:
-        kind = graph["weight_kind"]
-        message = message.format(k=kind, n=len(graph["edges"]), w=2 if kind == "none" else 3)
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}"):
+        kind = parse_instance_id(line["id"])[0].weight_kind.value
+        message = message.format(k=kind, n=len(line["edges"]), w=2 if kind == "none" else 3)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
         load_corpus(path)
 
 
@@ -214,6 +253,9 @@ def test_malformed_corpus_line_names_file_and_line(corpus_dir, tmp_path, edit, m
         (lambda o: o["stages"][0].pop("instruction"), "missing key 'instruction'"),
         (lambda o: o["stages"][1].update(parsed={"kind": "path", "path": "graphs/x.edges"}),
          "unknown parsed kind 'path'"),
+        (lambda o: o["stages"][0].update(parsed={"kind": "graph", "graph": {
+            "directed": False, "node_count": 4, "weight_kind": "none", "edges": [0, 1, [2], 3]}}),
+         "edges must be a flat integer array, found [2]"),
     ],
 )
 def test_malformed_trace_line_names_file_and_line(corpus, tmp_path, edit, message):
@@ -255,14 +297,28 @@ def _as_format(version):
     return edit
 
 
+def _as_corpus_format_1(obj):
+    """An edit of a format-2 corpus line into the line that format 1 wrote
+    for the same instance: no ``format`` key, and the kind, size class,
+    description variant, graph file and the graph's other fields stored."""
+    inst = instance_from_json(dict(obj))
+    del obj["format"], obj["edges"]
+    obj.update(
+        kind={"tool": inst.kind.tool, "directed": inst.kind.directed},
+        graph=graph_to_json(inst.graph),
+        description_variant=inst.description_variant,
+        size_class=inst.size_class.value,
+        graph_file=inst.graph_file,
+    )
+
+
 @pytest.mark.parametrize(
     "artifact, edit, message",
     [
         ("traces", _as_format(1), "unknown trace format 1"),
         ("traces", _as_format(2), "unknown trace format 2"),
         ("traces", _as_format(3), "unknown trace format 3"),
-        ("corpus", lambda o: _nest_edges(o["graph"]),
-         "edges must be a flat integer array, not a list of [u, v(, w)] rows"),
+        ("corpus", _as_corpus_format_1, "unknown corpus format 1"),
     ],
 )
 def test_line_of_an_older_format_is_rejected(corpus_dir, traces_file, tmp_path, artifact, edit, message):
