@@ -14,7 +14,6 @@ pipeline puts in each prompt.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import os
 import random
@@ -27,7 +26,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .codec import render_edge_list
-from .generator import SizeClass, TaskInstance
+from .generator import SizeClass, TaskInstance, seeded_rng
 from .graphs import build_graph
 from .pipeline import parse_prompt_meta, run_on_loop
 from .tools import TOOLS, ToolError, dispatch
@@ -397,13 +396,6 @@ class HttpBackend:
         return _Connection(self)
 
 
-def _prompt_meta(prompt: str) -> Tuple[str, str]:
-    meta = parse_prompt_meta(prompt)
-    if meta is None:
-        raise BackendError("prompt carries no task metadata line")
-    return meta[0], meta[1].value
-
-
 class OracleBackend:
     """Emits a perfectly formatted gold output for whichever stage is asked."""
 
@@ -411,10 +403,12 @@ class OracleBackend:
         self.by_id: Dict[str, TaskInstance] = {inst.id: inst for inst in corpus}
 
     def _instance(self, prompt: str) -> Tuple[TaskInstance, str]:
-        instance_id, stage = _prompt_meta(prompt)
-        if instance_id not in self.by_id:
-            raise BackendError(f"unknown instance id {instance_id!r}")
-        return self.by_id[instance_id], stage
+        meta = parse_prompt_meta(prompt)
+        if meta is None:
+            raise BackendError("prompt carries no task metadata line")
+        if meta[0] not in self.by_id:
+            raise BackendError(f"unknown instance id {meta[0]!r}")
+        return self.by_id[meta[0]], meta[1].value
 
     def gold_output(self, instance: TaskInstance, stage: str) -> str:
         if stage == "graph":
@@ -482,10 +476,6 @@ class FaultBackend:
         self.injected: Dict[str, Dict[str, str]] = {}
         self._lock = threading.Lock()
 
-    def _rng(self, instance_id: str, stage: str) -> random.Random:
-        key = f"{self.seed}|{instance_id}|{stage}".encode()
-        return random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
-
     def _record(self, instance_id: str, stage: str, mode: str) -> None:
         with self._lock:
             self.injected.setdefault(instance_id, {})[stage] = mode
@@ -493,7 +483,7 @@ class FaultBackend:
     def complete(self, prompt: str) -> str:
         instance, stage = self.oracle._instance(prompt)
         gold = self.oracle.gold_output(instance, stage)
-        rng = self._rng(instance.id, stage)
+        rng = seeded_rng(f"{self.seed}|{instance.id}|{stage}")
         mode, corrupt = self._STRUCTURED[stage]
         if rng.random() < getattr(self.plan, mode):
             corrupted = corrupt(self, instance, rng)

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .graphs import Graph, GraphError, WeightKind, build_graph, flat_columns
 
@@ -52,9 +52,9 @@ _SUFFIX_TOKEN = re.compile(r"(?<!\S)\S*\.edges\S*")
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Tagged union: graph / name / params / path on success, failure otherwise."""
+    """What an extractor found: one of graph / name / params / path, or the
+    ``reason`` it found none."""
 
-    kind: str
     graph: Optional[Graph] = None
     name: Optional[str] = None
     params: Optional[Tuple[int, ...]] = None
@@ -63,29 +63,7 @@ class ExtractionResult:
 
     @property
     def ok(self) -> bool:
-        return self.kind != "failure"
-
-    @staticmethod
-    def of_graph(g: Graph) -> "ExtractionResult":
-        return ExtractionResult("graph", graph=g)
-
-    @staticmethod
-    def of_name(name: str) -> "ExtractionResult":
-        return ExtractionResult("name", name=name)
-
-    @staticmethod
-    def of_params(values: Sequence[int]) -> "ExtractionResult":
-        return ExtractionResult("params", params=tuple(int(v) for v in values))
-
-    @staticmethod
-    def of_path(path: str) -> "ExtractionResult":
-        return ExtractionResult("path", path=path)
-
-    @staticmethod
-    def failure(reason: str) -> "ExtractionResult":
-        if not reason:
-            raise ValueError("failure reason must be non-empty")
-        return ExtractionResult("failure", reason=reason)
+        return self.reason is None
 
 
 def render_edge_list(g: Graph) -> str:
@@ -106,23 +84,23 @@ def extract_graph(
     kind = WeightKind(weight_kind)
     matches = EDGE_PATTERNS[kind].findall(text)
     if not matches:
-        return ExtractionResult.failure("no edge matches")
+        return ExtractionResult(reason="no edge matches")
     try:
         numbers = list(map(int, chain.from_iterable(matches)))  # text order: the first bad one is named
     except ValueError as exc:  # a number past int's digit limit
-        return ExtractionResult.failure(f"edge number: {exc}")
+        return ExtractionResult(reason=f"edge number: {exc}")
     try:
         g = build_graph(directed, None, flat_columns(numbers, len(matches[0])), kind, columns=True)
     except GraphError as exc:
-        return ExtractionResult.failure(f"invalid edge list: {exc}")
-    return ExtractionResult.of_graph(g)
+        return ExtractionResult(reason=f"invalid edge list: {exc}")
+    return ExtractionResult(graph=g)
 
 
 def extract_tool_name(text: str) -> ExtractionResult:
     m = TOOL_NAME_PATTERN.search(text)
     if not m:
-        return ExtractionResult.failure("no API_name anchor")
-    return ExtractionResult.of_name(m.group(1))
+        return ExtractionResult(reason="no API_name anchor")
+    return ExtractionResult(name=m.group(1))
 
 
 def extract_parameters(text: str, spec) -> ExtractionResult:
@@ -134,7 +112,7 @@ def extract_parameters(text: str, spec) -> ExtractionResult:
     """
     names = [name for name, _ in spec.parameters]
     if not names:
-        return ExtractionResult.failure("tool takes no parameters")
+        return ExtractionResult(reason="tool takes no parameters")
     named = [re.search(rf"{re.escape(name)}\s*=\s*(\d+)", text) for name in names]
     if all(named):
         values = [m.group(1) for m in named]
@@ -143,12 +121,11 @@ def extract_parameters(text: str, spec) -> ExtractionResult:
         values = m.groups() if m else None
     if values is not None:
         try:
-            return ExtractionResult.of_params(values)
+            return ExtractionResult(params=tuple(map(int, values)))
         except ValueError as exc:  # a number past int's digit limit
-            return ExtractionResult.failure(f"parameter value: {exc}")
-    return ExtractionResult.failure(
-        f"arity: expected {len(names)} parameter(s) {names}, found neither "
-        "named nor positional form"
+            return ExtractionResult(reason=f"parameter value: {exc}")
+    return ExtractionResult(
+        reason=f"arity: expected {len(names)} parameter(s) {names}, found neither named nor positional form"
     )
 
 
@@ -160,8 +137,8 @@ def extract_file_path(text: str) -> ExtractionResult:
         slash = token.rfind("/", 0, token.rfind(GRAPH_FILE_SUFFIX))
         if slash >= 0:
             end = token.index(GRAPH_FILE_SUFFIX, slash) + len(GRAPH_FILE_SUFFIX)
-            return ExtractionResult.of_path(token[:end])
-    return ExtractionResult.failure("no file path token")
+            return ExtractionResult(path=token[:end])
+    return ExtractionResult(reason="no file path token")
 
 
 class MalformedLine(ValueError):

@@ -17,11 +17,8 @@ from .generator import TaskInstance
 # unused here, but the traced benchmark run wraps `graphstage.dataset.graphs_equal`
 # and fails on a missing name; it can go when that wrap site does
 from .graphs import graphs_equal  # noqa: F401
-from .pipeline import PipelineTrace, StageKind
+from .pipeline import PipelineTrace
 from .serialize import atomic_write_text
-
-
-_STAGE_RANK = {StageKind.GRAPH: 0, StageKind.NAME: 1, StageKind.PARAMS: 2}
 
 
 def build_dataset(
@@ -43,7 +40,7 @@ def build_dataset(
     entries = [
         {"instruction": stage.instruction_text, "input": instance.task_text, "output": stage.raw_output}
         for instance, trace in sorted(kept, key=lambda pair: pair[0].id)
-        for stage in sorted(trace.stages, key=lambda s: _STAGE_RANK[s.stage])
+        for stage in trace.stages  # graph, name, then parameters
     ]
     stats = {
         "traces": len(traces),

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from .generator import TaskInstance
 from .graphs import graphs_equal
-from .pipeline import PipelineTrace, StageKind
+from .pipeline import PipelineTrace
 from .serialize import unique_ids
 
 
@@ -44,29 +44,16 @@ def score_trace(trace: PipelineTrace, instance: TaskInstance) -> dict:
         raise ValueError(f"trace {trace.instance_id!r} does not belong to {instance.id!r}")
     if trace.task_text != instance.task_text:
         raise ValueError(f"trace {trace.instance_id!r} was run on another task text than the corpus holds")
-    graph_stage = trace.stage(StageKind.GRAPH)
-    name_stage = trace.stage(StageKind.NAME)
-    param_stage = trace.stage(StageKind.PARAMS)
+    # graph, name, then parameters iff the kind takes any: the pipeline and loader see to it
+    graph, name, *param = (stage.parsed for stage in trace.stages)
 
-    parse_failed = any(not s.parsed.ok for s in trace.stages)
+    parse_failed = not all(parsed.ok for parsed in (graph, name, *param))
     dispatch_failed = not parse_failed and trace.tool_error is not None
     syntax = parse_failed or dispatch_failed
 
-    graph_match = bool(
-        graph_stage and graph_stage.parsed.ok
-        and graphs_equal(graph_stage.parsed.graph, instance.graph)
-    )
-    name_match = bool(
-        name_stage and name_stage.parsed.ok
-        and name_stage.parsed.name.strip().lower() == instance.kind.tool
-    )
-    if not instance.kind.parametric:
-        param_match: Optional[bool] = None
-    else:
-        param_match = bool(
-            param_stage and param_stage.parsed.ok
-            and tuple(param_stage.parsed.params) == tuple(instance.params)
-        )
+    graph_match = graph.ok and graphs_equal(graph.graph, instance.graph)
+    name_match = name.ok and name.name.strip().lower() == instance.kind.tool
+    param_match = param[0].ok and param[0].params == tuple(instance.params) if param else None
     answer_match = trace.tool_result is not None and trace.tool_result == instance.gold_answer
 
     if syntax:

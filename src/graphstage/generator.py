@@ -464,10 +464,9 @@ def generate_instance(
     )
 
 
-def _derived_rng(seed: int, kind: TaskKind, size: SizeClass, index: int) -> random.Random:
-    key = f"{seed}|{kind.label}|{size.value}|{index}".encode()
-    digest = hashlib.sha256(key).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+def seeded_rng(key: str) -> random.Random:
+    """A generator seeded from the first 8 bytes of ``key``'s SHA-256."""
+    return random.Random(int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big"))
 
 
 def _size_plan(sizes: str, count: int) -> List[SizeClass]:
@@ -481,7 +480,7 @@ def generate_planned(
     """One instance per ``(kind, size, index)`` entry of ``plan``, each from
     its own seed derived from ``config.seed`` and the entry."""
     for kind, size, index in plan:
-        rng = _derived_rng(config.seed, kind, size, index)
+        rng = seeded_rng(f"{config.seed}|{kind.label}|{size.value}|{index}")
         try:
             yield generate_instance(kind, size, rng, index=index)
         except ExhaustedRetries as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int, Optional[int]]
@@ -69,8 +69,10 @@ def build_graph(
     ``edges`` is an iterable of ``(u, v)`` / ``(u, v, w)`` rows, or with
     ``columns=True`` the columns ``(us, vs)`` or ``(us, vs, ws)`` of such
     rows: equal-length sequences, e.g. the strided slices ``flat[0::w]``,
-    ``flat[1::w]``, ``flat[2::3]`` of a flat edge array. Both forms give
-    the same graph, or raise the same exception.
+    ``flat[1::w]``, ``flat[2::3]`` of a flat edge array. Rows convert their
+    values through ``int()``; columns hold exact ints only (not bools), and
+    raise GraphError naming the first other value in row order. Otherwise
+    both forms give the same graph, or raise the same exception.
 
     A ``node_count`` of None is derived: the highest node id + 1, or 0
     without edges. That is all a graph read back from its edges can know.
@@ -80,11 +82,10 @@ def build_graph(
     WeightMismatch when weight presence disagrees with ``weight_kind``.
 
     The checks run column-wise with builtins first (min/max, set sizes,
-    counts), which accepts a valid edge list at builtin speed; a column of
-    exact ints is not converted. If a column check fails or a value does not
-    convert, the per-edge loop runs instead and raises for the first bad edge
-    in list order, so the exception does not depend on which check saw the
-    fault.
+    counts), which accepts a valid edge list of exact ints at builtin speed.
+    If a column check fails or a column holds another value, the per-edge
+    loop runs instead and raises for the first bad edge in list order, so the
+    exception does not depend on which check saw the fault.
     """
     kind = WeightKind(weight_kind)
     if node_count is not None and node_count < 0:
@@ -103,7 +104,12 @@ def build_graph(
     except (TypeError, ValueError, OverflowError):  # a row without a length, a value that does not convert
         checked = None
     if checked is None:  # edges that pass one by one (mixed row widths) pass the column check too
-        valid = _checked_edges(directed, node_count, list(zip(*cols)) if rows is None else rows, kind)
+        if rows is None:
+            rows = list(zip(*cols))
+            odd = [value for value in chain.from_iterable(rows) if type(value) is not int]
+            if odd:
+                raise GraphError(f"edges must be a flat integer array, found {odd[0]!r}")
+        valid = _checked_edges(directed, node_count, rows, kind)
         checked = _checked_columns(directed, node_count, *zip(*valid), kind=kind)
     return Graph(bool(directed), *checked, kind)
 
@@ -125,12 +131,6 @@ def _columns(rows: list) -> Optional[tuple]:
     return tuple(zip(*rows)) if widths == {2} or widths == {3} else None
 
 
-def _ints(column: Sequence) -> Sequence:
-    """The column itself when it holds exact ints only (not bools), else its
-    values through ``int()``."""
-    return column if set(map(type, column)) == {int} else list(map(int, column))
-
-
 def _checked_columns(
     directed: bool,
     node_count: Optional[int],
@@ -144,8 +144,8 @@ def _checked_columns(
     edges when every edge passes, else None. ``ws`` is None without weights."""
     if not us:
         return 0 if node_count is None else node_count, ()
-    us = _ints(us)
-    vs = _ints(vs)
+    if set(map(type, us)) != {int} or set(map(type, vs)) != {int}:  # exact ints only, not bools
+        return None
     ids = {*us, *vs}
     if min(ids) < 0 or node_count is not None and max(ids) >= node_count:
         return None
@@ -164,8 +164,7 @@ def _checked_columns(
     else:
         if ws is None:
             return None
-        ws = _ints(ws)  # None raises TypeError
-        if min(ws) < 1:
+        if set(map(type, ws)) != {int} or min(ws) < 1:
             return None
     return 1 + max(ids) if node_count is None else node_count, tuple(zip(us, vs, ws))
 

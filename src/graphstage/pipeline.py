@@ -8,8 +8,9 @@ which instance and stage a prompt belongs to without a side channel, and it
 carries no gold labels. A prompt is thus a function of the instruction text,
 the instance id, the stage and the task text (:func:`layout_prompt`). The
 instruction texts are few, and each has a key (:data:`INSTRUCTION_TEXTS`): a
-stage record names the instruction it sent by its key, and a stored trace
-keeps that key and the task text and rebuilds the rest.
+stage record names the instruction it sent by its key. A reply's parse follows
+from the key, the task kind and an EL graph file's read (:func:`parse_reply`,
+:func:`parameter_stage`), so a stored trace keeps those and is parsed again.
 
 Each stage is attempted exactly once; a parse failure in any stage
 short-circuits tool execution but the trace still records every stage. The
@@ -33,14 +34,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .codec import (
     ExtractionResult,
-    MalformedLine,
     extract_file_path,
     extract_graph,
     extract_parameters,
     extract_tool_name,
     read_el_graph_file,
 )
-from .generator import SizeClass, TaskInstance
+from .generator import SizeClass, TaskInstance, TaskKind
 from .graphs import WeightKind
 from .tools import TOOLS, Answer, ToolError, ToolRegistry, ToolSpec, UnknownTool, dispatch
 
@@ -52,6 +52,7 @@ class StageKind(str, Enum):
 
 
 _STAGE_LETTER = {StageKind.GRAPH: "G", StageKind.NAME: "N", StageKind.PARAMS: "P"}
+_STAGE_OF_LETTER = {letter: stage for stage, letter in _STAGE_LETTER.items()}
 _META_PATTERN = re.compile(r"\[task (\S+) \| stage ([GNP])\]")
 
 
@@ -97,9 +98,7 @@ def parse_prompt_meta(prompt: str) -> Optional[Tuple[str, StageKind]]:
     m = _META_PATTERN.search(prompt)
     if not m:
         return None
-    letter = m.group(2)
-    stage = {v: k for k, v in _STAGE_LETTER.items()}[letter]
-    return m.group(1), stage
+    return m.group(1), _STAGE_OF_LETTER[m.group(2)]
 
 
 _WL_EXEMPLAR_UNWEIGHTED = (
@@ -209,69 +208,96 @@ def run_blocking(coroutine):
     raise RuntimeError("a blocking call suspended")
 
 
-def _graph_from_file(raw: str, base_dir: Path, weight_kind: WeightKind) -> ExtractionResult:
-    """The graph in the file that an EL graph stage's reply names."""
-    found = extract_file_path(raw)
-    if not found.ok:
-        return found
-    # the path is model output: it may name only files inside base_dir.
-    # Resolved lexically: the model writes text, not symlinks.
-    relative = Path(os.path.normpath(found.path))
-    if relative.anchor or relative.parts[:1] == ("..",):
-        return ExtractionResult.failure(f"file path escapes the corpus directory: {found.path}")
+BACKEND_ERROR = "backend error: "  # a failed call's reason, then the error
+FILE_READ_ERROR = "file read: "  # an EL graph file's read failure, then the error
+
+
+def stage_of_key(key: str) -> StageKind:
+    """The stage that sends the instruction ``key``: ``G:*`` graph, ``N`` name,
+    ``P:*`` and ``""`` (no call) parameters; another key raises ValueError."""
+    if key and key not in INSTRUCTION_TEXTS:
+        raise ValueError(f"unknown instruction key {key!r}")
+    return _STAGE_OF_LETTER.get(key[:1], StageKind.PARAMS)
+
+
+def parse_reply(key: str, raw: str, kind: TaskKind, read_file) -> ExtractionResult:
+    """What the pipeline makes of the reply ``raw`` to the instruction ``key``
+    on a task of ``kind``. A path inside the corpus directory that an EL graph
+    reply names goes to ``read_file``, which gives the file's graph or failure."""
+    if key == "G:el":
+        found = extract_file_path(raw)
+        if not found.ok:
+            return found
+        # the path is model output: it may name only files inside the corpus
+        # directory. Resolved lexically: the model writes text, not symlinks.
+        relative = Path(os.path.normpath(found.path))
+        if relative.anchor or relative.parts[:1] == ("..",):
+            return ExtractionResult(reason=f"file path escapes the corpus directory: {found.path}")
+        return read_file(relative)
+    if key.startswith("G:"):
+        return extract_graph(raw, kind.weight_kind, kind.directed)
+    if key == "N":
+        return extract_tool_name(raw)
+    return extract_parameters(raw, TOOLS.get(key[2:]))
+
+
+def parameter_stage(name: ExtractionResult) -> Tuple[str, str]:
+    """``(key, "")`` with the instruction key that the parameter stage sends
+    after the name stage gave ``name``, or ``("", why it makes no call)``."""
+    if not name.ok:
+        return "", "tool template unavailable: name stage failed"
     try:
-        return ExtractionResult.of_graph(read_el_graph_file(base_dir / relative, weight_kind))
-    except (OSError, MalformedLine, ValueError) as exc:
-        return ExtractionResult.failure(f"file read: {exc}")
+        spec = TOOLS.get(name.name)
+    except UnknownTool as exc:
+        return "", f"tool template unavailable: {exc}"
+    if not spec.parameters:
+        return "", f"tool template for {spec.name!r} takes no parameters"
+    return f"P:{spec.name}", ""
 
 
 async def _pipeline(instance: TaskInstance, complete, base_dir: Path) -> PipelineTrace:
     """The staged pipeline for one instance; ``complete`` is the coroutine
     function that answers a prompt."""
     stages: List[StageRecord] = []
+    kind = instance.kind
 
-    async def ask(stage: StageKind, key: str, parse) -> ExtractionResult:
-        """Send the instruction ``key`` for ``stage``, and record the reply
-        with what ``parse`` makes of it."""
+    def read_file(relative: Path) -> ExtractionResult:
+        try:
+            return ExtractionResult(graph=read_el_graph_file(base_dir / relative, kind.weight_kind))
+        except (OSError, ValueError) as exc:
+            return ExtractionResult(reason=f"{FILE_READ_ERROR}{exc}")
+
+    async def ask(key: str) -> ExtractionResult:
+        """Send the instruction ``key``, and record the reply with what the
+        pipeline makes of it."""
+        stage = stage_of_key(key)
         prompt = assemble_prompt(INSTRUCTION_TEXTS[key], instance, stage)
         start = time.perf_counter()
         try:
             raw, error = await complete(prompt), None
         except Exception as exc:  # transport errors become data, never escape
-            raw, error = "", f"backend error: {exc}"
+            raw, error = "", f"{BACKEND_ERROR}{exc}"
         latency_ms = (time.perf_counter() - start) * 1000.0
-        parsed = parse(raw) if error is None else ExtractionResult.failure(error)
+        parsed = parse_reply(key, raw, kind, read_file) if error is None else ExtractionResult(reason=error)
         stages.append(StageRecord(stage, key, prompt, raw, parsed, latency_ms))
         return parsed
 
     # stage G: graph (or file path) extraction
-    weight_kind = instance.graph.weight_kind
     if instance.size_class is SizeClass.EL:
-        await ask(StageKind.GRAPH, "G:el", lambda raw: _graph_from_file(raw, base_dir, weight_kind))
+        await ask("G:el")
     else:
-        key = "G:wl:capacity" if weight_kind is WeightKind.CAPACITY else "G:wl"
-        await ask(StageKind.GRAPH, key, lambda raw: extract_graph(raw, weight_kind, instance.kind.directed))
+        await ask("G:wl:capacity" if kind.weight_kind is WeightKind.CAPACITY else "G:wl")
 
     # stage N: tool name identification
-    name = await ask(StageKind.NAME, "N", extract_tool_name)
+    name = await ask("N")
 
     # stage P: parameter extraction, parametric tasks only
-    if instance.kind.parametric:
-        spec = None
-        if not name.ok:
-            reason = "tool template unavailable: name stage failed"
+    if kind.parametric:
+        key, reason = parameter_stage(name)
+        if key:
+            await ask(key)
         else:
-            try:
-                spec = TOOLS.get(name.name)
-                reason = f"tool template for {spec.name!r} takes no parameters"
-            except UnknownTool as exc:
-                reason = f"tool template unavailable: {exc}"
-        if spec is None or not spec.parameters:
-            stages.append(
-                StageRecord(StageKind.PARAMS, "", "", "", ExtractionResult.failure(reason), 0.0)
-            )
-        else:
-            await ask(StageKind.PARAMS, f"P:{spec.name}", lambda raw: extract_parameters(raw, spec))
+            stages.append(StageRecord(StageKind.PARAMS, "", "", "", ExtractionResult(reason=reason), 0.0))
 
     # tool execution over the three parsed values
     tool_result = None

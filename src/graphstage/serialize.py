@@ -6,9 +6,9 @@ Each loader reads the one format that its writer writes, and requires every
 key that the writer writes. A line of another format is rejected; a line
 without a ``format`` key is format 1.
 
-A graph's ``edges`` is one flat array of integers, ``[u0, v0, u1, v1, …]``
-for an unweighted graph and ``[u0, v0, w0, u1, v1, w1, …]`` otherwise (the
-width follows ``weight_kind``). The loader validates it column-wise through
+A graph's ``edges`` is one flat array of exact integers, ``[u0, v0, u1, v1,
+…]`` unweighted and ``[u0, v0, w0, u1, v1, w1, …]`` otherwise. The loader
+(:func:`graph_from_edges`) validates it column-wise through
 :func:`~graphstage.graphs.build_graph` without building a row per edge.
 
 Corpus lines (format 2) store the instance id, params, task text, the gold
@@ -16,11 +16,14 @@ graph's ``edges`` and the gold answer. The loader derives the rest: kind,
 size class, description variant and EL graph file from the id, the graph's
 direction and weight kind from the kind, and its node count from its edges.
 
-Trace lines (format 4) store the task text once per trace, and a stage
-stores its instruction as a key of
-:data:`~graphstage.pipeline.INSTRUCTION_TEXTS` (``""`` when it made no call),
-its raw output, what was parsed from it and its latency. The loader rebuilds
-each prompt from the key, the instance id and the task text.
+Trace lines (format 5) store the task text once per trace. A stage stores
+its instruction as a key of :data:`~graphstage.pipeline.INSTRUCTION_TEXTS`
+(``""`` when it made no call), its raw output, its latency, and what the
+loader cannot rebuild: a failed call's ``error`` and what reading an EL graph
+``file`` gave. The loader rebuilds each prompt, and parses each reply again
+by the pipeline's own rules. Format-4 lines, which also stored each parse,
+load the same way; of that parse only a backend error and an EL file's
+graph or read error are read.
 """
 
 from __future__ import annotations
@@ -31,51 +34,51 @@ import tempfile
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from .codec import ExtractionResult
-from .generator import TaskInstance, parse_instance_id
+from .generator import TaskInstance, TaskKind, parse_instance_id
 from .graphs import Graph, WeightKind, build_graph, flat_columns
-from .pipeline import INSTRUCTION_TEXTS, PipelineTrace, StageKind, StageRecord, layout_prompt
+from .pipeline import (
+    BACKEND_ERROR,
+    FILE_READ_ERROR,
+    INSTRUCTION_TEXTS,
+    PipelineTrace,
+    StageKind,
+    StageRecord,
+    layout_prompt,
+    parameter_stage,
+    parse_reply,
+    stage_of_key,
+)
 from .tools import Answer
 
 CORPUS_FORMAT = 2
-TRACE_FORMAT = 4
+TRACE_FORMAT = 5
 
 
-def graph_to_json(g: Graph) -> dict:
-    """``edges`` is one flat array ``[u0, v0, (w0,) u1, v1, …]``, two values
-    per edge when the graph is unweighted and three otherwise."""
+def edges_to_json(g: Graph) -> list:
+    """``g``'s edges as one flat array ``[u0, v0, (w0,) u1, v1, …]``, two
+    values per edge when the graph is unweighted and three otherwise."""
     rows = g.edges if g.weighted else map(itemgetter(0, 1), g.edges)
-    return {
-        "directed": g.directed,
-        "node_count": g.node_count,
-        "weight_kind": g.weight_kind.value,
-        "edges": list(chain.from_iterable(rows)),
-    }
+    return list(chain.from_iterable(rows))
 
 
-def graph_from_json(obj: dict) -> Graph:
-    """A graph whose ``edges`` is the flat array :func:`graph_to_json` writes
-    (a ``node_count`` of None is derived). A load that fails on an array
-    holding a value other than an integer names that value."""
-    kind = WeightKind(obj["weight_kind"])
-    edges = obj["edges"]
+def graph_from_edges(edges: list, directed: bool, weight_kind: WeightKind) -> Graph:
+    """The graph whose flat edge array :func:`edges_to_json` wrote; its node
+    count is derived. A value other than an exact integer is named before
+    any other fault."""
     if type(edges) is not list:
         raise ValueError(f"edges must be an array, got {type(edges).__name__}")
-    width = 2 if kind is WeightKind.NONE else 3
-    try:
-        if len(edges) % width:
-            raise ValueError(
-                f"flat edge array of a {kind.value} graph holds {len(edges)} values, "
-                f"not a multiple of {width}"
-            )
-        return build_graph(obj["directed"], obj["node_count"], flat_columns(edges, width), kind, columns=True)
-    except (TypeError, ValueError, OverflowError):
-        others = [x for x in edges if type(x) is not int]
-        if others:
-            raise ValueError(f"edges must be a flat integer array, found {others[0]!r}") from None
-        raise
+    width = 2 if weight_kind is WeightKind.NONE else 3
+    if len(edges) % width:
+        odd = [x for x in edges if type(x) is not int]
+        if odd:
+            raise ValueError(f"edges must be a flat integer array, found {odd[0]!r}")
+        raise ValueError(
+            f"flat edge array of a {weight_kind.value} graph holds {len(edges)} values, not a multiple of {width}"
+        )
+    return build_graph(directed, None, flat_columns(edges, width), weight_kind, columns=True)
 
 
 def answer_to_json(a: Answer) -> dict:
@@ -99,58 +102,38 @@ def instance_to_json(inst: TaskInstance) -> dict:
         "id": inst.id,
         "params": list(inst.params),
         "task_text": inst.task_text,
-        "edges": graph_to_json(inst.graph)["edges"],
+        "edges": edges_to_json(inst.graph),
         "gold_answer": answer_to_json(inst.gold_answer),
     }
 
 
 def instance_from_json(obj: dict) -> TaskInstance:
     """A format-2 corpus line; another format (a line without ``format`` is
-    format 1), a malformed id or a graph without edges raises ``ValueError``."""
+    format 1), a malformed id, params that are not as many integers as the
+    kind's tool takes, or a graph without edges raises ``ValueError``."""
     version = obj["format"] if "format" in obj else 1
     if version != CORPUS_FORMAT:
         raise ValueError(f"unknown corpus format {version!r}")
     ident = obj["id"]
     kind, size, _, variant, graph_file = parse_instance_id(ident)
-    graph = graph_from_json(
-        {"directed": kind.directed, "node_count": None, "weight_kind": kind.weight_kind, "edges": obj["edges"]}
-    )
+    params = obj["params"]
+    if type(params) is not list or len(params) != kind.arity or any(type(p) is not int for p in params):
+        noun = "parameter" if kind.arity == 1 else "parameters"
+        raise ValueError(f"{kind.tool} takes {kind.arity} integer {noun}, got {params!r}")
+    graph = graph_from_edges(obj["edges"], kind.directed, kind.weight_kind)
     if not graph.edges:
         raise ValueError("a corpus graph has at least one edge, got none")
     return TaskInstance(
         id=ident,
         kind=kind,
         graph=graph,
-        params=tuple(obj["params"]),
+        params=tuple(params),
         description_variant=variant,
         size_class=size,
         task_text=obj["task_text"],
         graph_file=graph_file,
         gold_answer=answer_from_json(obj["gold_answer"]),
     )
-
-
-def extraction_to_json(res: ExtractionResult) -> dict:
-    if res.kind == "graph":
-        return {"kind": "graph", "graph": graph_to_json(res.graph)}
-    if res.kind == "name":
-        return {"kind": "name", "name": res.name}
-    if res.kind == "params":
-        return {"kind": "params", "params": list(res.params)}
-    return {"kind": "failure", "reason": res.reason}
-
-
-def extraction_from_json(obj: dict) -> ExtractionResult:
-    kind = obj["kind"]
-    if kind == "graph":
-        return ExtractionResult.of_graph(graph_from_json(obj["graph"]))
-    if kind == "name":
-        return ExtractionResult.of_name(obj["name"])
-    if kind == "params":
-        return ExtractionResult.of_params(obj["params"])
-    if kind == "failure":
-        return ExtractionResult.failure(obj["reason"])
-    raise ValueError(f"unknown parsed kind {kind!r}")
 
 
 def dump_line(obj: dict) -> str:
@@ -234,14 +217,25 @@ def load_corpus(path: str | Path) -> list:
     return list(read_jsonl(path, unique_ids(instance_from_json, attrgetter("id"))))
 
 
+def _stage_line(key: str, raw: str, latency_ms: float, reason: Optional[str], file_graph: Optional[dict]) -> dict:
+    """A stage's line. From its parse's failure ``reason`` or EL ``file_graph``
+    it keeps a failed call's ``error`` and what reading an EL graph ``file``
+    gave: the corpus directory may change after a run."""
+    line = {"instruction": key, "raw_output": raw, "latency_ms": latency_ms}
+    if (reason or "").startswith(BACKEND_ERROR):
+        line["error"] = reason[len(BACKEND_ERROR):]
+    elif key == "G:el" and file_graph is not None:
+        line["file"] = file_graph
+    elif key == "G:el" and (reason or "").startswith(FILE_READ_ERROR):
+        line["file"] = {"error": reason[len(FILE_READ_ERROR):]}
+    return line
+
+
 def _stage_to_json(record: StageRecord) -> dict:
-    return {
-        "stage": record.stage.value,
-        "instruction": record.instruction,
-        "raw_output": record.raw_output,
-        "parsed": extraction_to_json(record.parsed),
-        "latency_ms": round(record.latency_ms, 3),
-    }
+    graph = record.parsed.graph
+    file_graph = graph and {"directed": graph.directed, "edges": edges_to_json(graph)}
+    latency_ms = round(record.latency_ms, 3)
+    return _stage_line(record.instruction, record.raw_output, latency_ms, record.parsed.reason, file_graph)
 
 
 def trace_to_json(trace: PipelineTrace) -> dict:
@@ -255,31 +249,61 @@ def trace_to_json(trace: PipelineTrace) -> dict:
     }
 
 
-def _stage_from_json(rec: dict, instance_id: str, task_text: str) -> StageRecord:
-    stage = StageKind(rec["stage"])
-    key = rec["instruction"]
-    if key and key not in INSTRUCTION_TEXTS:
-        raise ValueError(f"unknown instruction key {key!r}")
-    prompt = layout_prompt(INSTRUCTION_TEXTS[key], instance_id, stage, task_text) if key else ""
-    parsed = extraction_from_json(rec["parsed"])
-    return StageRecord(stage, key, prompt, rec["raw_output"], parsed, rec["latency_ms"])
+def _format_4_stage(rec: dict) -> dict:
+    """A format-4 stage's line as format 5 writes it: its stored parse is read
+    only for a backend error and what an EL graph file held."""
+    parsed = rec["parsed"]
+    reason = parsed["reason"] if parsed["kind"] == "failure" else None
+    graph = parsed["graph"] if parsed["kind"] == "graph" else None
+    return _stage_line(rec["instruction"], rec["raw_output"], rec["latency_ms"], reason, graph)
+
+
+def _file_graph(file: dict, kind: TaskKind) -> ExtractionResult:
+    """What reading an EL graph file gave, from what a stage line stores."""
+    if "error" in file:
+        return ExtractionResult(reason=FILE_READ_ERROR + file["error"])
+    if type(file["directed"]) is not bool:
+        raise ValueError(f"directed must be true or false, got {file['directed']!r}")
+    return ExtractionResult(graph=graph_from_edges(file["edges"], file["directed"], kind.weight_kind))
 
 
 def trace_from_json(obj: dict) -> PipelineTrace:
-    """A format-4 trace line; any other format (a line without ``format`` is
-    format 1) or an unknown instruction key raises ``ValueError``."""
+    """A format-5 or format-4 trace line. Another format (a line without
+    ``format`` is format 1), an unknown instruction key, or stages other than
+    graph, name and, for a kind with parameters, parameters raise ValueError."""
     version = obj["format"] if "format" in obj else 1
-    if version != TRACE_FORMAT:
+    if version not in (4, TRACE_FORMAT):
         raise ValueError(f"unknown trace format {version!r}")
     instance_id = obj["instance_id"]
+    kind = parse_instance_id(instance_id)[0]
     task_text = obj["task_text"]
     if type(task_text) is not str:
         raise ValueError(f"task_text must be a string, got {type(task_text).__name__}")
+    recs = obj["stages"] if version == TRACE_FORMAT else [_format_4_stage(rec) for rec in obj["stages"]]
+    keys = [rec["instruction"] for rec in recs]
+    stage_kinds = list(map(stage_of_key, keys))
+    if stage_kinds != list(StageKind)[: 2 + kind.parametric]:
+        raise ValueError(f"a {kind.tool} trace holds a graph, a name{' and a parameter' * kind.parametric} stage")
+    stages: List[StageRecord] = []
+    for key, stage, rec in zip(keys, stage_kinds, recs):
+        raw = rec["raw_output"]
+        if stage is StageKind.PARAMS:  # the name stage gives its key, or why it made no call
+            sent, reason = parameter_stage(stages[1].parsed)
+            if sent != key:
+                raise ValueError(f"the parameter stage's key is {key!r}, though the name stage leads to {sent!r}")
+        if "error" in rec:
+            parsed = ExtractionResult(reason=BACKEND_ERROR + rec["error"])
+        elif key:
+            parsed = parse_reply(key, raw, kind, lambda _: _file_graph(rec["file"], kind))
+        else:
+            parsed = ExtractionResult(reason=reason)
+        prompt = layout_prompt(INSTRUCTION_TEXTS[key], instance_id, stage, task_text) if key else ""
+        stages.append(StageRecord(stage, key, prompt, raw, parsed, rec["latency_ms"]))
     result = obj["tool_result"]
     return PipelineTrace(
         instance_id=instance_id,
         task_text=task_text,
-        stages=[_stage_from_json(rec, instance_id, task_text) for rec in obj["stages"]],
+        stages=stages,
         tool_result=None if result is None else answer_from_json(result),
         tool_error=obj["tool_error"],
     )

@@ -1,6 +1,7 @@
 """Mutation check of the trust path: does tier-1 notice when one line of the
-scorer, the dataset filter, graph equality, the loaders, the instance id
-parser, the fault injector's labels or the parameter extractor is wrong?
+scorer, the dataset filter, graph equality, the loaders (and the parse rule
+that the trace loader shares with the pipeline), the instance id parser, the
+fault injector's labels or the parameter extractor is wrong?
 
 Each mutant below replaces one exact piece of one line of ``src/graphstage/``.
 For each, the script copies the repository's ``src/``, ``tests/``,
@@ -61,17 +62,27 @@ MUTANTS = (
            "Category.CORRECT:", "test_dataset.py"),
     Mutant("9", "dataset.py", "len(kept) / len(traces)", "len(kept) / len(corpus)", "test_dataset.py"),
     Mutant("13", "graphs.py", "and a.weight_kind == b.weight_kind", "and True", "test_graphs.py"),
-    Mutant("trace-format", "serialize.py", "if version != TRACE_FORMAT:",
+    Mutant("trace-format", "serialize.py", "if version not in (4, TRACE_FORMAT):",
            "if version > TRACE_FORMAT:", "test_serialize.py"),
-    Mutant("stage-instruction", "serialize.py", 'key = rec["instruction"]',
-           'key = rec.get("instruction", "")', "test_serialize.py"),
-    Mutant("parsed-kind", "serialize.py", 'if kind == "failure":', "if True:", "test_serialize.py"),
+    Mutant("stage-instruction", "serialize.py", 'keys = [rec["instruction"] for rec in recs]',
+           'keys = [rec.get("instruction", "") for rec in recs]', "test_serialize.py"),
+    Mutant("stage-order", "serialize.py", "if stage_kinds != list(StageKind)[: 2 + kind.parametric]:",
+           "if stage_kinds != list(StageKind)[: len(keys)]:", "test_serialize.py"),
+    Mutant("parameter-key", "serialize.py", "if sent != key:", "if sent and not key:", "test_serialize.py"),
+    Mutant("stored-error", "serialize.py", 'if "error" in rec:', "if False:", "test_serialize.py"),
+    Mutant("file-record", "serialize.py", 'elif key == "G:el" and file_graph is not None:', "elif False:",
+           "test_serialize.py"),
+    Mutant("reparse-direction", "pipeline.py", "extract_graph(raw, kind.weight_kind, kind.directed)",
+           "extract_graph(raw, kind.weight_kind, False)", "test_serialize.py"),
+    Mutant("params-arity", "serialize.py", "len(params) != kind.arity", "len(params) < kind.arity",
+           "test_serialize.py"),
     Mutant("corpus-format", "serialize.py", "if version != CORPUS_FORMAT:",
            "if version > CORPUS_FORMAT:", "test_serialize.py"),
     Mutant("id-rebuild", "generator.py", "if rebuilt == ident:", "if True:",
            "test_serialize.py"),
     Mutant("max-id", "graphs.py", "return 1 + max(ids) if", "return 2 + max(ids) if", "test_serialize.py"),
-    Mutant("flat-edges", "serialize.py", "        if others:", "        if False:", "test_serialize.py"),
+    Mutant("flat-edges", "graphs.py", "            if odd:", "            if False:", "test_serialize.py"),
+    Mutant("odd-length", "serialize.py", "        if odd:", "        if False:", "test_serialize.py"),
     Mutant("fault-table", "backends.py", '"name": ("wrong_tool_name", _wrong_name),',
            '"name": ("swap_parameters", _wrong_name),', "test_backends.py"),
     Mutant("fault-label", "backends.py", "self._record(instance.id, stage, mode)", "pass", "test_backends.py"),

@@ -39,7 +39,7 @@ DIGESTS = {
     "fault/report --format md": "4f75be66559be95c250dbc3a8496cb7d80927f171accb02151e75600c76c8b18",
     "fault/report --format txt": "7648d8d4bf3cbcf98eb80af14936eeb5365d4d499fe52fda99614089f12a4de0",
     "fault/stats.json": "47c0fe0d461949741abe485b68ae08337dfa0ac0ebfa0a2038037b3eadb83552",
-    "fault/traces.jsonl": "3dd9e50abac4a272bfbb3def78bad38ddfa59ce98afb900f45b587da55590914",
+    "fault/traces.jsonl": "33c6b0a210f9d7f55e5e2dc05ae500726a0d2f41dacd940ab732b00c968e6508",
     "fill/alpaca.json": "51a43cb952b05384e65ae09b9d72d2268e317415d35234a555df2f04178bf66a",
     "fill/stats.json": "7aa29fae52c039a01b97067ee667f94cf30f87add37c8ef7edff658ce88a8bb3",
     "oracle/alpaca.json": "d4a56c2a5f72a6d99ee135abb8d1d612486e571a3adbee292271eee2f6cd8ba7",
@@ -47,7 +47,7 @@ DIGESTS = {
     "oracle/eval/report.json": "c8eec77a02fd57dbe7fd1efb27242a429d5eb91931b89885070366fe6bfad681",
     "oracle/eval/report.txt": "b7add63e5100b604b9691f9df77eaff56855e6a455b1f619db3bb79e22b0cda1",
     "oracle/stats.json": "c19790703a3b7fa2624d96423e4cbc4644c67c093f13bfcaca5e6c2e47c58bff",
-    "oracle/traces.jsonl": "c9215a731ab4e7640dedf79a6ecb6a2cc924dac1bb9c1e9ccbcd04b643268028",
+    "oracle/traces.jsonl": "335ac53c93b9e3ef2a95d3a48bbaaa9a11fb37d1785c44e4233a04ee59f75546",
 }
 
 

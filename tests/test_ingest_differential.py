@@ -9,9 +9,9 @@ published tool-name and file-path patterns (which backtrack in polynomial
 time) and the closed-form pair decode, kept here verbatim so the fast code is
 always compared against them: same result, or the same exception type and
 message, on every input. Where the reference extractor raises,
-`extract_graph` returns the failure with that message instead; where a
-flat edge array that holds a value other than an integer fails to load, the
-JSON loader names that value instead.
+`extract_graph` returns the failure with that message instead. The column
+form, and so the JSON loader, takes exact ints only: where the reference
+converts another value, they name the first such value instead.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from graphstage.graphs import (
     flat_columns,
     graphs_equal,
 )
-from graphstage.serialize import graph_from_json
+from graphstage.serialize import graph_from_edges
 from graphstage.toolset import default_registry
 
 
@@ -123,13 +123,13 @@ def reference_extract_graph(text, weight_kind, directed=False):
         else:
             edges.append((int(m.group(1)), int(m.group(2)), int(m.group(3))))
     if not edges:
-        return ExtractionResult.failure("no edge matches")
+        return ExtractionResult(reason="no edge matches")
     node_count = 1 + max(max(e[0], e[1]) for e in edges)
     try:
         g = reference_build_graph(directed, node_count, edges, kind)
     except InvalidEdge as exc:
-        return ExtractionResult.failure(f"invalid edge list: {exc}")
-    return ExtractionResult.of_graph(g)
+        return ExtractionResult(reason=f"invalid edge list: {exc}")
+    return ExtractionResult(graph=g)
 
 
 REFERENCE_TOOL_NAME_PATTERN = re.compile(r"API_name:\s*(\w+|\n\s*\w+)")
@@ -139,15 +139,15 @@ REFERENCE_FILE_PATH_PATTERN = re.compile(r"\S*/\S*?\.edges")
 def reference_extract_tool_name(text):
     m = REFERENCE_TOOL_NAME_PATTERN.search(text)
     if not m:
-        return ExtractionResult.failure("no API_name anchor")
-    return ExtractionResult.of_name(m.group(1).strip())
+        return ExtractionResult(reason="no API_name anchor")
+    return ExtractionResult(name=m.group(1).strip())
 
 
 def reference_extract_file_path(text):
     m = REFERENCE_FILE_PATH_PATTERN.search(text)
     if not m:
-        return ExtractionResult.failure("no file path token")
-    return ExtractionResult.of_path(m.group(0))
+        return ExtractionResult(reason="no file path token")
+    return ExtractionResult(path=m.group(0))
 
 
 def closed_form_decode_pair(k, n, directed):
@@ -247,13 +247,15 @@ def test_build_graph_matches_per_edge_reference():
         width = 2 if kind is WeightKind.NONE else 3
         if all(len(row) == width for row in rows):  # the rows the flat form can hold
             flat = [x for row in rows for x in row]
-            got = outcome(partial(build_graph, columns=True), directed, node_count, flat_columns(flat, width), kind)
-            assert got == want, (directed, node_count, flat, kind)
-            obj = {"directed": directed, "node_count": node_count, "weight_kind": kind.value}
             others = [x for x in flat if type(x) is not int]
-            if want[0] == "raised" and others:  # the JSON loader names the value that is no integer
-                want = ("raised", "ValueError", f"edges must be a flat integer array, found {others[0]!r}")
-            assert outcome(graph_from_json, dict(obj, edges=flat)) == want, (obj, flat)
+            if others and node_count >= 0:  # the column form names the first value that is no exact int
+                want = ("raised", "GraphError", f"edges must be a flat integer array, found {others[0]!r}")
+            columns = partial(build_graph, columns=True)
+            got = outcome(columns, directed, node_count, flat_columns(flat, width), kind)
+            assert got == want, (directed, node_count, flat, kind)
+            # the JSON loader derives the node count
+            derived = outcome(columns, directed, None, flat_columns(flat, width), kind)
+            assert outcome(graph_from_edges, flat, directed, kind) == derived, (directed, flat, kind)
             flat_raised[want[0] == "raised"] += 1
     # both the accepting and the rejecting paths are exercised, also in the flat form
     assert 1000 < raised < 3500
@@ -453,9 +455,9 @@ def reference_outcome(text, weight_kind, directed):
     try:
         result = reference_extract_graph(text, weight_kind, directed)
     except GraphError as exc:  # a zero weight
-        result = ExtractionResult.failure(f"invalid edge list: {exc}")
+        result = ExtractionResult(reason=f"invalid edge list: {exc}")
     except ValueError as exc:  # a number past int's digit limit
-        result = ExtractionResult.failure(f"edge number: {exc}")
+        result = ExtractionResult(reason=f"edge number: {exc}")
     return ("ok", repr(result))
 
 
@@ -472,7 +474,7 @@ def test_extract_graph_matches_per_match_reference():
         as_directed = directed if rng.random() < 0.9 else not directed
         want = reference_outcome(text, as_kind, as_directed)
         assert outcome(extract_graph, text, as_kind, as_directed) == want, (text, as_kind, as_directed)
-        failures += "failure" in want[1]
+        failures += "reason=None" not in want[1]
     # extraction succeeds and fails, a zero weight included, on both sides
     assert 150 < failures < 1200
 
@@ -528,10 +530,10 @@ def test_tool_name_and_file_path_match_the_published_patterns():
         text = _reply_text(rng)
         want = outcome(reference_extract_tool_name, text)
         assert outcome(extract_tool_name, text) == want, text
-        found["name"] += "failure" not in want[1]
+        found["name"] += "reason=None" in want[1]
         want = outcome(reference_extract_file_path, text)
         assert outcome(extract_file_path, text) == want, text
-        found["path"] += "failure" not in want[1]
+        found["path"] += "reason=None" in want[1]
     # both extractors succeed and fail
     assert all(300 < count < 5700 for count in found.values()), found
 
