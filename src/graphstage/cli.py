@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import sys
@@ -39,10 +40,12 @@ from .generator import (
 from .pipeline import run_corpus
 from .codec import format_el_graph
 from .serialize import (
+    MANIFEST_NAME,
     atomic_write_text,
     instance_to_json,
     load_corpus,
     load_traces,
+    manifest_text,
     trace_to_json,
     write_jsonl,
 )
@@ -104,24 +107,37 @@ def _settings(cls, args, **resolved):
 
 
 def _cmd_generate(args) -> int:
+    """The corpus, its EL graph files, and the manifest of their SHA-256
+    digests, taken from the bytes as they are written: a later read of the
+    same bytes need not validate them again."""
     config = _settings(GenConfig, args)
     out_dir = Path(args.out)
     corpus_path = out_dir / "corpus.jsonl"
+    corpus_digest = hashlib.sha256()
+    graph_digests = {}
 
     def lines():
         for instance in generate_corpus(config):
-            _write_graph_file(out_dir, instance)
+            digest = _write_graph_file(out_dir, instance)
+            if digest is not None:
+                graph_digests[instance.graph_file] = digest
             yield instance_to_json(instance)
 
-    total = write_jsonl(corpus_path, lines())
+    total = write_jsonl(corpus_path, lines(), corpus_digest)
+    digests = {corpus_path.name: corpus_digest.hexdigest(), **graph_digests}
+    atomic_write_text(out_dir / MANIFEST_NAME, manifest_text(digests))
     print(f"wrote {total} instances to {corpus_path}")
     return 0
 
 
-def _write_graph_file(corpus_dir: Path, instance) -> None:
-    """An EL instance's graph goes to its file, relative to the corpus directory."""
-    if instance.graph_file is not None:
-        atomic_write_text(corpus_dir / instance.graph_file, format_el_graph(instance.graph))
+def _write_graph_file(corpus_dir: Path, instance) -> Optional[str]:
+    """An EL instance's graph goes to its file, relative to the corpus
+    directory; returns the SHA-256 of the bytes written, None for a WL one."""
+    if instance.graph_file is None:
+        return None
+    text = format_el_graph(instance.graph)
+    atomic_write_text(corpus_dir / instance.graph_file, text)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _backend_for(args):

@@ -25,6 +25,8 @@ extractor here runs in time linear in the length of the model output.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import operator
 import re
@@ -33,7 +35,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .graphs import Graph, GraphError, WeightKind, build_graph, flat_columns
+from .graphs import Graph, GraphError, WeightKind, build_graph, flat_columns, trusted_graph
 
 GRAPH_FILE_SUFFIX = ".edges"
 
@@ -160,11 +162,22 @@ def format_el_graph(g: Graph) -> str:
 _EL_BODY = re.compile(r"(?:[0-9]+, [0-9]+\n)*|((?:[0-9]+, [0-9]+, [0-9]+\n)+)")
 
 
-def read_el_graph_file(path: str | Path, weight_kind: WeightKind | str) -> Graph:
+def matches_digest(data: bytes, digest: Optional[str]) -> bool:
+    """Whether ``data`` has the SHA-256 hex ``digest``; never without one."""
+    return digest is not None and hashlib.sha256(data).hexdigest() == digest
+
+
+def read_el_graph_file(path: str | Path, weight_kind: WeightKind | str, digest: Optional[str] = None) -> Graph:
     """Parse a graph file; node_count is reconstructed as max id + 1.
 
     weight_kind is the graph's: the file format itself does not record
     whether a third column is a weight or a capacity.
+
+    ``digest`` is the SHA-256 recorded for the file when format_el_graph's
+    text was written to it. When the bytes match it, the graph is built
+    without validating it again: the direction and the width (2 or 3
+    numbers per line) come from the file, and a width that is not
+    weight_kind's takes the path below, which rejects it.
 
     A file in the exact form format_el_graph writes (a bare header line,
     then "u, v" or "u, v, w" lines of ASCII numbers without leading zeros,
@@ -172,7 +185,12 @@ def read_el_graph_file(path: str | Path, weight_kind: WeightKind | str) -> Graph
     one pass over the whole body. Any other file goes through the line
     parser, which names the first bad line.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    if matches_digest(data, digest):
+        graph = _trusted_el_graph(data, WeightKind(weight_kind))
+        if graph is not None:
+            return graph
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()  # as a text-mode read decodes it
     header, newline, body = text.partition("\n")
     match = _EL_BODY.fullmatch(body) if newline and header in ("directed", "undirected") else None
     if match is not None:
@@ -185,6 +203,17 @@ def read_el_graph_file(path: str | Path, weight_kind: WeightKind | str) -> Graph
         if not any(map(operator.eq, *columns[:2])):
             return build_graph(header == "directed", None, columns, WeightKind(weight_kind), columns=True)
     return _read_el_lines(text, weight_kind)
+
+
+def _trusted_el_graph(data: bytes, kind: WeightKind) -> Optional[Graph]:
+    """The graph in the bytes that format_el_graph wrote, or None when its
+    lines do not hold as many numbers as ``kind``'s edges have."""
+    header, _, body = data.partition(b"\n")
+    width = 1 + body.count(b",", 0, body.find(b"\n"))
+    if width != (2 if kind is WeightKind.NONE else 3) or header not in (b"directed", b"undirected"):
+        return None
+    numbers = json.loads(b"[" + body.replace(b"\n", b", ")[:-2] + b"]")
+    return trusted_graph(header == b"directed", flat_columns(numbers, width), kind)
 
 
 def _read_el_lines(text: str, weight_kind: WeightKind | str) -> Graph:

@@ -114,6 +114,17 @@ def build_graph(
     return Graph(bool(directed), *checked, kind)
 
 
+def trusted_graph(directed: bool, columns: tuple, weight_kind: WeightKind) -> Graph:
+    """The graph of edge columns (as :func:`build_graph` takes them) that
+    ``build_graph`` accepted when they were written, such as those of a file
+    whose bytes match their recorded SHA-256: nothing is checked again. The
+    node count is derived, as ``build_graph`` derives a ``node_count`` of None."""
+    us, vs = columns[0], columns[1]
+    ws = columns[2] if weight_kind is not WeightKind.NONE else repeat(None)
+    node_count = 1 + max(max(us), max(vs)) if us else 0
+    return Graph(bool(directed), node_count, tuple(zip(us, vs, ws)), weight_kind)
+
+
 def flat_columns(flat: list, width: int) -> tuple:
     """The edge columns of a flat ``[u0, v0, (w0,) u1, …]`` list that holds
     ``width`` values per edge, as strided slices."""

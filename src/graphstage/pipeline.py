@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 import re
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -255,15 +256,17 @@ def parameter_stage(name: ExtractionResult) -> Tuple[str, str]:
     return f"P:{spec.name}", ""
 
 
-async def _pipeline(instance: TaskInstance, complete, base_dir: Path) -> PipelineTrace:
+async def _pipeline(instance: TaskInstance, complete, base_dir: Path, digests: Dict[str, str]) -> PipelineTrace:
     """The staged pipeline for one instance; ``complete`` is the coroutine
-    function that answers a prompt."""
+    function that answers a prompt, and ``digests`` maps the EL graph files
+    under ``base_dir`` to their SHA-256 (:func:`~graphstage.serialize.graph_file_digests`)."""
     stages: List[StageRecord] = []
     kind = instance.kind
 
     def read_file(relative: Path) -> ExtractionResult:
+        digest = digests.get(relative.as_posix())
         try:
-            return ExtractionResult(graph=read_el_graph_file(base_dir / relative, kind.weight_kind))
+            return ExtractionResult(graph=read_el_graph_file(base_dir / relative, kind.weight_kind, digest))
         except (OSError, ValueError) as exc:
             return ExtractionResult(reason=f"{FILE_READ_ERROR}{exc}")
 
@@ -321,20 +324,36 @@ async def _pipeline(instance: TaskInstance, complete, base_dir: Path) -> Pipelin
     )
 
 
+# the EL graph file digests of the corpus that run_corpus is running: each of
+# its run_pipeline calls takes them from here instead of reading the manifest
+# again. run_corpus calls run_pipeline through this module's name, where the
+# benchmark's tracer times each instance.
+_CORPUS_DIGESTS: ContextVar[Optional[Dict[str, str]]] = ContextVar("_CORPUS_DIGESTS", default=None)
+
+
 def run_pipeline(instance: TaskInstance, backend, *, base_dir: str | Path = ".") -> PipelineTrace:
     """Execute the staged pipeline for one instance and return the full trace.
+
+    An EL graph file that a reply names is read under ``base_dir``. One whose
+    bytes match its entry in ``base_dir``'s manifest
+    (:func:`~graphstage.serialize.graph_file_digests`) is not validated again.
 
     An :class:`~graphstage.backends.HttpBackend` answers its stages over one
     keep-alive connection, on an event loop of the pipeline's own."""
     from .backends import HttpBackend  # backends imports this module
+    from .serialize import graph_file_digests  # serialize imports this module
 
+    base_dir = Path(base_dir)
+    digests = _CORPUS_DIGESTS.get()
+    if digests is None:
+        digests = graph_file_digests(base_dir)
     if isinstance(backend, HttpBackend):
-        return _run_on_event_loop([instance], backend, 1, Path(base_dir))[0]
+        return _run_on_event_loop([instance], backend, 1, base_dir, digests)[0]
 
     async def complete(prompt: str) -> str:  # blocks, so the pipeline never suspends
         return backend.complete(prompt)
 
-    return run_blocking(_pipeline(instance, complete, Path(base_dir)))
+    return run_blocking(_pipeline(instance, complete, base_dir, digests))
 
 
 def run_corpus(
@@ -344,7 +363,8 @@ def run_corpus(
     workers: int = 1,
     base_dir: str | Path = ".",
 ) -> List[PipelineTrace]:
-    """Run the pipeline over many instances, preserving corpus order.
+    """Run the pipeline over many instances, preserving corpus order. The
+    manifest in ``base_dir`` is read once, for every instance.
 
     An :class:`~graphstage.backends.HttpBackend` runs the pipelines as
     coroutines on one event loop in the calling thread, over ``workers``
@@ -353,13 +373,19 @@ def run_corpus(
     is pure Python, which threads would only slow down.
     """
     from .backends import HttpBackend  # backends imports this module
+    from .serialize import graph_file_digests  # serialize imports this module
 
+    digests = graph_file_digests(base_dir)
     if isinstance(backend, HttpBackend):
-        return _run_on_event_loop(instances, backend, max(workers, 1), Path(base_dir))
-    return [run_pipeline(i, backend, base_dir=base_dir) for i in instances]
+        return _run_on_event_loop(instances, backend, max(workers, 1), Path(base_dir), digests)
+    token = _CORPUS_DIGESTS.set(digests)
+    try:
+        return [run_pipeline(i, backend, base_dir=base_dir) for i in instances]
+    finally:
+        _CORPUS_DIGESTS.reset(token)
 
 
-def _run_on_event_loop(instances, backend, workers: int, base_dir: Path) -> List[PipelineTrace]:
+def _run_on_event_loop(instances, backend, workers: int, base_dir: Path, digests) -> List[PipelineTrace]:
     import asyncio  # only HTTP runs need it, and it takes tens of ms to import
 
     traces: List[Optional[PipelineTrace]] = [None] * len(instances)
@@ -370,7 +396,7 @@ def _run_on_event_loop(instances, backend, workers: int, base_dir: Path) -> List
         connection = backend.connection()
         try:
             for index, instance in todo:
-                traces[index] = await _pipeline(instance, connection.complete, base_dir)
+                traces[index] = await _pipeline(instance, connection.complete, base_dir, digests)
         finally:
             connection.close()
 

@@ -16,6 +16,15 @@ graph's ``edges`` and the gold answer. The loader derives the rest: kind,
 size class, description variant and EL graph file from the id, the graph's
 direction and weight kind from the kind, and its node count from its edges.
 
+``generate`` writes a manifest beside the corpus, ``corpus.sha256`` in the
+format of ``sha256sum``, with the SHA-256 of ``corpus.jsonl`` and of each EL
+graph file. An entry means "``generate`` validated exactly these bytes": a
+corpus whose bytes match their entry holds the graphs that ``generate``
+validated, and :func:`load_corpus` builds them without validating them
+again; any other corpus is validated in full. A manifest rebuilt by hand
+(``sha256sum corpus.jsonl graphs/*.edges``) after an edit therefore turns
+graph validation off for the files it lists.
+
 Trace lines (format 5) store the task text once per trace. A stage stores
 its instruction as a key of :data:`~graphstage.pipeline.INSTRUCTION_TEXTS`
 (``""`` when it made no call), its raw output, its latency, and what the
@@ -28,17 +37,20 @@ graph or read error are read.
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 import tempfile
+from functools import partial
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from .codec import ExtractionResult
-from .generator import TaskInstance, TaskKind, parse_instance_id
-from .graphs import Graph, WeightKind, build_graph, flat_columns
+from .codec import GRAPH_FILE_SUFFIX, ExtractionResult, matches_digest
+from .generator import GRAPH_DIR, TaskInstance, TaskKind, parse_instance_id
+from .graphs import Graph, WeightKind, build_graph, flat_columns, trusted_graph
 from .pipeline import (
     BACKEND_ERROR,
     FILE_READ_ERROR,
@@ -64,10 +76,11 @@ def edges_to_json(g: Graph) -> list:
     return list(chain.from_iterable(rows))
 
 
-def graph_from_edges(edges: list, directed: bool, weight_kind: WeightKind) -> Graph:
+def graph_from_edges(edges: list, directed: bool, weight_kind: WeightKind, trusted: bool = False) -> Graph:
     """The graph whose flat edge array :func:`edges_to_json` wrote; its node
     count is derived. A value other than an exact integer is named before
-    any other fault."""
+    any other fault. A ``trusted`` array is one that ``build_graph`` accepted
+    when it was written, and is not validated again."""
     if type(edges) is not list:
         raise ValueError(f"edges must be an array, got {type(edges).__name__}")
     width = 2 if weight_kind is WeightKind.NONE else 3
@@ -78,7 +91,10 @@ def graph_from_edges(edges: list, directed: bool, weight_kind: WeightKind) -> Gr
         raise ValueError(
             f"flat edge array of a {weight_kind.value} graph holds {len(edges)} values, not a multiple of {width}"
         )
-    return build_graph(directed, None, flat_columns(edges, width), weight_kind, columns=True)
+    columns = flat_columns(edges, width)
+    if trusted:
+        return trusted_graph(directed, columns, weight_kind)
+    return build_graph(directed, None, columns, weight_kind, columns=True)
 
 
 def answer_to_json(a: Answer) -> dict:
@@ -107,10 +123,11 @@ def instance_to_json(inst: TaskInstance) -> dict:
     }
 
 
-def instance_from_json(obj: dict) -> TaskInstance:
+def instance_from_json(obj: dict, trusted: bool = False) -> TaskInstance:
     """A format-2 corpus line; another format (a line without ``format`` is
     format 1), a malformed id, params that are not as many integers as the
-    kind's tool takes, or a graph without edges raises ``ValueError``."""
+    kind's tool takes, or a graph without edges raises ``ValueError``. The
+    graph of a ``trusted`` line is not validated (:func:`graph_from_edges`)."""
     version = obj["format"] if "format" in obj else 1
     if version != CORPUS_FORMAT:
         raise ValueError(f"unknown corpus format {version!r}")
@@ -120,7 +137,7 @@ def instance_from_json(obj: dict) -> TaskInstance:
     if type(params) is not list or len(params) != kind.arity or any(type(p) is not int for p in params):
         noun = "parameter" if kind.arity == 1 else "parameters"
         raise ValueError(f"{kind.tool} takes {kind.arity} integer {noun}, got {params!r}")
-    graph = graph_from_edges(obj["edges"], kind.directed, kind.weight_kind)
+    graph = graph_from_edges(obj["edges"], kind.directed, kind.weight_kind, trusted)
     if not graph.edges:
         raise ValueError("a corpus graph has at least one edge, got none")
     return TaskInstance(
@@ -140,15 +157,18 @@ def dump_line(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(", ", ": "))
 
 
-def write_jsonl(path: str | Path, objects: Iterable[dict]) -> int:
-    """Atomically write one JSON object per line; returns the line count."""
+def write_jsonl(path: str | Path, objects: Iterable[dict], sha256=None) -> int:
+    """Atomically write one JSON object per line; returns the line count. A
+    ``hashlib.sha256()`` object given as ``sha256`` is fed the bytes written."""
     count = 0
 
     def emit(handle):
         nonlocal count
         for obj in objects:
-            handle.write(dump_line(obj))
-            handle.write("\n")
+            line = dump_line(obj) + "\n"
+            handle.write(line)
+            if sha256 is not None:
+                sha256.update(line.encode("utf-8"))
             count += 1
 
     atomic_write_text(path, emit)
@@ -161,18 +181,23 @@ def read_jsonl(path: str | Path, convert: Callable[[dict], object] | None = None
     ``TypeError`` or ``KeyError`` (a missing key, which is named), raises
     ``ValueError`` prefixed with ``<path>:<line number>:``."""
     with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if line:
-                try:
-                    obj = json.loads(line)
-                    if convert is not None:
-                        obj = convert(obj)
-                except KeyError as exc:
-                    raise ValueError(f"{path}:{number}: missing key {exc}") from exc
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}:{number}: {exc}") from exc
-                yield obj
+        yield from _objects(path, handle, convert)
+
+
+def _objects(path: str | Path, lines: Iterable[str], convert: Callable[[dict], object] | None) -> Iterator:
+    """:func:`read_jsonl` over the text lines of the file ``path``."""
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if line:
+            try:
+                obj = json.loads(line)
+                if convert is not None:
+                    obj = convert(obj)
+            except KeyError as exc:
+                raise ValueError(f"{path}:{number}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from exc
+            yield obj
 
 
 def atomic_write_text(path: str | Path, writer: Callable | str) -> None:
@@ -181,7 +206,7 @@ def atomic_write_text(path: str | Path, writer: Callable | str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:  # the bytes are the text's UTF-8
             if callable(writer):
                 writer(handle)
             else:
@@ -211,10 +236,54 @@ def unique_ids(convert: Callable, id_of: Callable[[object], str]) -> Callable:
     return checked
 
 
+MANIFEST_NAME = "corpus.sha256"
+# a line of sha256sum's output: the digest, then a space and " " (text) or
+# "*" (binary), then the path
+_MANIFEST_LINE = re.compile(r"([0-9a-f]{64}) [ *](.+)")
+
+
+def manifest_text(digests: Dict[str, str]) -> str:
+    """The manifest listing ``digests``, path relative to the corpus
+    directory -> SHA-256 hex digest, in the format of ``sha256sum``."""
+    return "".join(f"{digest}  {name}\n" for name, digest in digests.items())
+
+
+def read_manifest(corpus_dir: str | Path) -> Dict[str, str]:
+    """Path -> SHA-256 hex digest, from the manifest in ``corpus_dir``. A
+    missing or unreadable manifest lists nothing, and a malformed line is
+    skipped: a file without an entry is validated in full when read."""
+    try:
+        text = (Path(corpus_dir) / MANIFEST_NAME).read_text(encoding="utf-8")
+    except (OSError, ValueError):  # ValueError: not UTF-8
+        return {}
+    found = (_MANIFEST_LINE.fullmatch(line) for line in text.split("\n"))
+    return {m.group(2): m.group(1) for m in found if m}
+
+
+def graph_file_digests(corpus_dir: str | Path) -> Dict[str, str]:
+    """The entries of ``corpus_dir``'s manifest for EL graph files
+    (``graphs/*.edges``): the only files that a model's reply may name."""
+    digests = {}
+    for name, digest in read_manifest(corpus_dir).items():
+        folder, _, file = name.partition("/")
+        if folder == GRAPH_DIR and "/" not in file and file.endswith(GRAPH_FILE_SUFFIX):
+            digests[name] = digest
+    return digests
+
+
 def load_corpus(path: str | Path) -> list:
     """The instances of a corpus file; a line that repeats an earlier line's
-    instance id is rejected."""
-    return list(read_jsonl(path, unique_ids(instance_from_json, attrgetter("id"))))
+    instance id is rejected. When the file's bytes have the SHA-256 that the
+    manifest beside it lists for its name, each graph, which ``generate``
+    validated as it wrote it, is built without validating it again; every
+    other check runs. A file without a matching entry is validated in full."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    where = Path(path)
+    trusted = matches_digest(data, read_manifest(where.parent).get(where.name))
+    convert = partial(instance_from_json, trusted=True) if trusted else instance_from_json
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")  # as a text-mode file iterates
+    return list(_objects(path, lines, unique_ids(convert, attrgetter("id"))))
 
 
 def _stage_line(key: str, raw: str, latency_ms: float, reason: Optional[str], file_graph: Optional[dict]) -> dict:

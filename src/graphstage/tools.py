@@ -11,7 +11,6 @@ the name-identification prompt lists them; names and arities come from it.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -258,44 +257,47 @@ def node_existence(g: Graph, node: int) -> Answer:
 
 
 def maximum_flow(g: Graph, source: int, sink: int) -> Answer:
-    """Edmonds-Karp max flow; undirected edges become anti-parallel arcs."""
+    """Edmonds-Karp max flow over lists. Edge ``i`` is arc ``2i`` and its
+    reverse arc ``2i + 1``, whose residual capacity starts at 0 for a
+    directed edge and at the edge's capacity for an undirected one."""
     if g.weight_kind is not WeightKind.CAPACITY:
         raise WrongWeightKind("maximum flow needs capacity-weighted edges")
     _check_node(g, source)
     _check_node(g, sink)
     if source == sink:
         raise SameSourceSink(f"source and sink are both node {source}")
-    cap: List[Dict[int, int]] = [dict() for _ in range(g.node_count)]
+    residual: List[int] = []  # arc -> residual capacity
+    arcs: List[List[Tuple[int, int]]] = [[] for _ in range(g.node_count)]  # node -> (head, arc) leaving it
+    back = 0 if g.directed else 1
     for u, v, w in g.edges:
-        cap[u][v] = cap[u].get(v, 0) + w
-        cap[v].setdefault(u, 0)
-        if not g.directed:
-            cap[v][u] += w
+        arcs[u].append((v, len(residual)))
+        arcs[v].append((u, len(residual) + 1))
+        residual += (w, w * back)
     total = 0
     while True:
-        parent = [-1] * g.node_count
-        parent[source] = source
-        queue = deque([source])
-        while queue and parent[sink] == -1:
-            node = queue.popleft()
-            for nxt, c in cap[node].items():
-                if c > 0 and parent[nxt] == -1:
-                    parent[nxt] = node
+        via = [-1] * g.node_count  # node -> the arc a shortest residual path enters it by
+        prev = [-1] * g.node_count  # node -> the node that arc leaves
+        via[source] = len(residual)  # reached, by no arc
+        queue = [source]
+        for node in queue:  # breadth first: the list grows as it is walked
+            for nxt, arc in arcs[node]:
+                if via[nxt] < 0 and residual[arc]:
+                    via[nxt] = arc
+                    prev[nxt] = node
                     queue.append(nxt)
-        if parent[sink] == -1:
+            if via[sink] >= 0:
+                break
+        else:
             return Answer.value(total)
-        bottleneck = None
+        path = []
         node = sink
         while node != source:
-            c = cap[parent[node]][node]
-            bottleneck = c if bottleneck is None else min(bottleneck, c)
-            node = parent[node]
-        node = sink
-        while node != source:
-            prev = parent[node]
-            cap[prev][node] -= bottleneck
-            cap[node][prev] = cap[node].get(prev, 0) + bottleneck
-            node = prev
+            path.append(via[node])
+            node = prev[node]
+        bottleneck = min(residual[arc] for arc in path)
+        for arc in path:
+            residual[arc] -= bottleneck
+            residual[arc ^ 1] += bottleneck
         total += bottleneck
 
 

@@ -1,7 +1,8 @@
 """Mutation check of the trust path: does tier-1 notice when one line of the
 scorer, the dataset filter, graph equality, the loaders (and the parse rule
 that the trace loader shares with the pipeline), the instance id parser, the
-fault injector's labels or the parameter extractor is wrong?
+fault injector's labels, the parameter extractor or the digest check that
+lets a read skip graph validation is wrong?
 
 Each mutant below replaces one exact piece of one line of ``src/graphstage/``.
 For each, the script copies the repository's ``src/``, ``tests/``,
@@ -93,6 +94,10 @@ MUTANTS = (
     Mutant("positional-anchor", "codec.py", 'r"(?:G" + ', 'r"(?:" + ', "test_codec.py"),
     Mutant("task-text", "evaluation.py", "if trace.task_text != instance.task_text:", "if False:",
            "test_evaluation.py"),
+    Mutant("manifest-digest", "codec.py", "return digest is not None and hashlib.sha256(data).hexdigest() == digest",
+           "return digest is not None", "test_manifest.py"),
+    Mutant("el-trusted-width", "codec.py", 'width = 1 + body.count(b",", 0, body.find(b"\\n"))',
+           "width = 2 if kind is WeightKind.NONE else 3", "test_manifest.py"),
 )
 
 

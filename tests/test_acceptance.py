@@ -35,7 +35,6 @@ from graphstage import (
     extract_parameters,
     extract_tool_name,
     generate_corpus,
-    generate_instance,
     graphs_equal,
     render_edge_list,
     run_corpus,

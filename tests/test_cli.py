@@ -285,7 +285,7 @@ def test_fault_flags_need_the_fault_backend(tmp_path, capsys, backend, fault_fla
     )
     assert code == 2
     assert f"{fault_flag[0]} is read only with --backend fault, not --backend {backend[0]}" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl"]
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "corpus.sha256"]
 
 
 def test_truncated_corpus_line_is_reported_with_file_and_line(tmp_path, capsys):
@@ -316,7 +316,7 @@ def test_run_checks_backend_settings_before_reading_the_corpus(tmp_path, capsys,
     capsys.readouterr()
     assert run_cli("run", "--corpus", str(corpus), "--backend", *backend, "--out", str(out / "traces.jsonl")) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
-    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl"]
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "corpus.sha256"]
 
 
 @pytest.mark.parametrize("command", ["build-dataset", "evaluate"])
@@ -330,7 +330,7 @@ def test_trace_for_an_instance_missing_from_the_corpus_is_an_error(tmp_path, cap
     target = out / ("alpaca.json" if command == "build-dataset" else "eval")
     assert run_cli(command, "--traces", str(traces), "--corpus", str(corpus), "--out", str(target)) == 1
     assert capsys.readouterr().err == "error: trace for unknown instance 'edge_count-d-wl-00001'\n"
-    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "traces.jsonl"]
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "corpus.sha256", "traces.jsonl"]
 
 
 @pytest.mark.parametrize("command", ["build-dataset", "evaluate"])
@@ -365,7 +365,7 @@ def test_fill_flags_need_fill_quota(tmp_path, capsys, flag):
     )
     assert code == 2
     assert f"{flag[0]} is read only with --fill-quota N" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "traces.jsonl"]
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "corpus.sha256", "traces.jsonl"]
 
 
 @pytest.mark.parametrize("command", ["run", "build-dataset", "evaluate"])
@@ -400,7 +400,7 @@ def test_malformed_corpus_line_is_reported_with_file_and_line(tmp_path, capsys, 
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {corpus}:3: ") and message in err, err
-    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "traces.jsonl"]
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "corpus.sha256", "traces.jsonl"]
 
 
 @pytest.mark.parametrize("command", ["build-dataset", "evaluate"])
@@ -432,7 +432,7 @@ def test_duplicate_trace_id_is_reported_with_file_and_line(tmp_path, capsys, com
     target = out / ("alpaca.json" if command == "build-dataset" else "eval")
     assert run_cli(command, "--traces", str(traces), "--corpus", str(corpus), "--out", str(target)) == 1
     assert capsys.readouterr().err == f"error: {traces}:3: duplicate instance id 'edge_count-d-wl-00000'\n"
-    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "traces.jsonl"]
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "corpus.sha256", "traces.jsonl"]
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ FAULT_SEED = 5
 # of their files must equal the fault run's.
 DIGESTS = {
     "corpus/corpus.jsonl": "90ba72d20f4461f3aacc31d13544113b2d58ef05f27847c7993a8255480144fc",
+    "corpus/corpus.sha256": "dd06d88aa04bcfcbf9174458fe68af272e65f0a87dae71e8a1a9022a55a0518d",
     "corpus/graphs/*.edges": "bc157d0617df5aab2079ce7c783045ed5ead24b2898283a3f612d64c9c972280",
     "fault/alpaca.json": "3c3976743b88346c9929dddcfd619d64a4cf8812bf5637c41f1a45c067a12419",
     "fault/eval/records.jsonl": "800b011892aa5b05216bf00a268f1b9d0b3842ec8962eb422fcec8e78d2127d3",

@@ -20,7 +20,6 @@ from graphstage import (
     FaultPlan,
     OracleBackend,
     SizeClass,
-    TaskKind,
     aggregate,
     build_dataset,
     evaluate_traces,

@@ -15,7 +15,7 @@ from graphstage import (
     generate_instance,
     graphs_equal,
 )
-from graphstage.generator import BOOLEAN_TOOLS, render_task_text
+from graphstage.generator import render_task_text
 from graphstage.serialize import dump_line, instance_to_json
 
 from oracles import has_unique_topological_order, max_referenced_node

@@ -1,8 +1,9 @@
 import random
+from collections import deque
 
 import pytest
 
-from graphstage import Answer, WeightKind, build_graph, dispatch
+from graphstage import Answer, GenConfig, WeightKind, build_graph, dispatch, generate_corpus
 from graphstage.tools import (
     ArityMismatch,
     CyclicGraph,
@@ -189,6 +190,55 @@ def test_maximum_flow_equals_min_cut(rng):
             continue
         s, t = rng.sample(range(g.node_count), 2)
         assert maximum_flow(g, s, t).value == oracle_min_cut(g, s, t)
+
+
+def _dict_max_flow(g, source, sink):
+    """The Edmonds-Karp over one capacity dict per node that the arc lists of
+    maximum_flow replaced, kept as the reference for graphs too large for the
+    min-cut enumeration."""
+    cap = [dict() for _ in range(g.node_count)]
+    for u, v, w in g.edges:
+        cap[u][v] = cap[u].get(v, 0) + w
+        cap[v].setdefault(u, 0)
+        if not g.directed:
+            cap[v][u] += w
+    total = 0
+    while True:
+        parent = [-1] * g.node_count
+        parent[source] = source
+        queue = deque([source])
+        while queue and parent[sink] == -1:
+            node = queue.popleft()
+            for nxt, c in cap[node].items():
+                if c > 0 and parent[nxt] == -1:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        if parent[sink] == -1:
+            return total
+        path = []
+        node = sink
+        while node != source:
+            path.append((parent[node], node))
+            node = parent[node]
+        bottleneck = min(cap[u][v] for u, v in path)
+        for u, v in path:
+            cap[u][v] -= bottleneck
+            cap[v][u] += bottleneck
+        total += bottleneck
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_maximum_flow_in_either_direction_equals_min_cut_and_the_dict_version(directed):
+    rng = random.Random(f"maximum_flow:{directed}")
+    for _ in range(60):
+        g = random_test_graph(rng, directed, WeightKind.CAPACITY, n_max=8)
+        s, t = rng.sample(range(g.node_count), 2)
+        assert maximum_flow(g, s, t).value == oracle_min_cut(g, s, t)
+    kind = f"maximum_flow:{'directed' if directed else 'undirected'}"
+    for inst in generate_corpus(GenConfig(kinds=(kind,), count=30, sizes="both", seed=9)):
+        g = inst.graph
+        for s, t in [inst.params, *(rng.sample(range(g.node_count), 2) for _ in range(3))]:
+            assert maximum_flow(g, s, t).value == _dict_max_flow(g, s, t), (inst.id, s, t)
 
 
 def test_path_existence_chain():
