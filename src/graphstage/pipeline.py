@@ -8,18 +8,18 @@ which instance and stage a prompt belongs to without a side channel, and it
 carries no gold labels. A prompt is thus a function of the instruction text,
 the instance id, the stage and the task text (:func:`layout_prompt`). The
 instruction texts are few, and each has a key (:data:`INSTRUCTION_TEXTS`): a
-stage record names the instruction it sent by its key. A reply's parse follows
-from the key, the task kind and an EL graph file's read (:func:`parse_reply`,
-:func:`parameter_stage`), so a stored trace keeps those and is parsed again.
+stage record names the instruction it sent by its key.
 
 Each stage is attempted exactly once; a parse failure in any stage
 short-circuits tool execution but the trace still records every stage. The
-stage sequence is written once, as a coroutine that awaits each reply: over
-a blocking backend it never suspends, and :func:`run_pipeline` runs it to the
-end in one step (:func:`run_blocking`). With an HTTP backend,
-:func:`run_corpus` and :func:`run_pipeline` await it on an event loop, one
-coroutine per connection. That loop, and the one each blocking HTTP call
-runs on, starts in :func:`run_on_loop`.
+stage sequence is written once, in the coroutine :func:`run_stages`, and
+:func:`execute` then makes the tool call. A run answers the stages from a
+backend and the corpus directory's files; the trace loader replays them on
+a stored trace. Over a blocking backend, or a replay, the coroutine never
+suspends, and :func:`run_blocking` runs it to the end in one step. With an
+HTTP backend, :func:`run_corpus` and :func:`run_pipeline` await it on an
+event loop, one coroutine per connection. That loop, and the one each
+blocking HTTP call runs on, starts in :func:`run_on_loop`.
 """
 
 from __future__ import annotations
@@ -213,14 +213,6 @@ BACKEND_ERROR = "backend error: "  # a failed call's reason, then the error
 FILE_READ_ERROR = "file read: "  # an EL graph file's read failure, then the error
 
 
-def stage_of_key(key: str) -> StageKind:
-    """The stage that sends the instruction ``key``: ``G:*`` graph, ``N`` name,
-    ``P:*`` and ``""`` (no call) parameters; another key raises ValueError."""
-    if key and key not in INSTRUCTION_TEXTS:
-        raise ValueError(f"unknown instruction key {key!r}")
-    return _STAGE_OF_LETTER.get(key[:1], StageKind.PARAMS)
-
-
 def parse_reply(key: str, raw: str, kind: TaskKind, read_file) -> ExtractionResult:
     """What the pipeline makes of the reply ``raw`` to the instruction ``key``
     on a task of ``kind``. A path inside the corpus directory that an EL graph
@@ -256,25 +248,20 @@ def parameter_stage(name: ExtractionResult) -> Tuple[str, str]:
     return f"P:{spec.name}", ""
 
 
-async def _pipeline(instance: TaskInstance, complete, base_dir: Path, digests: Dict[str, str]) -> PipelineTrace:
-    """The staged pipeline for one instance; ``complete`` is the coroutine
-    function that answers a prompt, and ``digests`` maps the EL graph files
-    under ``base_dir`` to their SHA-256 (:func:`~graphstage.serialize.graph_file_digests`)."""
+async def run_stages(
+    instance_id: str, kind: TaskKind, size_class: SizeClass, task_text: str, complete, read_file
+) -> List[StageRecord]:
+    """The stage records of one instance: graph, name, then, for a kind with
+    parameters, the parameter stage that the name reply leads to. ``complete``
+    is the coroutine function that answers a prompt; ``read_file`` goes to
+    :func:`parse_reply`."""
     stages: List[StageRecord] = []
-    kind = instance.kind
-
-    def read_file(relative: Path) -> ExtractionResult:
-        digest = digests.get(relative.as_posix())
-        try:
-            return ExtractionResult(graph=read_el_graph_file(base_dir / relative, kind.weight_kind, digest))
-        except (OSError, ValueError) as exc:
-            return ExtractionResult(reason=f"{FILE_READ_ERROR}{exc}")
 
     async def ask(key: str) -> ExtractionResult:
         """Send the instruction ``key``, and record the reply with what the
         pipeline makes of it."""
-        stage = stage_of_key(key)
-        prompt = assemble_prompt(INSTRUCTION_TEXTS[key], instance, stage)
+        stage = _STAGE_OF_LETTER[key[0]]
+        prompt = layout_prompt(INSTRUCTION_TEXTS[key], instance_id, stage, task_text)
         start = time.perf_counter()
         try:
             raw, error = await complete(prompt), None
@@ -286,7 +273,7 @@ async def _pipeline(instance: TaskInstance, complete, base_dir: Path, digests: D
         return parsed
 
     # stage G: graph (or file path) extraction
-    if instance.size_class is SizeClass.EL:
+    if size_class is SizeClass.EL:
         await ask("G:el")
     else:
         await ask("G:wl:capacity" if kind.weight_kind is WeightKind.CAPACITY else "G:wl")
@@ -301,27 +288,37 @@ async def _pipeline(instance: TaskInstance, complete, base_dir: Path, digests: D
             await ask(key)
         else:
             stages.append(StageRecord(StageKind.PARAMS, "", "", "", ExtractionResult(reason=reason), 0.0))
+    return stages
 
-    # tool execution over the three parsed values
-    tool_result = None
-    tool_error = None
+
+def execute(stages: List[StageRecord]) -> Tuple[Optional[Answer], Optional[str]]:
+    """``(tool_result, tool_error)``: the tool that the name stage named, run
+    on the parsed graph and parameters, or why it did not run."""
     failed = next((s for s in stages if not s.parsed.ok), None)
     if failed is not None:
-        tool_error = f"stage {failed.stage.value} parse failure: {failed.parsed.reason}"
-    else:
-        params = stages[2].parsed.params if len(stages) > 2 else ()
-        try:
-            tool_result = dispatch(stages[1].parsed.name, stages[0].parsed.graph, params)
-        except ToolError as exc:
-            tool_error = f"tool dispatch error: {exc}"
+        return None, f"stage {failed.stage.value} parse failure: {failed.parsed.reason}"
+    params = stages[2].parsed.params if len(stages) > 2 else ()
+    try:
+        return dispatch(stages[1].parsed.name, stages[0].parsed.graph, params), None
+    except ToolError as exc:
+        return None, f"tool dispatch error: {exc}"
 
-    return PipelineTrace(
-        instance_id=instance.id,
-        task_text=instance.task_text,
-        stages=stages,
-        tool_result=tool_result,
-        tool_error=tool_error,
-    )
+
+async def _pipeline(instance: TaskInstance, complete, base_dir: Path, digests: Dict[str, str]) -> PipelineTrace:
+    """The staged pipeline for one instance, then its tool call; ``digests``
+    maps the EL graph files under ``base_dir`` to their SHA-256
+    (:func:`~graphstage.serialize.graph_file_digests`)."""
+    weight_kind = instance.kind.weight_kind
+
+    def read_file(relative: Path) -> ExtractionResult:
+        digest = digests.get(relative.as_posix())
+        try:
+            return ExtractionResult(graph=read_el_graph_file(base_dir / relative, weight_kind, digest))
+        except (OSError, ValueError) as exc:
+            return ExtractionResult(reason=f"{FILE_READ_ERROR}{exc}")
+
+    stages = await run_stages(instance.id, instance.kind, instance.size_class, instance.task_text, complete, read_file)
+    return PipelineTrace(instance.id, instance.task_text, stages, *execute(stages))
 
 
 # the EL graph file digests of the corpus that run_corpus is running: each of

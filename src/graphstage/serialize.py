@@ -29,10 +29,10 @@ Trace lines (format 5) store the task text once per trace. A stage stores
 its instruction as a key of :data:`~graphstage.pipeline.INSTRUCTION_TEXTS`
 (``""`` when it made no call), its raw output, its latency, and what the
 loader cannot rebuild: a failed call's ``error`` and what reading an EL graph
-``file`` gave. The loader rebuilds each prompt, and parses each reply again
-by the pipeline's own rules. Format-4 lines, which also stored each parse,
-load the same way; of that parse only a backend error and an EL file's
-graph or read error are read.
+``file`` gave. The loader replays them through the pipeline's own stages,
+and rejects a line whose stored keys are not the ones that the replay sends.
+Format-4 lines, which also stored each parse, are replayed the same way; of
+that parse only a backend error and an EL file's graph or read error are read.
 """
 
 from __future__ import annotations
@@ -46,23 +46,12 @@ from functools import partial
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, Optional
 
 from .codec import GRAPH_FILE_SUFFIX, ExtractionResult, matches_digest
 from .generator import GRAPH_DIR, TaskInstance, TaskKind, parse_instance_id
 from .graphs import Graph, WeightKind, build_graph, flat_columns, trusted_graph
-from .pipeline import (
-    BACKEND_ERROR,
-    FILE_READ_ERROR,
-    INSTRUCTION_TEXTS,
-    PipelineTrace,
-    StageKind,
-    StageRecord,
-    layout_prompt,
-    parameter_stage,
-    parse_reply,
-    stage_of_key,
-)
+from .pipeline import BACKEND_ERROR, FILE_READ_ERROR, PipelineTrace, StageRecord, run_blocking, run_stages
 from .tools import Answer
 
 CORPUS_FORMAT = 2
@@ -337,37 +326,48 @@ def _file_graph(file: dict, kind: TaskKind) -> ExtractionResult:
 
 
 def trace_from_json(obj: dict) -> PipelineTrace:
-    """A format-5 or format-4 trace line. Another format (a line without
-    ``format`` is format 1), an unknown instruction key, or stages other than
-    graph, name and, for a kind with parameters, parameters raise ValueError."""
+    """A format-5 or format-4 trace line, replayed through the pipeline's own
+    stages (:func:`~graphstage.pipeline.run_stages`) on its stored replies,
+    errors and ``file`` records. Another format (a line without ``format`` is
+    format 1), or stored instruction keys other than the ones the replay
+    sends, raise ValueError."""
     version = obj["format"] if "format" in obj else 1
     if version not in (4, TRACE_FORMAT):
         raise ValueError(f"unknown trace format {version!r}")
     instance_id = obj["instance_id"]
-    kind = parse_instance_id(instance_id)[0]
+    kind, size = parse_instance_id(instance_id)[:2]
     task_text = obj["task_text"]
     if type(task_text) is not str:
         raise ValueError(f"task_text must be a string, got {type(task_text).__name__}")
     recs = obj["stages"] if version == TRACE_FORMAT else [_format_4_stage(rec) for rec in obj["stages"]]
-    keys = [rec["instruction"] for rec in recs]
-    stage_kinds = list(map(stage_of_key, keys))
-    if stage_kinds != list(StageKind)[: 2 + kind.parametric]:
-        raise ValueError(f"a {kind.tool} trace holds a graph, a name{' and a parameter' * kind.parametric} stage")
-    stages: List[StageRecord] = []
-    for key, stage, rec in zip(keys, stage_kinds, recs):
-        raw = rec["raw_output"]
-        if stage is StageKind.PARAMS:  # the name stage gives its key, or why it made no call
-            sent, reason = parameter_stage(stages[1].parsed)
-            if sent != key:
-                raise ValueError(f"the parameter stage's key is {key!r}, though the name stage leads to {sent!r}")
-        if "error" in rec:
-            parsed = ExtractionResult(reason=BACKEND_ERROR + rec["error"])
-        elif key:
-            parsed = parse_reply(key, raw, kind, lambda _: _file_graph(rec["file"], kind))
-        else:
-            parsed = ExtractionResult(reason=reason)
-        prompt = layout_prompt(INSTRUCTION_TEXTS[key], instance_id, stage, task_text) if key else ""
-        stages.append(StageRecord(stage, key, prompt, raw, parsed, rec["latency_ms"]))
+    stored = [rec["instruction"] for rec in recs]
+    # the pipeline records what the replay's complete raises as a backend
+    # error, so each field that complete reads is checked before the replay
+    for rec in recs:
+        for field, value in (("raw_output", rec["raw_output"]), ("error", rec.get("error", ""))):
+            if type(value) is not str:
+                raise ValueError(f"{field} must be a string, got {type(value).__name__}")
+    replies = iter(recs)
+    current = {}
+
+    async def complete(prompt: str) -> str:  # the next stored reply, or its stored error
+        nonlocal current
+        current = next(replies, {"raw_output": ""})  # a call too many: the keys differ
+        if "error" in current:
+            raise RuntimeError(current["error"])
+        return current["raw_output"]
+
+    def read_file(relative) -> ExtractionResult:  # the stage's stored read stands in for the file
+        return _file_graph(current["file"], kind)
+
+    stages = run_blocking(run_stages(instance_id, kind, size, task_text, complete, read_file))
+    sent = [r.instruction for r in stages]
+    if sent != stored:
+        raise ValueError(
+            f"the stages store the instruction keys {stored!r}, but on these replies the pipeline sends {sent!r}"
+        )
+    for record, rec in zip(stages, recs):
+        record.latency_ms = rec["latency_ms"]
     result = obj["tool_result"]
     return PipelineTrace(
         instance_id=instance_id,

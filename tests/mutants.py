@@ -1,6 +1,6 @@
 """Mutation check of the trust path: does tier-1 notice when one line of the
-scorer, the dataset filter, graph equality, the loaders (and the parse rule
-that the trace loader shares with the pipeline), the instance id parser, the
+scorer, the dataset filter, graph equality, the loaders (and the stages
+that the trace loader replays a line through), the instance id parser, the
 fault injector's labels, the parameter extractor or the digest check that
 lets a read skip graph validation is wrong?
 
@@ -65,12 +65,15 @@ MUTANTS = (
     Mutant("13", "graphs.py", "and a.weight_kind == b.weight_kind", "and True", "test_graphs.py"),
     Mutant("trace-format", "serialize.py", "if version not in (4, TRACE_FORMAT):",
            "if version > TRACE_FORMAT:", "test_serialize.py"),
-    Mutant("stage-instruction", "serialize.py", 'keys = [rec["instruction"] for rec in recs]',
-           'keys = [rec.get("instruction", "") for rec in recs]', "test_serialize.py"),
-    Mutant("stage-order", "serialize.py", "if stage_kinds != list(StageKind)[: 2 + kind.parametric]:",
-           "if stage_kinds != list(StageKind)[: len(keys)]:", "test_serialize.py"),
-    Mutant("parameter-key", "serialize.py", "if sent != key:", "if sent and not key:", "test_serialize.py"),
-    Mutant("stored-error", "serialize.py", 'if "error" in rec:', "if False:", "test_serialize.py"),
+    Mutant("stage-instruction", "serialize.py", 'stored = [rec["instruction"] for rec in recs]',
+           'stored = [rec.get("instruction", "") for rec in recs]', "test_serialize.py"),
+    Mutant("replay-keys", "serialize.py", "if sent != stored:", "if len(sent) != len(stored):",
+           "test_serialize.py"),
+    Mutant("stored-error", "serialize.py", 'if "error" in current:', "if False:", "test_serialize.py"),
+    Mutant("stored-reply", "serialize.py", '("raw_output", rec["raw_output"])',
+           '("raw_output", rec.get("raw_output", ""))', "test_serialize.py"),
+    Mutant("error-text", "serialize.py", '("error", rec.get("error", ""))', '("error", "")',
+           "test_serialize.py"),
     Mutant("file-record", "serialize.py", 'elif key == "G:el" and file_graph is not None:', "elif False:",
            "test_serialize.py"),
     Mutant("reparse-direction", "pipeline.py", "extract_graph(raw, kind.weight_kind, kind.directed)",

@@ -1,10 +1,10 @@
 """Corpus and trace files: graphs are stored with one flat ``edges`` array,
 corpus lines in format 2 store the id, params, task text, edges and gold
 answer, and trace lines in format 5 store instruction keys, replies and the
-task text once; the loaders rebuild every record exactly, re-parsing each
-reply with the pipeline's own rules. Each loader requires every key that its
-writer writes: corpus lines of format 1 and trace lines of formats 1 to 3 are
-rejected, and format-4 trace lines load as their writer loaded them."""
+task text once; the loaders rebuild every record exactly, replaying each
+trace line through the pipeline's own stages. Each loader requires every key
+that its writer writes: corpus lines of format 1 and trace lines of formats 1
+to 3 are rejected, and format-4 trace lines load as their writer loaded them."""
 
 import dataclasses
 import json
@@ -183,7 +183,8 @@ def test_unknown_instruction_key_names_the_key_file_and_line(tmp_path, corpus):
     bad["stages"][0]["instruction"] = "G:xl"
     path = tmp_path / "traces.jsonl"
     path.write_text(dump_line(good) + "\n\n" + dump_line(bad) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: unknown instruction key 'G:xl'$"):
+    message = _keys_differ(["G:xl", "N"], ["G:wl", "N"])
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
         load_traces(path)
 
 
@@ -303,6 +304,30 @@ def _as_degree_count(name_reply, key, raw):
     return edit
 
 
+def _keys_differ(stored, sent):
+    return f"the stages store the instruction keys {stored!r}, but on these replies the pipeline sends {sent!r}"
+
+
+def _with_parameter_stage(change):
+    """An edit that makes line 2 a degree_count trace whose parameter stage
+    was sent, then applies ``change`` to that stage."""
+
+    def edit(obj):
+        _as_degree_count("API_name: degree_count", "P:degree_count", "node=0")(obj)
+        change(obj["stages"][2])
+
+    return edit
+
+
+_STAGE_TRAPS = (
+    (lambda s: s.pop("raw_output"), "missing key 'raw_output'"),
+    (lambda s: s.pop("latency_ms"), "missing key 'latency_ms'"),
+    (lambda s: s.update(raw_output=None), "raw_output must be a string, got NoneType"),
+    (lambda s: s.update(error=None), "error must be a string, got NoneType"),
+    (lambda s: s.update(error=["refused"]), "error must be a string, got list"),
+)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -319,17 +344,26 @@ def _as_degree_count(name_reply, key, raw):
         (lambda o: o["stages"][0]["file"].update(edges=[0, 1, 2.5, 3]),
          "edges must be a flat integer array, found 2.5"),
         (lambda o: o["stages"][0]["file"].update(directed=1), "directed must be true or false, got 1"),
-        (lambda o: o["stages"].pop(), "a cycle_detection trace holds a graph, a name stage"),
+        # one rule for every stage: the stored keys are the ones that the
+        # pipeline sends when it is given the stored replies
+        (lambda o: o["stages"].pop(), _keys_differ(["G:el"], ["G:el", "N"])),
         (lambda o: o["stages"].append(dict(o["stages"][1], instruction="")),
-         "a cycle_detection trace holds a graph, a name stage"),
-        (lambda o: o["stages"].reverse(), "a cycle_detection trace holds a graph, a name stage"),
-        # one rule for every parameter stage: its key is the one the name stage leads to
+         _keys_differ(["G:el", "N", ""], ["G:el", "N"])),
+        (lambda o: o["stages"].reverse(), _keys_differ(["N", "G:el"], ["G:el", "N"])),
         (_as_degree_count("API_name: degree_count", "", ""),
-         "the parameter stage's key is '', though the name stage leads to 'P:degree_count'"),
+         _keys_differ(["G:el", "N", ""], ["G:el", "N", "P:degree_count"])),
         (_as_degree_count("API_name: shortest_path", "P:degree_count", "node=0"),
-         "the parameter stage's key is 'P:degree_count', though the name stage leads to 'P:shortest_path'"),
+         _keys_differ(["G:el", "N", "P:degree_count"], ["G:el", "N", "P:shortest_path"])),
         (_as_degree_count("API_name: cycle_detection", "P:degree_count", "node=0"),
-         "the parameter stage's key is 'P:degree_count', though the name stage leads to ''"),
+         _keys_differ(["G:el", "N", "P:degree_count"], ["G:el", "N", ""])),
+        # a stored field that the replay's complete would read fails the line,
+        # on every stage, rather than loading as a backend error
+        *(pytest.param(edit, message, id=f"{stage} stage: {message}")
+          for change, message in _STAGE_TRAPS for stage, edit in (
+              ("graph", lambda o, c=change: c(o["stages"][0])),
+              ("name", lambda o, c=change: c(o["stages"][1])),
+              ("parameter", _with_parameter_stage(change)),
+          )),
     ],
 )
 def test_malformed_trace_line_names_file_and_line(corpus, corpus_dir, tmp_path, edit, message):
