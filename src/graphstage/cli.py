@@ -177,7 +177,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_build_dataset(args) -> int:
     corpus = load_corpus(args.corpus)
-    traces = load_traces(args.traces)
+    traces = load_traces(args.traces, corpus)
     entries, stats = build_dataset(traces, corpus)
 
     if args.fill_quota:
@@ -221,7 +221,7 @@ def _fill_quota(args, corpus, traces, entries, stats):
 
 def _cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
-    traces = load_traces(args.traces)
+    traces = load_traces(args.traces, corpus)
     records = evaluate_traces(traces, corpus)
     report = aggregate(records, corpus)
     out_dir = Path(args.out)

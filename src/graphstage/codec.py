@@ -47,6 +47,13 @@ EDGE_PATTERNS = {
 
 TOOL_NAME_PATTERN = re.compile(r"API_name:\s*(\w+)")
 
+# a graph reply may name node ids below this bound only. The node count of an
+# extracted graph is its highest id + 1, and the tools allocate and loop per
+# node, so one reply naming node 10**8 would take gigabytes. Generated graphs
+# have at most 100 nodes (generator.SIZE_NODE_RANGE); at the bound the slowest
+# tool takes a few ms.
+NODE_ID_BOUND = 10_000
+
 # a whitespace-delimited token that holds the graph file suffix; the
 # lookbehind lets a search try each token from its start only
 _SUFFIX_TOKEN = re.compile(r"(?<!\S)\S*\.edges\S*")
@@ -82,7 +89,8 @@ def render_edge_list(g: Graph) -> str:
 def extract_graph(
     text: str, weight_kind: WeightKind | str, directed: bool = False
 ) -> ExtractionResult:
-    """Collect every edge match and rebuild a graph with node_count = max id + 1."""
+    """Collect every edge match and rebuild a graph with node_count = max id + 1.
+    A node id of :data:`NODE_ID_BOUND` or more fails the extraction."""
     kind = WeightKind(weight_kind)
     matches = EDGE_PATTERNS[kind].findall(text)
     if not matches:
@@ -91,8 +99,12 @@ def extract_graph(
         numbers = list(map(int, chain.from_iterable(matches)))  # text order: the first bad one is named
     except ValueError as exc:  # a number past int's digit limit
         return ExtractionResult(reason=f"edge number: {exc}")
+    columns = flat_columns(numbers, len(matches[0]))
+    top = max(max(columns[0]), max(columns[1]))
+    if top >= NODE_ID_BOUND:
+        return ExtractionResult(reason=f"node id {top} is not below the bound {NODE_ID_BOUND}")
     try:
-        g = build_graph(directed, None, flat_columns(numbers, len(matches[0])), kind, columns=True)
+        g = build_graph(directed, None, columns, kind, columns=True)
     except GraphError as exc:
         return ExtractionResult(reason=f"invalid edge list: {exc}")
     return ExtractionResult(graph=g)

@@ -31,6 +31,8 @@ its instruction as a key of :data:`~graphstage.pipeline.INSTRUCTION_TEXTS`
 loader cannot rebuild: a failed call's ``error`` and what reading an EL graph
 ``file`` gave. The loader replays them through the pipeline's own stages,
 and rejects a line whose stored keys are not the ones that the replay sends.
+Given the corpus, a ``file`` record that holds exactly its instance's graph,
+which the corpus load validated, loads as that graph without building it again.
 Format-4 lines, which also stored each parse, are replayed the same way; of
 that parse only a backend error and an EL file's graph or read error are read.
 """
@@ -43,10 +45,10 @@ import os
 import re
 import tempfile
 from functools import partial
-from itertools import chain
-from operator import attrgetter, itemgetter
+from itertools import chain, repeat
+from operator import attrgetter, eq, itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, Optional
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional
 
 from .codec import GRAPH_FILE_SUFFIX, ExtractionResult, matches_digest
 from .generator import GRAPH_DIR, TaskInstance, TaskKind, parse_instance_id
@@ -91,14 +93,26 @@ def answer_to_json(a: Answer) -> dict:
     return {"kind": a.kind, "value": value}
 
 
-_ANSWER_OF_KIND = {"node_seq": Answer.node_seq, "bool": Answer.bool_, "count": Answer.count, "value": Answer.value}
+# answer kind -> whether a stored value is of the kind's exact JSON type, and that type
+_ANSWER_VALUES = {
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "count": (lambda v: type(v) is int, "an integer"),
+    "value": (lambda v: type(v) is int, "an integer"),
+    "node_seq": (lambda v: type(v) is list and all(type(x) is int for x in v), "an array of integers"),
+}
 
 
 def answer_from_json(obj: dict) -> Answer:
+    """The answer that :func:`answer_to_json` wrote. A value that is not of
+    its kind's exact JSON type raises ``ValueError``: nothing is converted, so
+    ``2.5``, ``"3"`` and ``true`` are no count, and ``"no"`` is no bool."""
     kind, value = obj["kind"], obj["value"]
-    if kind not in _ANSWER_OF_KIND:
+    if kind not in _ANSWER_VALUES:
         raise ValueError(f"unknown answer kind {kind!r}")
-    return _ANSWER_OF_KIND[kind](value)
+    exact, noun = _ANSWER_VALUES[kind]
+    if not exact(value):
+        raise ValueError(f"a {kind} answer holds {noun}, got {value!r}")
+    return Answer(kind, tuple(value) if kind == "node_seq" else value)
 
 
 def instance_to_json(inst: TaskInstance) -> dict:
@@ -312,30 +326,56 @@ def _format_4_stage(rec: dict) -> dict:
     only for a backend error and what an EL graph file held."""
     parsed = rec["parsed"]
     reason = parsed["reason"] if parsed["kind"] == "failure" else None
+    if parsed["kind"] == "failure" and type(reason) is not str:
+        raise ValueError(f"reason must be a string, got {type(reason).__name__}")
     graph = parsed["graph"] if parsed["kind"] == "graph" else None
     return _stage_line(rec["instruction"], rec["raw_output"], rec["latency_ms"], reason, graph)
 
 
-def _file_graph(file: dict, kind: TaskKind) -> ExtractionResult:
-    """What reading an EL graph file gave, from what a stage line stores."""
+def _file_graph(file: dict, kind: TaskKind, gold: Optional[Graph]) -> ExtractionResult:
+    """What reading an EL graph file gave, from what a stage line stores. A
+    record that holds exactly the instance's graph ``gold`` (None when the
+    corpus is not known) gives that graph itself; any other is validated."""
     if "error" in file:
         return ExtractionResult(reason=FILE_READ_ERROR + file["error"])
-    if type(file["directed"]) is not bool:
-        raise ValueError(f"directed must be true or false, got {file['directed']!r}")
-    return ExtractionResult(graph=graph_from_edges(file["edges"], file["directed"], kind.weight_kind))
+    directed = file["directed"]
+    if type(directed) is not bool:
+        raise ValueError(f"directed must be true or false, got {directed!r}")
+    edges = file["edges"]
+    if gold is not None and directed is gold.directed and _holds(edges, gold):
+        return ExtractionResult(graph=gold)
+    return ExtractionResult(graph=graph_from_edges(edges, directed, kind.weight_kind))
 
 
-def trace_from_json(obj: dict) -> PipelineTrace:
+def _holds(edges, graph: Graph) -> bool:
+    """Whether ``edges`` is the flat array that :func:`edges_to_json` writes
+    for ``graph``: its edges in order, of exact ints only (a float or a bool
+    may equal an int, but it is not one)."""
+    if type(edges) is not list or len(edges) != (3 if graph.weighted else 2) * len(graph.edges):
+        return False
+    values = iter(edges)
+    rows = zip(values, values, values if graph.weighted else repeat(None))
+    return all(map(eq, rows, graph.edges)) and list(map(type, edges)).count(int) == len(edges)
+
+
+def trace_from_json(obj: dict, graphs: Optional[Mapping[str, Graph]] = None) -> PipelineTrace:
     """A format-5 or format-4 trace line, replayed through the pipeline's own
     stages (:func:`~graphstage.pipeline.run_stages`) on its stored replies,
     errors and ``file`` records. Another format (a line without ``format`` is
     format 1), or stored instruction keys other than the ones the replay
-    sends, raise ValueError."""
+    sends, raise ValueError.
+
+    ``graphs`` maps instance ids to the corpus graphs, which were validated
+    when the corpus was loaded. A ``file`` record whose direction and flat
+    edge array of exact ints are those of its instance's graph gives that
+    graph object instead of a rebuilt one; with or without ``graphs``, a
+    line loads as the same trace or fails with the same message."""
     version = obj["format"] if "format" in obj else 1
     if version not in (4, TRACE_FORMAT):
         raise ValueError(f"unknown trace format {version!r}")
     instance_id = obj["instance_id"]
     kind, size = parse_instance_id(instance_id)[:2]
+    gold = None if graphs is None else graphs.get(instance_id)  # a well-formed id: a hashable str
     task_text = obj["task_text"]
     if type(task_text) is not str:
         raise ValueError(f"task_text must be a string, got {type(task_text).__name__}")
@@ -358,7 +398,7 @@ def trace_from_json(obj: dict) -> PipelineTrace:
         return current["raw_output"]
 
     def read_file(relative) -> ExtractionResult:  # the stage's stored read stands in for the file
-        return _file_graph(current["file"], kind)
+        return _file_graph(current["file"], kind, gold)
 
     stages = run_blocking(run_stages(instance_id, kind, size, task_text, complete, read_file))
     sent = [r.instruction for r in stages]
@@ -378,7 +418,16 @@ def trace_from_json(obj: dict) -> PipelineTrace:
     )
 
 
-def load_traces(path: str | Path) -> list:
+def load_traces(path: str | Path, corpus: Optional[Iterable[TaskInstance]] = None) -> list:
     """The traces of a trace file; a line that repeats an earlier line's
-    instance id is rejected."""
-    return list(read_jsonl(path, unique_ids(trace_from_json, attrgetter("instance_id"))))
+    instance id is rejected.
+
+    ``corpus``, the loaded instances that the traces will be scored against,
+    lets an EL graph stage's ``file`` record that holds exactly its
+    instance's graph load as that graph, without building and validating it
+    again (:func:`trace_from_json`); the traces, and every error, are the
+    same without it. It is optional only until trace lines store a digest of
+    the file in place of its edges (ROADMAP item 5), which makes it required."""
+    graphs = None if corpus is None else {instance.id: instance.graph for instance in corpus}
+    convert = partial(trace_from_json, graphs=graphs)
+    return list(read_jsonl(path, unique_ids(convert, attrgetter("instance_id"))))

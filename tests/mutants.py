@@ -1,8 +1,9 @@
 """Mutation check of the trust path: does tier-1 notice when one line of the
 scorer, the dataset filter, graph equality, the loaders (and the stages
 that the trace loader replays a line through), the instance id parser, the
-fault injector's labels, the parameter extractor or the digest check that
-lets a read skip graph validation is wrong?
+fault injector's labels, the parameter extractor, the node id bound on a
+graph reply, the digest check that lets a read skip graph validation, or the
+rule that lets a trace's ``file`` record load as its corpus graph is wrong?
 
 Each mutant below replaces one exact piece of one line of ``src/graphstage/``.
 For each, the script copies the repository's ``src/``, ``tests/``,
@@ -99,6 +100,12 @@ MUTANTS = (
            "test_evaluation.py"),
     Mutant("manifest-digest", "codec.py", "return digest is not None and hashlib.sha256(data).hexdigest() == digest",
            "return digest is not None", "test_manifest.py"),
+    Mutant("reuse-exact-int", "serialize.py",
+           "all(map(eq, rows, graph.edges)) and list(map(type, edges)).count(int) == len(edges)",
+           "all(map(eq, rows, graph.edges))", "test_serialize.py"),
+    Mutant("reuse-edges", "serialize.py", "return all(map(eq, rows, graph.edges)) and", "return True and",
+           "test_serialize.py"),
+    Mutant("node-id-bound", "codec.py", "if top >= NODE_ID_BOUND:", "if False:", "test_pipeline.py"),
     Mutant("el-trusted-width", "codec.py", 'width = 1 + body.count(b",", 0, body.find(b"\\n"))',
            "width = 2 if kind is WeightKind.NONE else 3", "test_manifest.py"),
 )

@@ -27,6 +27,7 @@ import pytest
 
 from graphstage.codec import (
     EDGE_PATTERNS,
+    NODE_ID_BOUND,
     ExtractionResult,
     MalformedLine,
     extract_file_path,
@@ -125,6 +126,8 @@ def reference_extract_graph(text, weight_kind, directed=False):
     if not edges:
         return ExtractionResult(reason="no edge matches")
     node_count = 1 + max(max(e[0], e[1]) for e in edges)
+    if node_count > NODE_ID_BOUND:
+        return ExtractionResult(reason=f"node id {node_count - 1} is not below the bound {NODE_ID_BOUND}")
     try:
         g = reference_build_graph(directed, node_count, edges, kind)
     except InvalidEdge as exc:
@@ -493,6 +496,11 @@ def test_extract_graph_matches_per_match_reference():
         # two numbers past int's digit limit: the first in text order is named
         (f"(0, {'7' * 5000}), ({'9' * 4400}, 1)", WeightKind.NONE),
         (f"(0, 1, {{'weight': {'8' * 4500}}}), ({'9' * 4400}, 1, {{'weight': 2}})", WeightKind.WEIGHT),
+        # node ids below the bound only; weights are not node ids
+        ("(0, 9999), (1, 0)", WeightKind.NONE),
+        ("(0, 1), (10000, 1), (1, 1)", WeightKind.NONE),
+        ("(0, 1), (1, 100000000)", WeightKind.NONE),
+        ("(0, 1, {'capacity': 100000000}), (1000000000, 1, {'capacity': 2})", WeightKind.CAPACITY),
     ],
 )
 def test_extract_graph_edge_cases_match_reference(text, kind):

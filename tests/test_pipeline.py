@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -16,12 +17,14 @@ from graphstage import (
     OracleBackend,
     SizeClass,
     TaskKind,
+    WeightKind,
     default_registry,
     generate_instance,
     run_corpus,
     run_pipeline,
 )
-from graphstage.codec import extract_file_path, format_el_graph
+from graphstage import codec
+from graphstage.codec import extract_file_path, extract_graph, format_el_graph
 from graphstage.evaluation import Category, score_trace
 from graphstage.pipeline import (
     StageKind,
@@ -309,6 +312,46 @@ def test_number_answers_that_do_not_parse_are_syntax_errors():
     for trace, inst in zip(traces, corpus):
         assert trace.tool_result is None
         assert score_trace(trace, inst)["category"] == Category.SYNTAX
+
+
+def _naming_node(node, weight_kind):
+    """A graph reply of ``weight_kind`` whose second edge names ``node``."""
+    if weight_kind is WeightKind.NONE:
+        return f"The edges are: (0, 1), (1, {node})"
+    key = weight_kind.value
+    return f"The edges are: (0, 1, {{'{key}': 3}}), (1, {node}, {{'{key}': 2}})"
+
+
+def test_a_graph_reply_naming_a_huge_node_id_is_a_syntax_error_of_every_kind():
+    corpus = [_instance(k.label, i) for i, k in enumerate(ALL_KINDS)]
+    by_id = {inst.id: inst for inst in corpus}
+    huge = 10**9
+    # the extraction refuses it first: a graph of a billion nodes must never reach a tool
+    for inst in corpus:
+        found = extract_graph(_naming_node(huge, inst.kind.weight_kind), inst.kind.weight_kind, inst.kind.directed)
+        assert not found.ok, f"{inst.kind.label}: a graph of {found.graph.node_count} nodes"
+        assert found.reason == f"node id {huge} is not below the bound {codec.NODE_ID_BOUND}"
+    oracle = OracleBackend(corpus)
+    for node in (huge, codec.NODE_ID_BOUND - 1):
+
+        class NamingNode:
+            def complete(self, prompt):
+                instance_id, stage = parse_prompt_meta(prompt)
+                if stage is StageKind.GRAPH:
+                    return _naming_node(node, by_id[instance_id].kind.weight_kind)
+                return oracle.complete(prompt)
+
+        start = time.perf_counter()
+        traces = run_corpus(corpus, NamingNode())
+        assert time.perf_counter() - start < 10.0  # a few ms per trace, tools included, below the bound
+        for trace, inst in zip(traces, corpus):
+            category = score_trace(trace, inst)["category"]
+            if node == huge:
+                assert trace.tool_error.startswith(f"stage graph parse failure: node id {huge}")
+                assert category == Category.SYNTAX
+            else:  # below the bound the reply is a graph, and the tool runs on it
+                assert trace.stages[0].parsed.graph.node_count == codec.NODE_ID_BOUND
+                assert category != Category.CORRECT
 
 
 def test_importing_the_cli_leaves_asyncio_out():

@@ -372,8 +372,103 @@ def test_malformed_trace_line_names_file_and_line(corpus, corpus_dir, tmp_path, 
     edit(lines[1])
     path = tmp_path / "traces.jsonl"
     path.write_text("".join(dump_line(obj) + "\n" for obj in lines), encoding="utf-8")
+    for known in (None, corpus):  # the corpus changes no message
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+            load_traces(path, known)
+
+
+def _loaded(path, corpus=None):
+    """The traces of the file ``path``, or the message its load fails with."""
+    try:
+        return load_traces(path, corpus)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_traces_load_the_same_with_and_without_their_corpus(corpus, corpus_dir, traces_file, tmp_path):
+    faults = tmp_path / "faults.jsonl"
+    backend = FaultBackend(OracleBackend(corpus), FaultPlan(0.2, 0.2, 0.2, 0.2), seed=5)
+    write_jsonl(faults, map(trace_to_json, run_corpus(corpus, backend, base_dir=corpus_dir)))
+    # the format-4 file ran on this corpus too
+    for path in (traces_file, faults, FORMAT_4_FILE):
+        assert load_traces(path, corpus) == load_traces(path)
+    assert load_traces(traces_file, corpus[::2]) == load_traces(traces_file)  # no EL instance known
+
+
+def _el_graphs(traces):
+    """The graph that each EL graph stage of ``traces`` read, by instance id."""
+    return {t.instance_id: t.stages[0].parsed.graph for t in traces if t.stages[0].instruction == "G:el"}
+
+
+def test_an_el_file_record_of_its_instance_graph_loads_as_that_graph(corpus, traces_file):
+    gold = {inst.id: inst.graph for inst in corpus}
+    read = _el_graphs(load_traces(traces_file, corpus))
+    assert len(read) == len(corpus) // 2
+    assert all(graph is gold[ident] for ident, graph in read.items())
+    # without the corpus, or with one that lacks the EL instances, each is built again
+    for known in (None, corpus[::2]):
+        rebuilt = _el_graphs(load_traces(traces_file, known))
+        assert rebuilt == read
+        assert not any(graph is gold[ident] for ident, graph in rebuilt.items())
+
+
+def _swap_first_edge(file):  # as many values, of the same types: one edge reversed
+    edges = file["edges"]
+    edges[0], edges[1] = edges[1], edges[0]
+
+
+def _flip_direction(file):
+    file["directed"] = not file["directed"]
+
+
+def _first_as_float(file):  # equal to an int, but not one
+    file["edges"][0] = float(file["edges"][0])
+
+
+def _first_0_or_1_as_bool(file):
+    edges = file["edges"]
+    at = next(n for n, value in enumerate(edges) if value in (0, 1))
+    edges[at] = bool(edges[at])
+
+
+@pytest.mark.parametrize("change", [_swap_first_edge, _flip_direction, _first_as_float, _first_0_or_1_as_bool])
+def test_a_file_record_other_than_its_instance_graph_is_validated(corpus, traces_file, tmp_path, change):
+    path = _with_line_2_edited(traces_file, tmp_path / "traces.jsonl", lambda o: change(o["stages"][0]["file"]))
+    line = list(read_jsonl(path))[1]
+    instance = corpus[1]
+    assert line["instance_id"] == instance.id and instance.graph_file
+    file = line["stages"][0]["file"]
+    loaded = _loaded(path, corpus)
+    assert loaded == _loaded(path)
+    try:
+        want = graph_from_edges(file["edges"], file["directed"], instance.kind.weight_kind)
+    except ValueError as exc:
+        assert loaded == f"{path}:2: {exc}"
+    else:
+        assert loaded[1].stages[0].parsed.graph == want != instance.graph
+
+
+@pytest.mark.parametrize("artifact", ["traces", "corpus"])
+@pytest.mark.parametrize(
+    "answer, message",
+    [
+        ({"kind": "value", "value": float("inf")}, "a value answer holds an integer, got inf"),
+        ({"kind": "count", "value": 2.5}, "a count answer holds an integer, got 2.5"),
+        ({"kind": "count", "value": "3"}, "a count answer holds an integer, got '3'"),
+        ({"kind": "count", "value": True}, "a count answer holds an integer, got True"),
+        ({"kind": "bool", "value": "no"}, "a bool answer holds true or false, got 'no'"),
+        ({"kind": "bool", "value": 1}, "a bool answer holds true or false, got 1"),
+        ({"kind": "node_seq", "value": [1.9, True]}, "a node_seq answer holds an array of integers, got [1.9, True]"),
+        ({"kind": "node_seq", "value": {"0": 1}}, "a node_seq answer holds an array of integers, got {'0': 1}"),
+    ],
+)
+def test_a_stored_answer_of_another_type_names_file_and_line(corpus_dir, traces_file, tmp_path, artifact, answer,
+                                                            message):
+    source, key = (traces_file, "tool_result") if artifact == "traces" else (corpus_dir / "corpus.jsonl", "gold_answer")
+    path = _with_line_2_edited(source, tmp_path / source.name, lambda o: o.update({key: answer}))
+    load = load_traces if artifact == "traces" else load_corpus
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
-        load_traces(path)
+        load(path)
 
 
 def _nest_edges(graph):
@@ -506,6 +601,13 @@ def test_format_4_file_loads_as_its_writer_loaded_it():
             "arity"} <= reasons
     # written again, it is format 5, and loads the same
     assert [trace_from_json(json.loads(dump_line(trace_to_json(t)))) for t in traces] == traces
+
+
+def test_format_4_failure_reason_that_is_not_a_string_names_file_and_line(tmp_path):
+    path = _with_line_2_edited(FORMAT_4_FILE, tmp_path / "traces.jsonl",
+                               lambda o: o["stages"][0].update(parsed={"kind": "failure", "reason": 5}))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: reason must be a string, got int')}$"):
+        load_traces(path)
 
 
 def test_format_4_line_of_a_fresh_run_is_parsed_from_its_reply(corpus, corpus_dir):
