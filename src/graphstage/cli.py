@@ -108,8 +108,9 @@ def _settings(cls, args, **resolved):
 
 def _cmd_generate(args) -> int:
     """The corpus, its EL graph files, and the manifest of their SHA-256
-    digests, taken from the bytes as they are written: a later read of the
-    same bytes need not validate them again."""
+    digests, taken from the bytes as they are written: a later load of the
+    same corpus bytes need not validate them again, and ``sha256sum -c``
+    checks every file."""
     config = _settings(GenConfig, args)
     out_dir = Path(args.out)
     corpus_path = out_dir / "corpus.jsonl"

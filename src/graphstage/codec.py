@@ -25,7 +25,6 @@ extractor here runs in time linear in the length of the model output.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import operator
@@ -35,7 +34,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .graphs import Graph, GraphError, WeightKind, build_graph, flat_columns, trusted_graph
+from .graphs import Graph, GraphError, WeightKind, build_graph, flat_columns, holds
 
 GRAPH_FILE_SUFFIX = ".edges"
 
@@ -171,25 +170,22 @@ def format_el_graph(g: Graph) -> str:
 
 # the whole body of a file that format_el_graph wrote: only "u, v" lines or
 # only "u, v, w" lines, each ending in a newline; group 1 is set for the latter
-_EL_BODY = re.compile(r"(?:[0-9]+, [0-9]+\n)*|((?:[0-9]+, [0-9]+, [0-9]+\n)+)")
+_EL_BODY = re.compile(rb"(?:[0-9]+, [0-9]+\n)*|((?:[0-9]+, [0-9]+, [0-9]+\n)+)")
 
 
-def matches_digest(data: bytes, digest: Optional[str]) -> bool:
-    """Whether ``data`` has the SHA-256 hex ``digest``; never without one."""
-    return digest is not None and hashlib.sha256(data).hexdigest() == digest
-
-
-def read_el_graph_file(path: str | Path, weight_kind: WeightKind | str, digest: Optional[str] = None) -> Graph:
+def read_el_graph_file(path: str | Path, weight_kind: WeightKind | str, expected: Optional[Graph] = None) -> Graph:
     """Parse a graph file; node_count is reconstructed as max id + 1.
 
     weight_kind is the graph's: the file format itself does not record
     whether a third column is a weight or a capacity.
 
-    ``digest`` is the SHA-256 recorded for the file when format_el_graph's
-    text was written to it. When the bytes match it, the graph is built
-    without validating it again: the direction and the width (2 or 3
-    numbers per line) come from the file, and a width that is not
-    weight_kind's takes the path below, which rejects it.
+    ``expected`` is a graph of weight_kind that was validated before, with
+    its node count derived from its edges, such as the corpus graph of the
+    instance whose file this is. A file that
+    holds exactly it gives ``expected`` itself: its header has the graph's
+    direction, its lines as many numbers as the graph's edges, and its
+    numbers are the graph's flat edge array (:func:`~graphstage.graphs.holds`).
+    Any other file is validated, and gives what it gives without ``expected``.
 
     A file in the exact form format_el_graph writes (a bare header line,
     then "u, v" or "u, v, w" lines of ASCII numbers without leading zeros,
@@ -198,37 +194,31 @@ def read_el_graph_file(path: str | Path, weight_kind: WeightKind | str, digest: 
     parser, which names the first bad line.
     """
     data = Path(path).read_bytes()
-    if matches_digest(data, digest):
-        graph = _trusted_el_graph(data, WeightKind(weight_kind))
-        if graph is not None:
-            return graph
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()  # as a text-mode read decodes it
-    header, newline, body = text.partition("\n")
-    match = _EL_BODY.fullmatch(body) if newline and header in ("directed", "undirected") else None
+    header, newline, body = data.partition(b"\n")
+    # bytes that match are ASCII without a CR, so they read as the same text
+    match = _EL_BODY.fullmatch(body) if newline and header in (b"directed", b"undirected") else None
     if match is not None:
         width = 3 if match.group(1) else 2
         try:  # one JSON array: the C scanner converts the digits without a string per number
-            numbers = json.loads("[" + body.replace("\n", ", ")[:-2] + "]")
+            numbers = json.loads(b"[" + body.replace(b"\n", b", ")[:-2] + b"]")
         except ValueError:  # a leading zero, or past int's digit limit: the line parser decides
-            return _read_el_lines(text, weight_kind)
+            return _read_el_lines(data, weight_kind)
+        directed = header == b"directed"
+        if (
+            expected is not None
+            and directed is expected.directed
+            and width == (3 if expected.weighted else 2)
+            and holds(numbers, expected)
+        ):
+            return expected
         columns = flat_columns(numbers, width)
         if not any(map(operator.eq, *columns[:2])):
-            return build_graph(header == "directed", None, columns, WeightKind(weight_kind), columns=True)
-    return _read_el_lines(text, weight_kind)
+            return build_graph(directed, None, columns, WeightKind(weight_kind), columns=True)
+    return _read_el_lines(data, weight_kind)
 
 
-def _trusted_el_graph(data: bytes, kind: WeightKind) -> Optional[Graph]:
-    """The graph in the bytes that format_el_graph wrote, or None when its
-    lines do not hold as many numbers as ``kind``'s edges have."""
-    header, _, body = data.partition(b"\n")
-    width = 1 + body.count(b",", 0, body.find(b"\n"))
-    if width != (2 if kind is WeightKind.NONE else 3) or header not in (b"directed", b"undirected"):
-        return None
-    numbers = json.loads(b"[" + body.replace(b"\n", b", ")[:-2] + b"]")
-    return trusted_graph(header == b"directed", flat_columns(numbers, width), kind)
-
-
-def _read_el_lines(text: str, weight_kind: WeightKind | str) -> Graph:
+def _read_el_lines(data: bytes, weight_kind: WeightKind | str) -> Graph:
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()  # as a text-mode read decodes it
     lines = text.splitlines()
     if not lines or lines[0].strip() not in ("directed", "undirected"):
         raise MalformedLine(1, "expected 'directed' or 'undirected' header")

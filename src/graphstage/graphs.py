@@ -116,13 +116,26 @@ def build_graph(
 
 def trusted_graph(directed: bool, columns: tuple, weight_kind: WeightKind) -> Graph:
     """The graph of edge columns (as :func:`build_graph` takes them) that
-    ``build_graph`` accepted when they were written, such as those of a file
-    whose bytes match their recorded SHA-256: nothing is checked again. The
+    ``build_graph`` accepted when they were written, such as those of a corpus
+    file whose bytes match their recorded SHA-256: nothing is checked again. The
     node count is derived, as ``build_graph`` derives a ``node_count`` of None."""
     us, vs = columns[0], columns[1]
     ws = columns[2] if weight_kind is not WeightKind.NONE else repeat(None)
     node_count = 1 + max(max(us), max(vs)) if us else 0
     return Graph(bool(directed), node_count, tuple(zip(us, vs, ws)), weight_kind)
+
+
+def holds(flat, graph: Graph) -> bool:
+    """Whether ``flat`` is the flat edge array ``[u0, v0, (w0,) u1, …]`` of
+    ``graph``: its edges in order, of exact ints only (a float or a bool may
+    equal an int, but it is not one). For a graph whose node count is derived
+    from its edges, as that of every corpus graph is, the array then builds
+    ``graph`` with ``graph``'s direction and weight kind."""
+    if type(flat) is not list or len(flat) != (3 if graph.weighted else 2) * len(graph.edges):
+        return False
+    values = iter(flat)
+    rows = zip(values, values, values if graph.weighted else repeat(None))
+    return all(map(operator.eq, rows, graph.edges)) and list(map(type, flat)).count(int) == len(flat)
 
 
 def flat_columns(flat: list, width: int) -> tuple:

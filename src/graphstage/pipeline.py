@@ -14,12 +14,14 @@ Each stage is attempted exactly once; a parse failure in any stage
 short-circuits tool execution but the trace still records every stage. The
 stage sequence is written once, in the coroutine :func:`run_stages`, and
 :func:`execute` then makes the tool call. A run answers the stages from a
-backend and the corpus directory's files; the trace loader replays them on
-a stored trace. Over a blocking backend, or a replay, the coroutine never
-suspends, and :func:`run_blocking` runs it to the end in one step. With an
-HTTP backend, :func:`run_corpus` and :func:`run_pipeline` await it on an
-event loop, one coroutine per connection. That loop, and the one each
-blocking HTTP call runs on, starts in :func:`run_on_loop`.
+backend and the corpus directory's files, where an EL instance's own graph
+file reads as the instance's graph when it holds exactly that graph; the
+trace loader replays the stages on a stored trace. Over a blocking backend,
+or a replay, the coroutine never suspends, and :func:`run_blocking` runs it
+to the end in one step. With an HTTP backend, :func:`run_corpus` and
+:func:`run_pipeline` await it on an event loop, one coroutine per
+connection. That loop, and the one each blocking HTTP call runs on, starts
+in :func:`run_on_loop`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import os
 import re
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -304,16 +305,16 @@ def execute(stages: List[StageRecord]) -> Tuple[Optional[Answer], Optional[str]]
         return None, f"tool dispatch error: {exc}"
 
 
-async def _pipeline(instance: TaskInstance, complete, base_dir: Path, digests: Dict[str, str]) -> PipelineTrace:
-    """The staged pipeline for one instance, then its tool call; ``digests``
-    maps the EL graph files under ``base_dir`` to their SHA-256
-    (:func:`~graphstage.serialize.graph_file_digests`)."""
+async def _pipeline(instance: TaskInstance, complete, base_dir: Path) -> PipelineTrace:
+    """The staged pipeline for one instance, then its tool call. The
+    instance's own EL graph file reads as its graph when it holds exactly
+    that graph (:func:`~graphstage.codec.read_el_graph_file`)."""
     weight_kind = instance.kind.weight_kind
 
     def read_file(relative: Path) -> ExtractionResult:
-        digest = digests.get(relative.as_posix())
+        expected = instance.graph if relative.as_posix() == instance.graph_file else None
         try:
-            return ExtractionResult(graph=read_el_graph_file(base_dir / relative, weight_kind, digest))
+            return ExtractionResult(graph=read_el_graph_file(base_dir / relative, weight_kind, expected))
         except (OSError, ValueError) as exc:
             return ExtractionResult(reason=f"{FILE_READ_ERROR}{exc}")
 
@@ -321,19 +322,12 @@ async def _pipeline(instance: TaskInstance, complete, base_dir: Path, digests: D
     return PipelineTrace(instance.id, instance.task_text, stages, *execute(stages))
 
 
-# the EL graph file digests of the corpus that run_corpus is running: each of
-# its run_pipeline calls takes them from here instead of reading the manifest
-# again. run_corpus calls run_pipeline through this module's name, where the
-# benchmark's tracer times each instance.
-_CORPUS_DIGESTS: ContextVar[Optional[Dict[str, str]]] = ContextVar("_CORPUS_DIGESTS", default=None)
-
-
 def run_pipeline(instance: TaskInstance, backend, *, base_dir: str | Path = ".") -> PipelineTrace:
     """Execute the staged pipeline for one instance and return the full trace.
 
-    An EL graph file that a reply names is read under ``base_dir``. One whose
-    bytes match its entry in ``base_dir``'s manifest
-    (:func:`~graphstage.serialize.graph_file_digests`) is not validated again.
+    An EL graph file that a reply names is read under ``base_dir``. The
+    instance's own file, when it holds exactly the instance's graph, reads
+    as that graph object; any other file is validated.
 
     An :class:`~graphstage.backends.HttpBackend` answers its stages over one
     keep-alive connection, on an event loop of the pipeline's own. Each call
@@ -342,19 +336,14 @@ def run_pipeline(instance: TaskInstance, backend, *, base_dir: str | Path = ".")
     each for the whole list: over a local stub, a loop of ``run_pipeline``
     took 2.01 ms per WL instance against 0.35 ms through ``run_corpus``."""
     from .backends import HttpBackend  # backends imports this module
-    from .serialize import graph_file_digests  # serialize imports this module
 
-    base_dir = Path(base_dir)
-    digests = _CORPUS_DIGESTS.get()
-    if digests is None:
-        digests = graph_file_digests(base_dir)
     if isinstance(backend, HttpBackend):
-        return _run_on_event_loop([instance], backend, 1, base_dir, digests)[0]
+        return _run_on_event_loop([instance], backend, 1, Path(base_dir))[0]
 
     async def complete(prompt: str) -> str:  # blocks, so the pipeline never suspends
         return backend.complete(prompt)
 
-    return run_blocking(_pipeline(instance, complete, base_dir, digests))
+    return run_blocking(_pipeline(instance, complete, Path(base_dir)))
 
 
 def run_corpus(
@@ -364,29 +353,25 @@ def run_corpus(
     workers: int = 1,
     base_dir: str | Path = ".",
 ) -> List[PipelineTrace]:
-    """Run the pipeline over many instances, preserving corpus order. The
-    manifest in ``base_dir`` is read once, for every instance.
+    """Run the pipeline over many instances, preserving corpus order. EL
+    graph files are read under ``base_dir`` as :func:`run_pipeline` reads them.
 
     An :class:`~graphstage.backends.HttpBackend` runs the pipelines as
     coroutines on one event loop in the calling thread, over ``workers``
     keep-alive connections with as many requests in flight. Any other backend
     runs serially in the calling thread, whatever ``workers`` says: its work
-    is pure Python, which threads would only slow down.
+    is pure Python, which threads would only slow down. Each of its instances
+    goes through :func:`run_pipeline`, looked up by this module's name, where
+    the benchmark's tracer times it.
     """
     from .backends import HttpBackend  # backends imports this module
-    from .serialize import graph_file_digests  # serialize imports this module
 
-    digests = graph_file_digests(base_dir)
     if isinstance(backend, HttpBackend):
-        return _run_on_event_loop(instances, backend, max(workers, 1), Path(base_dir), digests)
-    token = _CORPUS_DIGESTS.set(digests)
-    try:
-        return [run_pipeline(i, backend, base_dir=base_dir) for i in instances]
-    finally:
-        _CORPUS_DIGESTS.reset(token)
+        return _run_on_event_loop(instances, backend, max(workers, 1), Path(base_dir))
+    return [run_pipeline(i, backend, base_dir=base_dir) for i in instances]
 
 
-def _run_on_event_loop(instances, backend, workers: int, base_dir: Path, digests) -> List[PipelineTrace]:
+def _run_on_event_loop(instances, backend, workers: int, base_dir: Path) -> List[PipelineTrace]:
     import asyncio  # only HTTP runs need it, and it takes tens of ms to import
 
     traces: List[Optional[PipelineTrace]] = [None] * len(instances)
@@ -397,7 +382,7 @@ def _run_on_event_loop(instances, backend, workers: int, base_dir: Path, digests
         connection = backend.connection()
         try:
             for index, instance in todo:
-                traces[index] = await _pipeline(instance, connection.complete, base_dir, digests)
+                traces[index] = await _pipeline(instance, connection.complete, base_dir)
         finally:
             connection.close()
 

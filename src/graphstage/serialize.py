@@ -18,12 +18,14 @@ direction and weight kind from the kind, and its node count from its edges.
 
 ``generate`` writes a manifest beside the corpus, ``corpus.sha256`` in the
 format of ``sha256sum``, with the SHA-256 of ``corpus.jsonl`` and of each EL
-graph file. An entry means "``generate`` validated exactly these bytes": a
-corpus whose bytes match their entry holds the graphs that ``generate``
-validated, and :func:`load_corpus` builds them without validating them
-again; any other corpus is validated in full. A manifest rebuilt by hand
-(``sha256sum corpus.jsonl graphs/*.edges``) after an edit therefore turns
-graph validation off for the files it lists.
+graph file. Only the corpus entry is read here: a corpus whose bytes match it
+holds the graphs that ``generate`` validated, and :func:`load_corpus` builds
+them without validating them again; any other corpus is validated in full. A
+manifest rebuilt by hand (``sha256sum corpus.jsonl``) after an edit therefore
+turns graph validation off for the corpus. The graph file entries are for
+``sha256sum -c``: a run reads a graph file as its instance's graph when the
+file holds exactly that graph, and validates any other
+(:func:`~graphstage.codec.read_el_graph_file`).
 
 Trace lines (format 5) store the task text once per trace. A stage stores
 its instruction as a key of :data:`~graphstage.pipeline.INSTRUCTION_TEXTS`
@@ -39,20 +41,22 @@ that parse only a backend error and an EL file's graph or read error are read.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
 from functools import partial
-from itertools import chain, repeat
-from operator import attrgetter, eq, itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional
 
-from .codec import GRAPH_FILE_SUFFIX, ExtractionResult, matches_digest
-from .generator import GRAPH_DIR, TaskInstance, TaskKind, parse_instance_id
-from .graphs import Graph, WeightKind, build_graph, flat_columns, trusted_graph
+from .codec import ExtractionResult
+from .generator import TaskInstance, TaskKind, parse_instance_id
+from .graphs import Graph, WeightKind, build_graph, flat_columns, holds, trusted_graph
 from .pipeline import BACKEND_ERROR, FILE_READ_ERROR, PipelineTrace, StageRecord, run_blocking, run_stages
 from .tools import Answer
 
@@ -251,27 +255,21 @@ def manifest_text(digests: Dict[str, str]) -> str:
     return "".join(f"{digest}  {name}\n" for name, digest in digests.items())
 
 
+def matches_digest(data: bytes, digest: Optional[str]) -> bool:
+    """Whether ``data`` has the SHA-256 hex ``digest``; never without one."""
+    return digest is not None and hashlib.sha256(data).hexdigest() == digest
+
+
 def read_manifest(corpus_dir: str | Path) -> Dict[str, str]:
     """Path -> SHA-256 hex digest, from the manifest in ``corpus_dir``. A
     missing or unreadable manifest lists nothing, and a malformed line is
-    skipped: a file without an entry is validated in full when read."""
+    skipped: a corpus file without an entry is validated in full when read."""
     try:
         text = (Path(corpus_dir) / MANIFEST_NAME).read_text(encoding="utf-8")
     except (OSError, ValueError):  # ValueError: not UTF-8
         return {}
     found = (_MANIFEST_LINE.fullmatch(line) for line in text.split("\n"))
     return {m.group(2): m.group(1) for m in found if m}
-
-
-def graph_file_digests(corpus_dir: str | Path) -> Dict[str, str]:
-    """The entries of ``corpus_dir``'s manifest for EL graph files
-    (``graphs/*.edges``): the only files that a model's reply may name."""
-    digests = {}
-    for name, digest in read_manifest(corpus_dir).items():
-        folder, _, file = name.partition("/")
-        if folder == GRAPH_DIR and "/" not in file and file.endswith(GRAPH_FILE_SUFFIX):
-            digests[name] = digest
-    return digests
 
 
 def load_corpus(path: str | Path) -> list:
@@ -336,26 +334,20 @@ def _file_graph(file: dict, kind: TaskKind, gold: Optional[Graph]) -> Extraction
     """What reading an EL graph file gave, from what a stage line stores. A
     record that holds exactly the instance's graph ``gold`` (None when the
     corpus is not known) gives that graph itself; any other is validated."""
+    if type(file) is not dict:
+        raise ValueError(f"file must be an object, got {type(file).__name__}")
     if "error" in file:
-        return ExtractionResult(reason=FILE_READ_ERROR + file["error"])
+        error = file["error"]
+        if type(error) is not str:
+            raise ValueError(f"file error must be a string, got {type(error).__name__}")
+        return ExtractionResult(reason=FILE_READ_ERROR + error)
     directed = file["directed"]
     if type(directed) is not bool:
         raise ValueError(f"directed must be true or false, got {directed!r}")
     edges = file["edges"]
-    if gold is not None and directed is gold.directed and _holds(edges, gold):
+    if gold is not None and directed is gold.directed and holds(edges, gold):
         return ExtractionResult(graph=gold)
     return ExtractionResult(graph=graph_from_edges(edges, directed, kind.weight_kind))
-
-
-def _holds(edges, graph: Graph) -> bool:
-    """Whether ``edges`` is the flat array that :func:`edges_to_json` writes
-    for ``graph``: its edges in order, of exact ints only (a float or a bool
-    may equal an int, but it is not one)."""
-    if type(edges) is not list or len(edges) != (3 if graph.weighted else 2) * len(graph.edges):
-        return False
-    values = iter(edges)
-    rows = zip(values, values, values if graph.weighted else repeat(None))
-    return all(map(eq, rows, graph.edges)) and list(map(type, edges)).count(int) == len(edges)
 
 
 def trace_from_json(obj: dict, graphs: Optional[Mapping[str, Graph]] = None) -> PipelineTrace:
@@ -407,14 +399,19 @@ def trace_from_json(obj: dict, graphs: Optional[Mapping[str, Graph]] = None) -> 
             f"the stages store the instruction keys {stored!r}, but on these replies the pipeline sends {sent!r}"
         )
     for record, rec in zip(stages, recs):
-        record.latency_ms = rec["latency_ms"]
-    result = obj["tool_result"]
+        latency_ms = rec["latency_ms"]
+        if not (type(latency_ms) is int or type(latency_ms) is float and math.isfinite(latency_ms)):
+            raise ValueError(f"latency_ms must be a finite number, got {latency_ms!r}")
+        record.latency_ms = latency_ms
+    result, tool_error = obj["tool_result"], obj["tool_error"]
+    if tool_error is not None and type(tool_error) is not str:
+        raise ValueError(f"tool_error must be a string or null, got {type(tool_error).__name__}")
     return PipelineTrace(
         instance_id=instance_id,
         task_text=task_text,
         stages=stages,
         tool_result=None if result is None else answer_from_json(result),
-        tool_error=obj["tool_error"],
+        tool_error=tool_error,
     )
 
 

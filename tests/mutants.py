@@ -2,8 +2,9 @@
 scorer, the dataset filter, graph equality, the loaders (and the stages
 that the trace loader replays a line through), the instance id parser, the
 fault injector's labels, the parameter extractor, the node id bound on a
-graph reply, the digest check that lets a read skip graph validation, or the
-rule that lets a trace's ``file`` record load as its corpus graph is wrong?
+graph reply, the digest check that lets a corpus load skip graph validation,
+or the rule that lets a graph file or a trace's ``file`` record read as its
+corpus graph is wrong?
 
 Each mutant below replaces one exact piece of one line of ``src/graphstage/``.
 For each, the script copies the repository's ``src/``, ``tests/``,
@@ -98,16 +99,18 @@ MUTANTS = (
     Mutant("positional-anchor", "codec.py", 'r"(?:G" + ', 'r"(?:" + ', "test_codec.py"),
     Mutant("task-text", "evaluation.py", "if trace.task_text != instance.task_text:", "if False:",
            "test_evaluation.py"),
-    Mutant("manifest-digest", "codec.py", "return digest is not None and hashlib.sha256(data).hexdigest() == digest",
+    Mutant("manifest-digest", "serialize.py",
+           "return digest is not None and hashlib.sha256(data).hexdigest() == digest",
            "return digest is not None", "test_manifest.py"),
-    Mutant("reuse-exact-int", "serialize.py",
-           "all(map(eq, rows, graph.edges)) and list(map(type, edges)).count(int) == len(edges)",
-           "all(map(eq, rows, graph.edges))", "test_serialize.py"),
-    Mutant("reuse-edges", "serialize.py", "return all(map(eq, rows, graph.edges)) and", "return True and",
+    Mutant("reuse-exact-int", "graphs.py",
+           "all(map(operator.eq, rows, graph.edges)) and list(map(type, flat)).count(int) == len(flat)",
+           "all(map(operator.eq, rows, graph.edges))", "test_serialize.py"),
+    Mutant("reuse-edges", "graphs.py", "return all(map(operator.eq, rows, graph.edges)) and", "return True and",
            "test_serialize.py"),
     Mutant("node-id-bound", "codec.py", "if top >= NODE_ID_BOUND:", "if False:", "test_pipeline.py"),
-    Mutant("el-trusted-width", "codec.py", 'width = 1 + body.count(b",", 0, body.find(b"\\n"))',
-           "width = 2 if kind is WeightKind.NONE else 3", "test_manifest.py"),
+    Mutant("el-reuse-direction", "codec.py", "and directed is expected.directed", "and True", "test_codec.py"),
+    Mutant("el-reuse-width", "codec.py", "and width == (3 if expected.weighted else 2)", "and True",
+           "test_codec.py"),
 )
 
 

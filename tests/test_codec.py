@@ -191,3 +191,62 @@ def test_roundtrip_survives_surrounding_prose(g, prefix, suffix):
     assert res.ok
     assert graphs_equal(res.graph, g)
     assert res.graph.node_count == g.node_count
+
+
+def _reverse_first_edge(text):
+    header, first, rest = text.split("\n", 2)
+    u, v, *w = first.split(", ")
+    return "\n".join([header, ", ".join([v, u, *w]), rest])
+
+
+def _flip_header(text):
+    header, rest = text.split("\n", 1)
+    return ("undirected" if header == "directed" else "directed") + "\n" + rest
+
+
+# edits after which a file no longer holds exactly the graph that format_el_graph wrote
+_NEAR_MISSES = {
+    "one edge reversed": _reverse_first_edge,
+    "header flipped": _flip_header,
+    "CRLF line ends": lambda text: text.replace("\n", "\r\n"),
+    "a leading zero": lambda text: text.replace("\n", "\n0", 1),
+    "a trailing blank line": lambda text: text + "\n",
+}
+
+
+def _read_outcome(path, weight_kind, expected=None):
+    try:
+        return "ok", read_el_graph_file(path, weight_kind, expected)
+    except ValueError as exc:
+        return "raised", type(exc), str(exc)
+
+
+@pytest.mark.parametrize("directed, weight_kind", [(False, WeightKind.NONE), (True, WeightKind.NONE),
+                                                   (False, WeightKind.WEIGHT), (True, WeightKind.CAPACITY)])
+@pytest.mark.parametrize("edit", [*_NEAR_MISSES, "another graph's file"])
+def test_a_near_miss_of_the_expected_graph_reads_as_without_it(tmp_path, directed, weight_kind, edit):
+    rng = random.Random(f"{directed} {weight_kind.value} {edit}")
+    g, other = (build_graph(directed, None, random_test_graph(rng, directed, weight_kind, n_min=6).edges, weight_kind)
+                for _ in range(2))
+    assert g.edges and other.edges and other.edges != g.edges
+    path = tmp_path / "g.edges"
+    path.write_bytes(format_el_graph(g).encode("utf-8"))
+    assert read_el_graph_file(path, weight_kind, g) is g
+    if edit in _NEAR_MISSES:
+        path.write_bytes(_NEAR_MISSES[edit](format_el_graph(g)).encode("utf-8"))
+    else:
+        path.write_bytes(format_el_graph(other).encode("utf-8"))
+    want = _read_outcome(path, weight_kind)
+    assert _read_outcome(path, weight_kind, g) == want
+    if want[0] == "ok":
+        assert read_el_graph_file(path, weight_kind, g) is not g
+
+
+def test_a_file_of_the_expected_numbers_at_another_width_is_validated(tmp_path):
+    # a weighted 2-edge graph and a 3-line unweighted file hold the same six numbers
+    g = build_graph(False, None, [(0, 1, 2), (3, 4, 5)], WeightKind.WEIGHT)
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"undirected\n0, 1\n2, 3\n4, 5\n")
+    with pytest.raises(ValueError, match="is missing a weight"):
+        read_el_graph_file(path, WeightKind.WEIGHT, g)
+    assert _read_outcome(path, WeightKind.WEIGHT, g) == _read_outcome(path, WeightKind.WEIGHT)

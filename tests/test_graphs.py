@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphstage import WeightKind, build_graph, canonical_edge_set, graphs_equal
-from graphstage.graphs import InvalidEdge, WeightMismatch
+from graphstage.graphs import InvalidEdge, WeightMismatch, holds
 
 from conftest import random_test_graph
 from oracles import max_referenced_node
@@ -108,6 +108,24 @@ def test_graphs_equal_weight_kind_matters():
     a = build_graph(False, 3, [(0, 1, 3), (1, 2, 5)], WeightKind.WEIGHT)
     b = build_graph(False, 3, [(0, 1, 3), (1, 2, 5)], WeightKind.CAPACITY)
     assert not graphs_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "flat, held",
+    [
+        ([0, 1, 3, 1, 2, 5], True),
+        ([1, 0, 3, 1, 2, 5], False),  # an edge reversed: the same edge set, not the same graph
+        ([1, 2, 5, 0, 1, 3], False),  # the edges in another order
+        ([0, 1, 3, 1, 2, 5, 2, 3, 1], False),
+        ([0, 1, 3, 1, 2], False),
+        ([0, 1, 3.0, 1, 2, 5], False),  # equal to an int, but not one
+        ([False, True, 3, True, 2, 5], False),
+        ((0, 1, 3, 1, 2, 5), False),  # not a list
+    ],
+)
+def test_holds_is_the_exact_flat_array_of_the_graph(flat, held):
+    g = build_graph(False, None, [(0, 1, 3), (1, 2, 5)], WeightKind.WEIGHT)
+    assert holds(flat, g) is held
 
 
 def test_graphs_equal_tolerates_trailing_isolated_nodes():

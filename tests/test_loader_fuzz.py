@@ -3,7 +3,8 @@ trace line (format 5, and format 4) and ``report.json``. Every edited file
 either loads or fails with a ``ValueError`` that names its path and line
 (``<path>:<line>: …``, or ``<path>: …`` for ``report.json``); no other
 exception escapes. A trace file loads the same with and without its corpus:
-the same traces, or the same message.
+the same traces, or the same message. Each trace that loads writes back
+through ``trace_to_json`` as standard JSON.
 
 An edit deletes a key or an array element, or replaces a value with one of a
 fixed set (None, bools, ints, 2.5, 10**30, Infinity, NaN, strings, arrays,
@@ -115,7 +116,10 @@ def test_edited_trace_lines_load_or_name_their_line_alike_with_or_without_the_co
         without = _outcome(load_traces, path, f"{path}:1: ", edited)
         with_corpus = _outcome(lambda p: load_traces(p, corpus), path, f"{path}:1: ", edited)
         assert with_corpus == without, edited[:400]
-        loaded += type(without) is list
+        if type(without) is list:
+            loaded += 1
+            for trace in without:  # as standard JSON: no NaN or Infinity
+                json.dumps(trace_to_json(trace), allow_nan=False)
     assert 100 < loaded < 1100  # the edits both load and fail
 
 

@@ -1,9 +1,13 @@
 """The corpus manifest: ``generate`` writes ``corpus.sha256``, the SHA-256 of
 ``corpus.jsonl`` and of each EL graph file in the format of ``sha256sum``.
-A corpus or EL graph file whose bytes match their entry is read without
-validating its graphs again; every other read takes the validating path,
-with its messages. Trusted and validated reads of the same bytes must give
-equal objects, and an edited file must fail as it fails without a manifest.
+A corpus whose bytes match their entry is loaded without validating its
+graphs again; every other load takes the validating path, with its messages.
+Trusted and validated loads of the same bytes must give equal objects, and an
+edited corpus must fail as it fails without a manifest.
+
+A run reads no manifest. An EL graph file that holds exactly its instance's
+graph reads as that graph object; any other file, such as an edited one or
+another instance's, reads as it reads without the instance's graph.
 """
 
 import hashlib
@@ -23,10 +27,8 @@ from graphstage.pipeline import INSTRUCTION_TEXTS, run_corpus, run_pipeline
 from graphstage.serialize import (
     MANIFEST_NAME,
     dump_line,
-    graph_file_digests,
     load_corpus,
     read_manifest,
-    trace_to_json,
 )
 
 
@@ -60,30 +62,21 @@ def _outcome(fn, *args):
         return "raised", type(exc), str(exc)
 
 
-def _traces(traces):
-    lines = [trace_to_json(t) for t in traces]
-    for line in lines:
-        for stage in line["stages"]:
-            del stage["latency_ms"]
-    return lines
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_trusted_reads_equal_validated_reads(tmp_path, monkeypatch, seed):
     corpus_dir = _generate(tmp_path / "corpus", seed)
     validated = load_corpus(_without_manifest(corpus_dir, tmp_path) / "corpus.jsonl")
     assert {(i.kind, i.size_class) for i in validated} == {(k, s) for k in ALL_KINDS for s in SizeClass}
-    digests = graph_file_digests(corpus_dir)
     el = [i for i in validated if i.graph_file is not None]
-    assert set(digests) == {i.graph_file for i in el}
     files = {i.graph_file: read_el_graph_file(corpus_dir / i.graph_file, i.kind.weight_kind) for i in el}
     assert files == {i.graph_file: i.graph for i in el}
 
     _forbid_validation(monkeypatch)
     assert load_corpus(corpus_dir / "corpus.jsonl") == validated
+    # each file that generate wrote holds its instance's graph, and reads as that object
     for inst in el:
         path = corpus_dir / inst.graph_file
-        assert read_el_graph_file(path, inst.kind.weight_kind, digests[inst.graph_file]) == inst.graph
+        assert read_el_graph_file(path, inst.kind.weight_kind, inst.graph) is inst.graph
 
 
 def _pairs(corpus):
@@ -117,21 +110,19 @@ class _NamesAnotherFile(OracleBackend):
         return self.gold_output(instance, stage)
 
 
-def test_a_reply_naming_another_instances_file_reads_as_without_the_manifest(tmp_path):
+def test_a_reply_naming_another_instances_file_reads_as_without_its_instance_graph(tmp_path):
     corpus_dir = _generate(tmp_path / "corpus", 4)
-    bare = _without_manifest(corpus_dir, tmp_path)
     corpus = load_corpus(corpus_dir / "corpus.jsonl")
     pairs = _pairs(corpus)
-    digests = graph_file_digests(corpus_dir)
-    for inst, other in pairs:
-        want = _outcome(read_el_graph_file, corpus_dir / other, inst.kind.weight_kind)
-        assert _outcome(read_el_graph_file, corpus_dir / other, inst.kind.weight_kind, digests[other]) == want
     reasons = []
     for inst, other in pairs:
-        backend = _NamesAnotherFile(corpus, {inst.id: other})
-        trusted = run_pipeline(inst, backend, base_dir=corpus_dir)
-        assert _traces([trusted]) == _traces([run_pipeline(inst, backend, base_dir=bare)])
-        reasons.append(trusted.stages[0].parsed.reason)
+        want = _outcome(read_el_graph_file, corpus_dir / other, inst.kind.weight_kind)
+        assert _outcome(read_el_graph_file, corpus_dir / other, inst.kind.weight_kind, inst.graph) == want
+        trace = run_pipeline(inst, _NamesAnotherFile(corpus, {inst.id: other}), base_dir=corpus_dir)
+        parsed = trace.stages[0].parsed
+        read = (want[1], None) if want[0] == "ok" else (None, f"file read: {want[2]}")
+        assert (parsed.graph, parsed.reason) == read
+        reasons.append(parsed.reason)
     # a capacity instance cannot read an unweighted file, nor the reverse
     assert reasons[0].startswith("file read: ") and "is missing a capacity" in reasons[0]
     assert reasons[1].startswith("file read: ") and "carries a weight" in reasons[1]
@@ -184,7 +175,7 @@ def test_an_edited_corpus_fails_as_without_the_manifest(tmp_path, make, message)
     assert str(trusted.value) == str(without.value).replace(str(tmp_path / "bare"), str(corpus_dir))
 
 
-def test_an_edited_graph_file_fails_as_without_the_manifest(tmp_path):
+def test_an_edited_graph_file_fails_as_without_its_instance_graph(tmp_path):
     corpus_dir = _generate(tmp_path / "corpus", 6)
     corpus = load_corpus(corpus_dir / "corpus.jsonl")
     inst = next(i for i in corpus if i.graph_file is not None and i.kind.weight_kind is WeightKind.CAPACITY)
@@ -194,30 +185,26 @@ def test_an_edited_graph_file_fails_as_without_the_manifest(tmp_path):
                          and len(line.split(", ")[1]) == 1)
     lines[at] = f"{u}, {u}, {w}"
     path.write_text("\n".join([header, *lines]), encoding="utf-8")
-    digest = graph_file_digests(corpus_dir)[inst.graph_file]
     want = _outcome(read_el_graph_file, path, inst.kind.weight_kind)
     assert want[0] == "raised" and "self-loop" in want[2]
-    assert _outcome(read_el_graph_file, path, inst.kind.weight_kind, digest) == want
+    assert _outcome(read_el_graph_file, path, inst.kind.weight_kind, inst.graph) == want
     traces = run_corpus([inst], OracleBackend([inst]), base_dir=corpus_dir)
-    bare = _without_manifest(corpus_dir, tmp_path)
-    assert _traces(traces) == _traces(run_corpus([inst], OracleBackend([inst]), base_dir=bare))
     assert traces[0].stages[0].parsed.reason == f"file read: {want[2]}"
 
 
-def test_run_corpus_reads_the_manifest_once_and_run_pipeline_reads_its_own(tmp_path, monkeypatch):
+def test_a_run_reads_no_manifest(tmp_path, monkeypatch):
     corpus_dir = _generate(tmp_path / "corpus", 10)
     el = [i for i in load_corpus(corpus_dir / "corpus.jsonl") if i.graph_file is not None]
-    bare = _without_manifest(corpus_dir, tmp_path)
     reads = []
     monkeypatch.setattr(serialize, "read_manifest", lambda d: reads.append(d) or read_manifest(d))
     _forbid_validation(monkeypatch)
-    traces = run_corpus(el, OracleBackend(el), base_dir=corpus_dir)
-    assert reads == [corpus_dir] and all(t.tool_error is None for t in traces)
-    # outside run_corpus, run_pipeline reads the manifest of its own base_dir,
-    # here none, so the graph file is validated
-    with pytest.raises(AssertionError, match="a graph was validated"):
-        run_pipeline(el[0], OracleBackend(el), base_dir=bare)
-    assert reads == [corpus_dir, bare]
+    # without a manifest, each graph file still reads as its instance's graph
+    bare = _without_manifest(corpus_dir, tmp_path)
+    for base_dir in (corpus_dir, bare):
+        traces = run_corpus(el, OracleBackend(el), base_dir=base_dir)
+        assert all(t.stages[0].parsed.graph is i.graph and t.tool_error is None for t, i in zip(traces, el))
+        assert run_pipeline(el[0], OracleBackend(el), base_dir=base_dir).stages[0].parsed.graph is el[0].graph
+    assert reads == []
 
 
 def test_manifest_lists_the_sha256_of_the_corpus_and_every_graph_file(tmp_path):
@@ -254,14 +241,6 @@ def test_a_missing_malformed_or_stale_manifest_validates_in_full(tmp_path, monke
     monkeypatch.setattr(serialize, "build_graph", lambda *a, **k: calls.append(1) or build_graph(*a, **k))
     corpus = load_corpus(corpus_dir / "corpus.jsonl")
     assert len(calls) == len(corpus)
-
-
-def test_only_graph_file_entries_are_matched_against_graph_files(tmp_path):
-    corpus_dir = _generate(tmp_path / "corpus", 9)
-    entries = read_manifest(corpus_dir)
-    graph_files = graph_file_digests(corpus_dir)
-    assert set(entries) - set(graph_files) == {"corpus.jsonl"}
-    assert all(name.startswith("graphs/") and name.endswith(".edges") for name in graph_files)
 
 
 @pytest.mark.parametrize(

@@ -325,6 +325,11 @@ _STAGE_TRAPS = (
     (lambda s: s.update(raw_output=None), "raw_output must be a string, got NoneType"),
     (lambda s: s.update(error=None), "error must be a string, got NoneType"),
     (lambda s: s.update(error=["refused"]), "error must be a string, got list"),
+    (lambda s: s.update(latency_ms="abc"), "latency_ms must be a finite number, got 'abc'"),
+    (lambda s: s.update(latency_ms=None), "latency_ms must be a finite number, got None"),
+    (lambda s: s.update(latency_ms=[1]), "latency_ms must be a finite number, got [1]"),
+    (lambda s: s.update(latency_ms=True), "latency_ms must be a finite number, got True"),
+    (lambda s: s.update(latency_ms=float("inf")), "latency_ms must be a finite number, got inf"),
 )
 
 
@@ -332,6 +337,8 @@ _STAGE_TRAPS = (
     "edit, message",
     [
         (lambda o: o.pop("tool_error"), "missing key 'tool_error'"),
+        (lambda o: o.update(tool_error=5), "tool_error must be a string or null, got int"),
+        (lambda o: o.update(tool_error=["x"]), "tool_error must be a string or null, got list"),
         (lambda o: o.update(task_text=None), "task_text must be a string, got NoneType"),
         (lambda o: o["stages"][0].pop("instruction"), "missing key 'instruction'"),
         (lambda o: o["stages"][1].pop("raw_output"), "missing key 'raw_output'"),
@@ -344,6 +351,9 @@ _STAGE_TRAPS = (
         (lambda o: o["stages"][0]["file"].update(edges=[0, 1, 2.5, 3]),
          "edges must be a flat integer array, found 2.5"),
         (lambda o: o["stages"][0]["file"].update(directed=1), "directed must be true or false, got 1"),
+        (lambda o: o["stages"][0].update(file={"error": 5}), "file error must be a string, got int"),
+        (lambda o: o["stages"][0].update(file=5), "file must be an object, got int"),
+        (lambda o: o["stages"][0].update(file=[]), "file must be an object, got list"),
         # one rule for every stage: the stored keys are the ones that the
         # pipeline sends when it is given the stored replies
         (lambda o: o["stages"].pop(), _keys_differ(["G:el"], ["G:el", "N"])),
