@@ -21,20 +21,23 @@ are anchored on the literal parentheses / dropped here. The tool-name
 pattern's published second branch, ``\\n\\s*\\w+``, matches nothing the first
 does not, and it made a search quadratic in a run of newlines: every
 extractor here runs in time linear in the length of the model output.
+
+An EL graph file (:func:`format_el_graph`) is read by one line parser, which
+names the first bad line. The one exception is a file whose bytes are exactly
+what ``format_el_graph`` writes for the graph that the caller expects, as
+``generate`` wrote it: it reads as that graph object, unparsed.
 """
 
 from __future__ import annotations
 
 import io
-import json
-import operator
 import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .graphs import Graph, GraphError, WeightKind, build_graph, flat_columns, holds
+from .graphs import Graph, GraphError, WeightKind, build_graph, flat_columns
 
 GRAPH_FILE_SUFFIX = ".edges"
 
@@ -168,9 +171,9 @@ def format_el_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the whole body of a file that format_el_graph wrote: only "u, v" lines or
-# only "u, v, w" lines, each ending in a newline; group 1 is set for the latter
-_EL_BODY = re.compile(rb"(?:[0-9]+, [0-9]+\n)*|((?:[0-9]+, [0-9]+, [0-9]+\n)+)")
+# a number in a graph file: ASCII digits, perhaps after a minus sign (str.isdigit
+# and int() also take other scripts' digits, superscripts and a second sign)
+_EL_TOKEN = re.compile(r"-?[0-9]+")
 
 
 def read_el_graph_file(path: str | Path, weight_kind: WeightKind | str, expected: Optional[Graph] = None) -> Graph:
@@ -181,39 +184,14 @@ def read_el_graph_file(path: str | Path, weight_kind: WeightKind | str, expected
 
     ``expected`` is a graph of weight_kind that was validated before, with
     its node count derived from its edges, such as the corpus graph of the
-    instance whose file this is. A file that
-    holds exactly it gives ``expected`` itself: its header has the graph's
-    direction, its lines as many numbers as the graph's edges, and its
-    numbers are the graph's flat edge array (:func:`~graphstage.graphs.holds`).
-    Any other file is validated, and gives what it gives without ``expected``.
-
-    A file in the exact form format_el_graph writes (a bare header line,
-    then "u, v" or "u, v, w" lines of ASCII numbers without leading zeros,
-    each ending in a newline, all of one width, no self-loop) is parsed in
-    one pass over the whole body. Any other file goes through the line
-    parser, which names the first bad line.
+    instance whose file this is. A file whose bytes are exactly what
+    :func:`format_el_graph` writes for it, as ``generate`` wrote the file,
+    gives ``expected`` itself. Any other file goes through the line parser,
+    and gives what it gives without ``expected``.
     """
     data = Path(path).read_bytes()
-    header, newline, body = data.partition(b"\n")
-    # bytes that match are ASCII without a CR, so they read as the same text
-    match = _EL_BODY.fullmatch(body) if newline and header in (b"directed", b"undirected") else None
-    if match is not None:
-        width = 3 if match.group(1) else 2
-        try:  # one JSON array: the C scanner converts the digits without a string per number
-            numbers = json.loads(b"[" + body.replace(b"\n", b", ")[:-2] + b"]")
-        except ValueError:  # a leading zero, or past int's digit limit: the line parser decides
-            return _read_el_lines(data, weight_kind)
-        directed = header == b"directed"
-        if (
-            expected is not None
-            and directed is expected.directed
-            and width == (3 if expected.weighted else 2)
-            and holds(numbers, expected)
-        ):
-            return expected
-        columns = flat_columns(numbers, width)
-        if not any(map(operator.eq, *columns[:2])):
-            return build_graph(directed, None, columns, WeightKind(weight_kind), columns=True)
+    if expected is not None and data == format_el_graph(expected).encode("ascii"):
+        return expected
     return _read_el_lines(data, weight_kind)
 
 
@@ -229,7 +207,7 @@ def _read_el_lines(data: bytes, weight_kind: WeightKind | str) -> Graph:
         if not line.strip():
             continue
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) not in (2, 3) or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) not in (2, 3) or not all(map(_EL_TOKEN.fullmatch, parts)):
             raise MalformedLine(i, f"expected 'u, v' or 'u, v, w', got {line!r}")
         nums = [int(p) for p in parts]
         if nums[0] == nums[1]:

@@ -126,11 +126,12 @@ def trusted_graph(directed: bool, columns: tuple, weight_kind: WeightKind) -> Gr
 
 
 def holds(flat, graph: Graph) -> bool:
-    """Whether ``flat`` is the flat edge array ``[u0, v0, (w0,) u1, …]`` of
-    ``graph``: its edges in order, of exact ints only (a float or a bool may
-    equal an int, but it is not one). For a graph whose node count is derived
-    from its edges, as that of every corpus graph is, the array then builds
-    ``graph`` with ``graph``'s direction and weight kind."""
+    """Whether ``flat``, the decoded ``edges`` of a trace's ``file`` record,
+    is the flat edge array ``[u0, v0, (w0,) u1, …]`` of ``graph``: its edges
+    in order, of exact ints only (a float or a bool may equal an int, but it
+    is not one). For a graph whose node count is derived from its edges, as
+    that of every corpus graph is, the array then builds ``graph`` with
+    ``graph``'s direction and weight kind."""
     if type(flat) is not list or len(flat) != (3 if graph.weighted else 2) * len(graph.edges):
         return False
     values = iter(flat)

@@ -15,13 +15,13 @@ short-circuits tool execution but the trace still records every stage. The
 stage sequence is written once, in the coroutine :func:`run_stages`, and
 :func:`execute` then makes the tool call. A run answers the stages from a
 backend and the corpus directory's files, where an EL instance's own graph
-file reads as the instance's graph when it holds exactly that graph; the
-trace loader replays the stages on a stored trace. Over a blocking backend,
-or a replay, the coroutine never suspends, and :func:`run_blocking` runs it
-to the end in one step. With an HTTP backend, :func:`run_corpus` and
-:func:`run_pipeline` await it on an event loop, one coroutine per
-connection. That loop, and the one each blocking HTTP call runs on, starts
-in :func:`run_on_loop`.
+file reads as the instance's graph while its bytes are the ones ``generate``
+wrote; the trace loader replays the stages on a stored trace. Over a
+blocking backend, or a replay, the coroutine never suspends, and
+:func:`run_blocking` runs it to the end in one step. With an HTTP backend,
+:func:`run_corpus` and :func:`run_pipeline` await it on an event loop, one
+coroutine per connection. That loop, and the one each blocking HTTP call
+runs on, starts in :func:`run_on_loop`.
 """
 
 from __future__ import annotations
@@ -307,8 +307,8 @@ def execute(stages: List[StageRecord]) -> Tuple[Optional[Answer], Optional[str]]
 
 async def _pipeline(instance: TaskInstance, complete, base_dir: Path) -> PipelineTrace:
     """The staged pipeline for one instance, then its tool call. The
-    instance's own EL graph file reads as its graph when it holds exactly
-    that graph (:func:`~graphstage.codec.read_el_graph_file`)."""
+    instance's own EL graph file reads as its graph while its bytes are the
+    ones ``generate`` wrote (:func:`~graphstage.codec.read_el_graph_file`)."""
     weight_kind = instance.kind.weight_kind
 
     def read_file(relative: Path) -> ExtractionResult:
@@ -326,8 +326,9 @@ def run_pipeline(instance: TaskInstance, backend, *, base_dir: str | Path = ".")
     """Execute the staged pipeline for one instance and return the full trace.
 
     An EL graph file that a reply names is read under ``base_dir``. The
-    instance's own file, when it holds exactly the instance's graph, reads
-    as that graph object; any other file is validated.
+    instance's own file, while its bytes are the ones ``generate`` wrote for
+    the instance's graph, reads as that graph object; any other file is
+    parsed and validated.
 
     An :class:`~graphstage.backends.HttpBackend` answers its stages over one
     keep-alive connection, on an event loop of the pipeline's own. Each call

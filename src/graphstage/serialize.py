@@ -23,9 +23,9 @@ holds the graphs that ``generate`` validated, and :func:`load_corpus` builds
 them without validating them again; any other corpus is validated in full. A
 manifest rebuilt by hand (``sha256sum corpus.jsonl``) after an edit therefore
 turns graph validation off for the corpus. The graph file entries are for
-``sha256sum -c``: a run reads a graph file as its instance's graph when the
-file holds exactly that graph, and validates any other
-(:func:`~graphstage.codec.read_el_graph_file`).
+``sha256sum -c``: a run reads a graph file as its instance's graph while the
+file's bytes are the ones ``generate`` wrote for that graph, and parses any
+other (:func:`~graphstage.codec.read_el_graph_file`).
 
 Trace lines (format 5) store the task text once per trace. A stage stores
 its instruction as a key of :data:`~graphstage.pipeline.INSTRUCTION_TEXTS`

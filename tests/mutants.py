@@ -3,8 +3,8 @@ scorer, the dataset filter, graph equality, the loaders (and the stages
 that the trace loader replays a line through), the instance id parser, the
 fault injector's labels, the parameter extractor, the node id bound on a
 graph reply, the digest check that lets a corpus load skip graph validation,
-or the rule that lets a graph file or a trace's ``file`` record read as its
-corpus graph is wrong?
+the rule that lets a graph file or a trace's ``file`` record read as its
+corpus graph, or the number grammar of a graph file line is wrong?
 
 Each mutant below replaces one exact piece of one line of ``src/graphstage/``.
 For each, the script copies the repository's ``src/``, ``tests/``,
@@ -108,9 +108,11 @@ MUTANTS = (
     Mutant("reuse-edges", "graphs.py", "return all(map(operator.eq, rows, graph.edges)) and", "return True and",
            "test_serialize.py"),
     Mutant("node-id-bound", "codec.py", "if top >= NODE_ID_BOUND:", "if False:", "test_pipeline.py"),
-    Mutant("el-reuse-direction", "codec.py", "and directed is expected.directed", "and True", "test_codec.py"),
-    Mutant("el-reuse-width", "codec.py", "and width == (3 if expected.weighted else 2)", "and True",
+    Mutant("el-reuse-bytes", "codec.py", 'data == format_el_graph(expected).encode("ascii")',
+           'data.split(b"\\n", 1)[0] == format_el_graph(expected).encode("ascii").split(b"\\n", 1)[0]',
            "test_codec.py"),
+    Mutant("el-ascii-token", "codec.py", "not all(map(_EL_TOKEN.fullmatch, parts))",
+           'not all(p.lstrip("-").isdigit() for p in parts)', "test_ingest_differential.py"),
 )
 
 

@@ -1,17 +1,18 @@
 """Differential tests for graph ingest.
 
 `build_graph` (on rows, on columns and through the JSON loader's flat
-edge arrays), `read_el_graph_file`, `extract_graph`,
-`extract_tool_name`, `extract_file_path` and the generator's pair decoder
-each have a fast path. The references below are the plain per-edge
-validator, the line-by-line EL parser, the per-match edge extractor, the
-published tool-name and file-path patterns (which backtrack in polynomial
-time) and the closed-form pair decode, kept here verbatim so the fast code is
-always compared against them: same result, or the same exception type and
-message, on every input. Where the reference extractor raises,
-`extract_graph` returns the failure with that message instead. The column
-form, and so the JSON loader, takes exact ints only: where the reference
-converts another value, they name the first such value instead.
+edge arrays), `extract_graph`, `extract_tool_name`, `extract_file_path` and
+the generator's pair decoder each have a fast path, and `read_el_graph_file`
+builds its graph through `build_graph`. The references below are the plain
+per-edge validator, the line-by-line EL parser on that validator, the
+per-match edge extractor, the published tool-name and file-path patterns
+(which backtrack in polynomial time) and the closed-form pair decode, kept
+here verbatim so the fast code is always compared against them: same result,
+or the same exception type and message, on every input. Where the reference
+extractor raises, `extract_graph` returns the failure with that message
+instead. The column form, and so the JSON loader, takes exact ints only:
+where the reference converts another value, they name the first such value
+instead.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ def reference_build_graph(directed, node_count, edges, weight_kind=WeightKind.NO
     return Graph(bool(directed), node_count, tuple(normalized), kind)
 
 
+REFERENCE_EL_NUMBER = re.compile(r"-?[0-9]+")  # ASCII digits only
+
+
 def reference_read_el_graph_file(path, weight_kind):
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -99,7 +103,7 @@ def reference_read_el_graph_file(path, weight_kind):
         if not line.strip():
             continue
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) not in (2, 3) or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) not in (2, 3) or not all(REFERENCE_EL_NUMBER.fullmatch(p) for p in parts):
             raise MalformedLine(i, f"expected 'u, v' or 'u, v, w', got {line!r}")
         nums = [int(p) for p in parts]
         if nums[0] == nums[1]:
@@ -339,7 +343,7 @@ def _el_variant(rng, text):
             i = rng.randrange(len(lines))
             parts = lines[i].split(", ")
             lines[i] = ", ".join(parts[:2]) if len(parts) == 3 else lines[i] + ", 5"
-        elif change == 5 and lines:  # Unicode digits: decimal ones convert, superscripts do not
+        elif change == 5 and lines:  # digits of other scripts, which no line may hold
             i = rng.randrange(len(lines))
             lines[i] = lines[i].replace("1", rng.choice(("１", "١", "¹")), 1)
         elif change == 6:
@@ -400,6 +404,9 @@ def test_read_el_graph_file_matches_line_parser(tmp_path):
         "directed\n0, 1\n1, 00\n",
         "directed\n０, 1\n",  # fullwidth digit
         "directed\n², 1\n",  # superscript digit
+        "directed\n0, --5\n",  # a second sign
+        "directed\n0, ²\n",
+        "directed\n0, ٣\n",  # Arabic-Indic digit three
         "Directed\n0, 1\n",
         "undirected \n0, 1\n",
         "directed\n0, 1\n2, 2\n" + "9" * 5000 + ", 1\n",  # self-loop before a too-long number

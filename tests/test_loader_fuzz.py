@@ -1,10 +1,14 @@
 """Seeded random edits of the files that the loaders read: a corpus line, a
-trace line (format 5, and format 4) and ``report.json``. Every edited file
-either loads or fails with a ``ValueError`` that names its path and line
-(``<path>:<line>: …``, or ``<path>: …`` for ``report.json``); no other
-exception escapes. A trace file loads the same with and without its corpus:
-the same traces, or the same message. Each trace that loads writes back
-through ``trace_to_json`` as standard JSON.
+trace line (format 5, and format 4), ``report.json`` and a graph file. Every
+edited corpus, trace or report file either loads or fails with a
+``ValueError`` that names its path and line (``<path>:<line>: …``, or
+``<path>: …`` for ``report.json``); no other exception escapes. A trace file
+loads the same with and without its corpus: the same traces, or the same
+message. Each trace that loads writes back through ``trace_to_json`` as
+standard JSON. A graph file reads the same with and without its instance's
+graph: the same graph, or a ``ValueError`` of the same type and message, and
+no other exception. It reads as that very graph object only while its bytes
+are the ones ``generate`` wrote.
 
 An edit deletes a key or an array element, or replaces a value with one of a
 fixed set (None, bools, ints, 2.5, 10**30, Infinity, NaN, strings, arrays,
@@ -12,7 +16,9 @@ objects) or with one derived from it (an int as a float or a bool, an int
 plus one, a reversed array or string). It is made at the end of a random
 walk into the line, so that shallow fields are edited as often as the values
 of long edge arrays; in a trace line, the walk often starts at a ``file``
-record. Standard library only; about 2 s."""
+record. A graph file's edits delete or repeat a line, flip its header, or
+put a carriage return, a sign, a digit, an Arabic-Indic digit or a run of
+nines into a line. Standard library only; about 3 s."""
 
 import json
 import random
@@ -22,6 +28,7 @@ import pytest
 
 from graphstage.backends import FaultBackend, FaultPlan, OracleBackend
 from graphstage.cli import main
+from graphstage.codec import read_el_graph_file
 from graphstage.pipeline import run_corpus
 from graphstage.serialize import dump_line, load_corpus, load_traces, trace_to_json
 
@@ -157,3 +164,60 @@ def test_edited_reports_render_or_name_their_file(corpus, corpus_dir, tmp_path, 
         assert status == 0 or err.startswith(f"error: {path}: "), (edited, err)
         rendered += status == 0
     assert 25 < rendered < 225
+
+
+GRAPH_FILE_INSERTS = ("\r", "-", "0", "\u0663", "9" * 30)  # U+0663: Arabic-Indic digit three
+
+
+def _edit_graph_file(rng, text):
+    """``text``, a graph file, after one to three random edits: a line
+    deleted or repeated, the header flipped, or one of
+    :data:`GRAPH_FILE_INSERTS` put into a line."""
+    lines = text.split("\n")  # the last one is the empty one after the final newline
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        change = rng.randrange(4)
+        if change == 0 and len(lines) > 1:
+            del lines[i]
+        elif change == 1:
+            lines.insert(i, lines[i])
+        elif change == 2:
+            lines[0] = {"directed": "undirected", "undirected": "directed"}.get(lines[0], lines[0])
+        else:
+            at = rng.randint(0, len(lines[i]))
+            lines[i] = lines[i][:at] + rng.choice(GRAPH_FILE_INSERTS) + lines[i][at:]
+    return "\n".join(lines)
+
+
+def _read_graph_file(path, weight_kind, expected, edited):
+    """The graph that the file at ``path`` reads as, or the type and message
+    of the ``ValueError`` that its read raises."""
+    try:
+        return read_el_graph_file(path, weight_kind, expected)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    except Exception as exc:  # any other exception escaped the reader
+        pytest.fail(f"{type(exc).__name__} escaped the reader on {edited[:400]!r}: {exc}")
+
+
+def test_edited_graph_files_read_alike_with_or_without_their_instance_graph(corpus, corpus_dir, tmp_path):
+    by_kind = {}  # (directed, weighted) -> the EL instances of that kind of graph
+    for inst in corpus:
+        if inst.graph_file is not None:
+            by_kind.setdefault((inst.graph.directed, inst.graph.weighted), []).append(inst)
+    assert len(by_kind) == 4
+    rng = random.Random(2029)
+    path = tmp_path / "g.edges"
+    loaded = 0
+    for case in range(300):
+        inst = rng.choice(by_kind[sorted(by_kind)[case % 4]])
+        source = (corpus_dir / inst.graph_file).read_bytes()
+        edited = _edit_graph_file(rng, source.decode("ascii")).encode("utf-8")
+        path.write_bytes(edited)
+        weight_kind = inst.kind.weight_kind
+        without = _read_graph_file(path, weight_kind, None, edited)
+        with_graph = _read_graph_file(path, weight_kind, inst.graph, edited)
+        assert with_graph == without, edited[:400]
+        assert (with_graph is inst.graph) == (edited == source), edited[:400]
+        loaded += type(without) is not tuple
+    assert 30 < loaded < 270  # the edits both read and fail
