@@ -171,9 +171,9 @@ def format_el_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# a number in a graph file: ASCII digits, perhaps after a minus sign (str.isdigit
-# and int() also take other scripts' digits, superscripts and a second sign)
-_EL_TOKEN = re.compile(r"-?[0-9]+")
+# a graph file's edge line: 2 or 3 comma-separated numbers of ASCII digits, each
+# perhaps after a minus sign (\d also takes other scripts' digits), in whitespace
+_EL_LINE = re.compile(r"\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*(?:,\s*(-?[0-9]+)\s*)?")
 
 
 def read_el_graph_file(path: str | Path, weight_kind: WeightKind | str, expected: Optional[Graph] = None) -> Graph:
@@ -206,16 +206,20 @@ def _read_el_lines(data: bytes, weight_kind: WeightKind | str) -> Graph:
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) not in (2, 3) or not all(map(_EL_TOKEN.fullmatch, parts)):
+        m = _EL_LINE.fullmatch(line)
+        if m is None:
             raise MalformedLine(i, f"expected 'u, v' or 'u, v, w', got {line!r}")
-        nums = [int(p) for p in parts]
+        u, v, w = m.groups()
+        try:
+            nums = (int(u), int(v)) if w is None else (int(u), int(v), int(w))
+        except ValueError as exc:  # a number past int's digit limit
+            raise MalformedLine(i, f"edge number: {exc}") from None
         if nums[0] == nums[1]:
             raise MalformedLine(i, f"self-loop ({nums[0]}, {nums[1]})")
         if min(nums[:2]) < 0:
             raise MalformedLine(i, f"negative node id in {line!r}")
-        widths.add(len(parts))
-        edges.append(tuple(nums))
+        widths.add(len(nums))
+        edges.append(nums)
     if len(widths) > 1:
         raise MalformedLine(1, "mixed weighted and unweighted edge lines")
     return build_graph(directed, None, edges, WeightKind(weight_kind))

@@ -4,11 +4,13 @@ identification, then (for parametric tasks only) parameter extraction.
 Prompt layout is instruction text, a bracketed metadata line naming the
 instance id and stage, then the task text. The metadata line is transport
 plumbing: it lets self-contained backends (oracle, fault injection) look up
-which instance and stage a prompt belongs to without a side channel, and it
-carries no gold labels. A prompt is thus a function of the instruction text,
-the instance id, the stage and the task text (:func:`layout_prompt`). The
-instruction texts are few, and each has a key (:data:`INSTRUCTION_TEXTS`): a
-stage record names the instruction it sent by its key.
+which instance and stage a prompt belongs to without a side channel. It
+carries a gold label: the id names the tool (``shortest_path-d-wl-00003``),
+so the name stage's answer is in every prompt (ROADMAP item 4). A prompt is
+thus a function of the instruction text, the instance id, the stage and the
+task text (:func:`layout_prompt`). The instruction texts are few, and each
+has a key (:data:`INSTRUCTION_TEXTS`): a stage record names the instruction
+it sent by its key.
 
 Each stage is attempted exactly once; a parse failure in any stage
 short-circuits tool execution but the trace still records every stage. The
@@ -19,9 +21,9 @@ file reads as the instance's graph while its bytes are the ones ``generate``
 wrote; the trace loader replays the stages on a stored trace. Over a
 blocking backend, or a replay, the coroutine never suspends, and
 :func:`run_blocking` runs it to the end in one step. With an HTTP backend,
-:func:`run_corpus` and :func:`run_pipeline` await it on an event loop, one
-coroutine per connection. That loop, and the one each blocking HTTP call
-runs on, starts in :func:`run_on_loop`.
+:func:`run_corpus` awaits it on an event loop, one coroutine per connection,
+and :func:`run_pipeline` is a one-instance :func:`run_corpus`. That loop, and
+the one each blocking HTTP call runs on, starts in :func:`run_on_loop`.
 """
 
 from __future__ import annotations
@@ -330,16 +332,16 @@ def run_pipeline(instance: TaskInstance, backend, *, base_dir: str | Path = ".")
     the instance's graph, reads as that graph object; any other file is
     parsed and validated.
 
-    An :class:`~graphstage.backends.HttpBackend` answers its stages over one
-    keep-alive connection, on an event loop of the pipeline's own. Each call
-    starts that loop and connection anew, so a caller with many instances
-    on an ``HttpBackend`` should use :func:`run_corpus`, which keeps one of
-    each for the whole list: over a local stub, a loop of ``run_pipeline``
+    An :class:`~graphstage.backends.HttpBackend` answers its stages as a
+    one-instance :func:`run_corpus`: over one keep-alive connection, on an
+    event loop of its own. Each call starts that loop and connection anew,
+    so a caller with many instances should use :func:`run_corpus`, which
+    keeps one of each for the whole list: over a local stub, a loop of ``run_pipeline``
     took 2.01 ms per WL instance against 0.35 ms through ``run_corpus``."""
     from .backends import HttpBackend  # backends imports this module
 
     if isinstance(backend, HttpBackend):
-        return _run_on_event_loop([instance], backend, 1, Path(base_dir))[0]
+        return run_corpus([instance], backend, base_dir=base_dir)[0]
 
     async def complete(prompt: str) -> str:  # blocks, so the pipeline never suspends
         return backend.complete(prompt)
@@ -367,12 +369,8 @@ def run_corpus(
     """
     from .backends import HttpBackend  # backends imports this module
 
-    if isinstance(backend, HttpBackend):
-        return _run_on_event_loop(instances, backend, max(workers, 1), Path(base_dir))
-    return [run_pipeline(i, backend, base_dir=base_dir) for i in instances]
-
-
-def _run_on_event_loop(instances, backend, workers: int, base_dir: Path) -> List[PipelineTrace]:
+    if not isinstance(backend, HttpBackend):
+        return [run_pipeline(i, backend, base_dir=base_dir) for i in instances]
     import asyncio  # only HTTP runs need it, and it takes tens of ms to import
 
     traces: List[Optional[PipelineTrace]] = [None] * len(instances)
@@ -383,12 +381,12 @@ def _run_on_event_loop(instances, backend, workers: int, base_dir: Path) -> List
         connection = backend.connection()
         try:
             for index, instance in todo:
-                traces[index] = await _pipeline(instance, connection.complete, base_dir)
+                traces[index] = await _pipeline(instance, connection.complete, Path(base_dir))
         finally:
             connection.close()
 
     async def run_lanes():
-        await asyncio.gather(*(lane() for _ in range(min(workers, len(instances)))))
+        await asyncio.gather(*(lane() for _ in range(min(max(workers, 1), len(instances)))))
 
     run_on_loop(run_lanes())
     return traces

@@ -35,8 +35,6 @@ loader cannot rebuild: a failed call's ``error`` and what reading an EL graph
 and rejects a line whose stored keys are not the ones that the replay sends.
 Given the corpus, a ``file`` record that holds exactly its instance's graph,
 which the corpus load validated, loads as that graph without building it again.
-Format-4 lines, which also stored each parse, are replayed the same way; of
-that parse only a backend error and an EL file's graph or read error are read.
 """
 
 from __future__ import annotations
@@ -287,25 +285,19 @@ def load_corpus(path: str | Path) -> list:
     return list(_objects(path, lines, unique_ids(convert, attrgetter("id"))))
 
 
-def _stage_line(key: str, raw: str, latency_ms: float, reason: Optional[str], file_graph: Optional[dict]) -> dict:
-    """A stage's line. From its parse's failure ``reason`` or EL ``file_graph``
-    it keeps a failed call's ``error`` and what reading an EL graph ``file``
-    gave: the corpus directory may change after a run."""
-    line = {"instruction": key, "raw_output": raw, "latency_ms": latency_ms}
-    if (reason or "").startswith(BACKEND_ERROR):
+def _stage_to_json(record: StageRecord) -> dict:
+    """A stage's line. From its parse it keeps a failed call's ``error`` and
+    what reading an EL graph ``file`` gave: the corpus directory may change
+    after a run."""
+    key, reason, graph = record.instruction, record.parsed.reason or "", record.parsed.graph
+    line = {"instruction": key, "raw_output": record.raw_output, "latency_ms": round(record.latency_ms, 3)}
+    if reason.startswith(BACKEND_ERROR):
         line["error"] = reason[len(BACKEND_ERROR):]
-    elif key == "G:el" and file_graph is not None:
-        line["file"] = file_graph
-    elif key == "G:el" and (reason or "").startswith(FILE_READ_ERROR):
+    elif key == "G:el" and graph is not None:
+        line["file"] = {"directed": graph.directed, "edges": edges_to_json(graph)}
+    elif key == "G:el" and reason.startswith(FILE_READ_ERROR):
         line["file"] = {"error": reason[len(FILE_READ_ERROR):]}
     return line
-
-
-def _stage_to_json(record: StageRecord) -> dict:
-    graph = record.parsed.graph
-    file_graph = graph and {"directed": graph.directed, "edges": edges_to_json(graph)}
-    latency_ms = round(record.latency_ms, 3)
-    return _stage_line(record.instruction, record.raw_output, latency_ms, record.parsed.reason, file_graph)
 
 
 def trace_to_json(trace: PipelineTrace) -> dict:
@@ -317,17 +309,6 @@ def trace_to_json(trace: PipelineTrace) -> dict:
         "tool_result": None if trace.tool_result is None else answer_to_json(trace.tool_result),
         "tool_error": trace.tool_error,
     }
-
-
-def _format_4_stage(rec: dict) -> dict:
-    """A format-4 stage's line as format 5 writes it: its stored parse is read
-    only for a backend error and what an EL graph file held."""
-    parsed = rec["parsed"]
-    reason = parsed["reason"] if parsed["kind"] == "failure" else None
-    if parsed["kind"] == "failure" and type(reason) is not str:
-        raise ValueError(f"reason must be a string, got {type(reason).__name__}")
-    graph = parsed["graph"] if parsed["kind"] == "graph" else None
-    return _stage_line(rec["instruction"], rec["raw_output"], rec["latency_ms"], reason, graph)
 
 
 def _file_graph(file: dict, kind: TaskKind, gold: Optional[Graph]) -> ExtractionResult:
@@ -351,7 +332,7 @@ def _file_graph(file: dict, kind: TaskKind, gold: Optional[Graph]) -> Extraction
 
 
 def trace_from_json(obj: dict, graphs: Optional[Mapping[str, Graph]] = None) -> PipelineTrace:
-    """A format-5 or format-4 trace line, replayed through the pipeline's own
+    """A format-5 trace line, replayed through the pipeline's own
     stages (:func:`~graphstage.pipeline.run_stages`) on its stored replies,
     errors and ``file`` records. Another format (a line without ``format`` is
     format 1), or stored instruction keys other than the ones the replay
@@ -363,7 +344,7 @@ def trace_from_json(obj: dict, graphs: Optional[Mapping[str, Graph]] = None) -> 
     graph object instead of a rebuilt one; with or without ``graphs``, a
     line loads as the same trace or fails with the same message."""
     version = obj["format"] if "format" in obj else 1
-    if version not in (4, TRACE_FORMAT):
+    if version != TRACE_FORMAT:
         raise ValueError(f"unknown trace format {version!r}")
     instance_id = obj["instance_id"]
     kind, size = parse_instance_id(instance_id)[:2]
@@ -371,7 +352,7 @@ def trace_from_json(obj: dict, graphs: Optional[Mapping[str, Graph]] = None) -> 
     task_text = obj["task_text"]
     if type(task_text) is not str:
         raise ValueError(f"task_text must be a string, got {type(task_text).__name__}")
-    recs = obj["stages"] if version == TRACE_FORMAT else [_format_4_stage(rec) for rec in obj["stages"]]
+    recs = obj["stages"]
     stored = [rec["instruction"] for rec in recs]
     # the pipeline records what the replay's complete raises as a backend
     # error, so each field that complete reads is checked before the replay

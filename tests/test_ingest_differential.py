@@ -88,7 +88,7 @@ def reference_build_graph(directed, node_count, edges, weight_kind=WeightKind.NO
     return Graph(bool(directed), node_count, tuple(normalized), kind)
 
 
-REFERENCE_EL_NUMBER = re.compile(r"-?[0-9]+")  # ASCII digits only
+REFERENCE_EL_LINE = re.compile(r"\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*(?:,\s*(-?[0-9]+)\s*)?")  # ASCII digits only
 
 
 def reference_read_el_graph_file(path, weight_kind):
@@ -102,10 +102,14 @@ def reference_read_el_graph_file(path, weight_kind):
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) not in (2, 3) or not all(REFERENCE_EL_NUMBER.fullmatch(p) for p in parts):
+        m = REFERENCE_EL_LINE.fullmatch(line)
+        if not m:
             raise MalformedLine(i, f"expected 'u, v' or 'u, v, w', got {line!r}")
-        nums = [int(p) for p in parts]
+        parts = [p for p in m.groups() if p is not None]
+        try:
+            nums = [int(p) for p in parts]
+        except ValueError as exc:  # a number past int's digit limit
+            raise MalformedLine(i, f"edge number: {exc}") from None
         if nums[0] == nums[1]:
             raise MalformedLine(i, f"self-loop ({nums[0]}, {nums[1]})")
         if min(nums[:2]) < 0:
@@ -410,7 +414,9 @@ def test_read_el_graph_file_matches_line_parser(tmp_path):
         "Directed\n0, 1\n",
         "undirected \n0, 1\n",
         "directed\n0, 1\n2, 2\n" + "9" * 5000 + ", 1\n",  # self-loop before a too-long number
-        "directed\n" + "9" * 5000 + ", 1\n",
+        "directed\n" + "9" * 5000 + ", 1\n",  # a too-long number names its line
+        "undirected\n0, 1, 2\n1, 2, " + "8" * 4500 + "\n",  # a too-long weight on line 3
+        "directed\n0, 1\n1,\u3000" + "7" * 4400 + " \n",  # after other whitespace
     ],
 )
 def test_read_el_graph_file_edge_cases_match_line_parser(tmp_path, text):

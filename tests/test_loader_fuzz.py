@@ -1,5 +1,5 @@
 """Seeded random edits of the files that the loaders read: a corpus line, a
-trace line (format 5, and format 4), ``report.json`` and a graph file. Every
+trace line (format 5, also from a frozen file), ``report.json`` and a graph file. Every
 edited corpus, trace or report file either loads or fails with a
 ``ValueError`` that names its path and line (``<path>:<line>: …``, or
 ``<path>: …`` for ``report.json``); no other exception escapes. A trace file
@@ -32,7 +32,7 @@ from graphstage.codec import read_el_graph_file
 from graphstage.pipeline import run_corpus
 from graphstage.serialize import dump_line, load_corpus, load_traces, trace_to_json
 
-FORMAT_4_FILE = Path(__file__).parent / "fixtures" / "traces-format-4.jsonl"
+FORMAT_5_FILE = Path(__file__).parent / "fixtures" / "traces-format-5.jsonl"
 
 FIXED = (
     None, True, False, 0, 1, -1, 7, 2.5, 10**30, float("inf"), float("nan"),
@@ -110,7 +110,7 @@ def test_edited_trace_lines_load_or_name_their_line_alike_with_or_without_the_co
         for backend in (oracle, FaultBackend(oracle, FaultPlan(0.2, 0.2, 0.2, 0.2), seed=11))
         for t in run_corpus(corpus, backend, base_dir=corpus_dir)
     ]
-    sources += _lines(FORMAT_4_FILE)  # format 4, run on the same corpus
+    sources += _lines(FORMAT_5_FILE)  # a frozen file, run on the same corpus
     rng = random.Random(2026)
     path = tmp_path / "traces.jsonl"
     loaded = 0

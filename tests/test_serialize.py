@@ -4,7 +4,7 @@ answer, and trace lines in format 5 store instruction keys, replies and the
 task text once; the loaders rebuild every record exactly, replaying each
 trace line through the pipeline's own stages. Each loader requires every key
 that its writer writes: corpus lines of format 1 and trace lines of formats 1
-to 3 are rejected, and format-4 trace lines load as their writer loaded them."""
+to 4 are rejected."""
 
 import dataclasses
 import json
@@ -399,8 +399,8 @@ def test_traces_load_the_same_with_and_without_their_corpus(corpus, corpus_dir, 
     faults = tmp_path / "faults.jsonl"
     backend = FaultBackend(OracleBackend(corpus), FaultPlan(0.2, 0.2, 0.2, 0.2), seed=5)
     write_jsonl(faults, map(trace_to_json, run_corpus(corpus, backend, base_dir=corpus_dir)))
-    # the format-4 file ran on this corpus too
-    for path in (traces_file, faults, FORMAT_4_FILE):
+    # the frozen format-5 file ran on this corpus too
+    for path in (traces_file, faults, FORMAT_5_FILE):
         assert load_traces(path, corpus) == load_traces(path)
     assert load_traces(traces_file, corpus[::2]) == load_traces(traces_file)  # no EL instance known
 
@@ -501,18 +501,6 @@ def _parsed_to_json(res):
     return {"kind": "failure", "reason": res.reason}
 
 
-def _parsed_from_json(obj):
-    """A stage's parse as the format-4 loader read it: the stored one."""
-    if obj["kind"] == "graph":
-        g = obj["graph"]
-        return ExtractionResult(graph=graph_from_edges(g["edges"], g["directed"], WeightKind(g["weight_kind"])))
-    if obj["kind"] == "name":
-        return ExtractionResult(name=obj["name"])
-    if obj["kind"] == "params":
-        return ExtractionResult(params=tuple(obj["params"]))
-    return ExtractionResult(reason=obj["reason"])
-
-
 def _format_4_line(trace):
     """The line that format 4 wrote for ``trace``: each stage also stored its
     stage name and its parse, and no backend error or file record."""
@@ -573,6 +561,7 @@ def _as_corpus_format_1(obj):
         ("traces", _as_format(1), "unknown trace format 1"),
         ("traces", _as_format(2), "unknown trace format 2"),
         ("traces", _as_format(3), "unknown trace format 3"),
+        ("traces", _as_format(4), "unknown trace format 4"),
         ("corpus", _as_corpus_format_1, "unknown corpus format 1"),
     ],
 )
@@ -588,51 +577,26 @@ def test_line_of_an_older_format_is_rejected(corpus_dir, traces_file, tmp_path, 
 
 
 # written by the format-4 writer (the release before format 5) over a corpus
-# of `generate --count 2 --size both --seed 4`: WL stages of all three weight
-# kinds, fault-injected replies, an EL graph read, a missing EL graph file, a
-# path outside the corpus directory, a reply without a path, backend errors,
-# and every reason for a parameter stage that made no call
-FORMAT_4_FILE = Path(__file__).parent / "fixtures" / "traces-format-4.jsonl"
+# of `generate --count 2 --size both --seed 4`, then loaded and written again
+# as format 5: WL stages of all three weight kinds, fault-injected replies, an
+# EL graph read, a missing EL graph file, a path outside the corpus directory,
+# a reply without a path, backend errors, and every reason for a parameter
+# stage that made no call
+FORMAT_5_FILE = Path(__file__).parent / "fixtures" / "traces-format-5.jsonl"
 
 
-def test_format_4_file_loads_as_its_writer_loaded_it():
-    lines = list(read_jsonl(FORMAT_4_FILE))
-    traces = load_traces(FORMAT_4_FILE)
+def test_frozen_format_5_file_loads_and_dumps_byte_for_byte():
+    lines = FORMAT_5_FILE.read_text(encoding="utf-8").splitlines()
+    traces = load_traces(FORMAT_5_FILE)
     assert len(traces) == len(lines) == 25
-    reasons = set()
-    for line, trace in zip(lines, traces):
-        assert [r.stage.value for r in trace.stages] == [s["stage"] for s in line["stages"]]
-        assert [r.parsed for r in trace.stages] == [_parsed_from_json(s["parsed"]) for s in line["stages"]]
-        assert [r.prompt.startswith(r.instruction_text) for r in trace.stages] == [True] * len(trace.stages)
-        assert trace_to_json(trace)["tool_error"] == line["tool_error"]
-        reasons.update(r.parsed.reason.split(":")[0] for r in trace.stages if not r.parsed.ok)
+    assert [dump_line(trace_to_json(t)) for t in traces] == lines
+    reasons = {r.parsed.reason.split(":")[0] for t in traces for r in t.stages if not r.parsed.ok}
     assert {"backend error", "file read", "file path escapes the corpus directory", "no file path token",
             "no edge matches", "tool template unavailable", "tool template for 'edge_count' takes no parameters",
             "arity"} <= reasons
-    # written again, it is format 5, and loads the same
-    assert [trace_from_json(json.loads(dump_line(trace_to_json(t)))) for t in traces] == traces
-
-
-def test_format_4_failure_reason_that_is_not_a_string_names_file_and_line(tmp_path):
-    path = _with_line_2_edited(FORMAT_4_FILE, tmp_path / "traces.jsonl",
-                               lambda o: o["stages"][0].update(parsed={"kind": "failure", "reason": 5}))
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: reason must be a string, got int')}$"):
-        load_traces(path)
-
-
-def test_format_4_line_of_a_fresh_run_is_parsed_from_its_reply(corpus, corpus_dir):
-    backend = FaultBackend(OracleBackend(corpus), FaultPlan(emit_garbage=0.3, wrong_tool_name=0.3), seed=3)
-    traces = [_rounded(t) for t in run_corpus(corpus, backend, base_dir=corpus_dir)]
-    assert [trace_from_json(json.loads(dump_line(_format_4_line(t)))) for t in traces] == traces
-    # a stored parse that its reply does not give is not read
-    scored = zip(traces, evaluate_traces(traces, corpus))
-    trace = next(t for t, r in scored if t.stages[0].instruction != "G:el" and r["category"] == "Correct")
-    line = _format_4_line(trace)
-    line["stages"][1]["parsed"]["name"] = "banana"
-    line["stages"][0]["parsed"] = {"kind": "failure", "reason": "no edge matches"}
-    assert trace_from_json(line) == trace
-    (record,) = evaluate_traces([trace_from_json(line)], corpus)
-    assert record["category"] == "Correct"
+    stored = [stage for line in map(json.loads, lines) for stage in line["stages"]]
+    assert sum("error" in stage for stage in stored) == 2
+    assert sum("file" in stage for stage in stored) == 2
 
 
 def test_edited_reply_is_what_a_format_5_line_loads_scores_and_exports(corpus, corpus_dir):
