@@ -16,6 +16,7 @@ from graphstage import (
     build_dataset,
     evaluate_traces,
     generate_instance,
+    pair_traces,
     render_report,
     run_corpus,
 )
@@ -30,14 +31,14 @@ plan = FaultPlan(drop_graph_edges=0.25, wrong_tool_name=0.25, swap_parameters=0.
 fault = FaultBackend(oracle, plan, seed=1)
 
 traces = run_corpus(corpus, fault)
-entries, stats = build_dataset(traces, corpus)
+entries, stats = build_dataset(pair_traces(traces, corpus))
 print(
     f"retained {stats['retained_instances']}/{stats['traces']} instances "
     f"({stats['entries']} dataset entries)\n"
 )
 
-records = evaluate_traces(traces, corpus)
-report = aggregate(records, corpus)
+records = evaluate_traces(pair_traces(traces, corpus))
+report = aggregate(records)
 print(render_report(report, "txt"))
 
 labeled = sum(len(stages) for stages in fault.injected.values())

@@ -44,6 +44,7 @@ from .evaluation import (
     Category,
     aggregate,
     evaluate_traces,
+    pair_traces,
     render_report,
     score_trace,
 )

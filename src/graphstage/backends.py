@@ -166,9 +166,14 @@ class _Connection:
                 text = payload.decode("utf-8", "replace")
                 raise BackendError(f"HTTP {status}: {text[:200]}")
             try:
-                return json.loads(payload)["choices"][0]["message"]["content"]
+                content = json.loads(payload)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion body: {exc}") from exc
+            # an endpoint sends null for a refusal or a tool call, and a list
+            # for content parts; the stages parse text only
+            if not isinstance(content, str):
+                raise BackendError(f"malformed completion body: content is {type(content).__name__}, not a string")
+            return content
         if timed_out:
             raise CompletionTimeout(f"no response after {attempts} attempt(s): {last_error}")
         raise BackendError(f"no response after {attempts} attempt(s): {last_error}")

@@ -15,8 +15,9 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .backends import (
@@ -39,14 +40,18 @@ from .generator import (
 )
 from .pipeline import run_corpus
 from .codec import format_el_graph
-from .serialize import (
+# load_traces is unused here, but the traced benchmark run wraps
+# `graphstage.cli.load_traces` and fails on a missing name
+from .serialize import (  # noqa: F401
     MANIFEST_NAME,
     atomic_write_text,
     instance_to_json,
     load_corpus,
     load_traces,
     manifest_text,
+    read_corpus,
     trace_to_json,
+    walk_traces,
     write_jsonl,
 )
 
@@ -177,13 +182,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_build_dataset(args) -> int:
-    corpus = load_corpus(args.corpus)
-    traces = load_traces(args.traces, corpus)
-    entries, stats = build_dataset(traces, corpus)
-
+    """The corpus and the traces are walked one instance at a time."""
+    corpus, top_up = read_corpus(args.corpus), None
     if args.fill_quota:
-        entries, stats = _fill_quota(args, corpus, traces, entries, stats)
-
+        next_index: Dict[str, int] = {}
+        corpus = _noting_next_index(corpus, next_index)
+        top_up = partial(_fill_quota, args, next_index)
+    entries, stats = build_dataset(walk_traces(args.traces, corpus), top_up)
     export_alpaca(entries, args.out)
     if args.stats:
         atomic_write_text(args.stats, json.dumps(stats, indent=2, sort_keys=True) + "\n")
@@ -194,37 +199,42 @@ def _cmd_build_dataset(args) -> int:
     return 0
 
 
-def _fill_quota(args, corpus, traces, entries, stats):
-    """Generate fresh instances for each kind that retains fewer than
-    --fill-quota, run them through the oracle and filter again. The oracle's
-    traces are always retained, so one pass reaches the quota. Fresh indexes
-    follow each kind's highest plan index; with --size both the size
-    alternates by plan index. Fresh EL graph files go next to the corpus."""
+def _noting_next_index(instances: Iterable, next_index: Dict[str, int]) -> Iterator:
+    """``instances``, noting in ``next_index`` one past the highest plan
+    index of each kind label."""
+    for instance in instances:
+        kind, _, index = parse_instance_id(instance.id)[:3]
+        next_index[kind.label] = max(next_index.get(kind.label, 0), 1 + index)
+        yield instance
+
+
+def _fill_quota(args, next_index: Dict[str, int], per_kind: Dict[str, Dict[str, int]]) -> Iterable:
+    """(instance, trace) pairs of fresh instances for each kind that retains
+    fewer than --fill-quota, run through the oracle. The oracle's traces are
+    always retained, so one pass reaches the quota. Fresh indexes follow each
+    kind's highest plan index in the corpus (``next_index``); with --size both
+    the size alternates by plan index. Fresh EL graph files go next to the
+    corpus."""
     config = _settings(GenConfig, args)
     sizes = (SizeClass.WL, SizeClass.EL) if config.sizes == "both" else (SizeClass(config.sizes),)
-    next_index: Dict[str, int] = {}
-    for kind, _, index, _, _ in (parse_instance_id(inst.id) for inst in corpus):
-        next_index[kind.label] = max(next_index.get(kind.label, 0), 1 + index)
     plan = []
-    for label, kind_stats in sorted(stats["per_kind"].items()):
+    for label, kind_stats in sorted(per_kind.items()):
         start = next_index.get(label, 0)
         for index in range(start, start + args.fill_quota - kind_stats["retained"]):
             plan.append((TaskKind.parse(label), sizes[index % len(sizes)], index))
     if not plan:
-        return entries, stats
+        return ()
     corpus_dir = Path(args.corpus).parent
     fresh = list(generate_planned(plan, config))
     for instance in fresh:
         _write_graph_file(corpus_dir, instance)
-    fresh_traces = run_corpus(fresh, OracleBackend(fresh), base_dir=corpus_dir)
-    return build_dataset([*traces, *fresh_traces], [*corpus, *fresh])
+    return zip(fresh, run_corpus(fresh, OracleBackend(fresh), base_dir=corpus_dir))
 
 
 def _cmd_evaluate(args) -> int:
-    corpus = load_corpus(args.corpus)
-    traces = load_traces(args.traces, corpus)
-    records = evaluate_traces(traces, corpus)
-    report = aggregate(records, corpus)
+    """The corpus and the traces are walked one instance at a time."""
+    records = evaluate_traces(walk_traces(args.traces, read_corpus(args.corpus)))
+    report = aggregate(records)
     out_dir = Path(args.out)
     write_jsonl(out_dir / "records.jsonl", records)
     atomic_write_text(out_dir / "report.json", json.dumps(report, indent=2) + "\n")

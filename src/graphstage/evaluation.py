@@ -10,10 +10,9 @@ to be right, so answer accuracy can exceed the per-subtask accuracies.
 from __future__ import annotations
 
 from enum import Enum
-from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .generator import TaskInstance
+from .generator import TaskInstance, parse_instance_id
 from .graphs import graphs_equal
 from .pipeline import PipelineTrace
 from .serialize import unique_ids
@@ -32,7 +31,7 @@ class EmptyInput(ValueError):
 
 
 class OrphanTrace(ValueError):
-    """A trace or record names an instance id missing from the corpus."""
+    """A trace names an instance id missing from the corpus."""
 
 
 def score_trace(trace: PipelineTrace, instance: TaskInstance) -> dict:
@@ -92,20 +91,18 @@ def _mean(values: List[float]) -> Optional[float]:
     return sum(values) / len(values) if values else None
 
 
-def aggregate(records: Sequence[dict], corpus: Sequence[TaskInstance]) -> dict:
+def aggregate(records: Iterable[dict]) -> dict:
     """The report, as ``report.json`` holds it: ``rows`` gives percentages per
     kind and size class, and ``overall`` maps each size class to the
     unweighted mean across task kinds (``param_acc`` over the parametric
-    kinds alone, None without any)."""
-    if not records:
-        raise EmptyInput("no records to aggregate")
-    by_id: Dict[str, TaskInstance] = {inst.id: inst for inst in corpus}
+    kinds alone, None without any). A record's kind and size class are those
+    of its instance id, as they are of a corpus instance."""
     groups: Dict[tuple, List[dict]] = {}
     for record in records:
-        instance = by_id.get(record["instance_id"])
-        if instance is None:
-            raise OrphanTrace(f"record for unknown instance {record['instance_id']!r}")
-        groups.setdefault((instance.kind.label, instance.size_class.value), []).append(record)
+        kind, size = parse_instance_id(record["instance_id"])[:2]
+        groups.setdefault((kind.label, size.value), []).append(record)
+    if not groups:
+        raise EmptyInput("no records to aggregate")
 
     rows = []
     for (kind, size), recs in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0])):
@@ -176,18 +173,27 @@ def render_report(report: dict, format: str = "txt") -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate_traces(
-    traces: Iterable[PipelineTrace], corpus: Sequence[TaskInstance]
-) -> List[dict]:
-    """One :func:`score_trace` record per trace, in trace order; a trace that
-    repeats an earlier trace's instance id, or whose task text is not its
-    instance's, raises ``ValueError``."""
+def pair_traces(
+    traces: Iterable[PipelineTrace], corpus: Iterable[TaskInstance]
+) -> Iterator[Tuple[TaskInstance, PipelineTrace]]:
+    """Each trace with its instance, in trace order, for traces and a corpus
+    in memory (:func:`~graphstage.serialize.walk_traces` pairs the traces of
+    a file). A trace whose instance id is not in ``corpus`` raises
+    :class:`OrphanTrace`, and one that repeats an earlier trace's instance id
+    raises ``ValueError``."""
     by_id = {inst.id: inst for inst in corpus}
 
-    def score(trace: PipelineTrace) -> dict:
+    def pair(trace: PipelineTrace) -> Tuple[TaskInstance, PipelineTrace]:
         instance = by_id.get(trace.instance_id)
         if instance is None:
             raise OrphanTrace(f"trace for unknown instance {trace.instance_id!r}")
-        return score_trace(trace, instance)
+        return instance, trace
 
-    return list(map(unique_ids(score, itemgetter("instance_id")), traces))
+    return map(unique_ids(pair, lambda paired: paired[1].instance_id), traces)
+
+
+def evaluate_traces(pairs: Iterable[Tuple[TaskInstance, PipelineTrace]]) -> List[dict]:
+    """One :func:`score_trace` record per (instance, trace) pair, in order,
+    reading one pair at a time; a trace whose task text is not its
+    instance's raises ``ValueError``."""
+    return [score_trace(trace, instance) for instance, trace in pairs]

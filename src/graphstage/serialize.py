@@ -19,7 +19,7 @@ direction and weight kind from the kind, and its node count from its edges.
 ``generate`` writes a manifest beside the corpus, ``corpus.sha256`` in the
 format of ``sha256sum``, with the SHA-256 of ``corpus.jsonl`` and of each EL
 graph file. Only the corpus entry is read here: a corpus whose bytes match it
-holds the graphs that ``generate`` validated, and :func:`load_corpus` builds
+holds the graphs that ``generate`` validated, and :func:`read_corpus` builds
 them without validating them again; any other corpus is validated in full. A
 manifest rebuilt by hand (``sha256sum corpus.jsonl``) after an edit therefore
 turns graph validation off for the corpus. The graph file entries are for
@@ -35,6 +35,11 @@ loader cannot rebuild: a failed call's ``error`` and what reading an EL graph
 and rejects a line whose stored keys are not the ones that the replay sends.
 Given the corpus, a ``file`` record that holds exactly its instance's graph,
 which the corpus load validated, loads as that graph without building it again.
+
+:func:`load_corpus` and :func:`load_traces` return whole files as lists.
+:func:`read_corpus` reads a corpus one instance at a time, and
+:func:`walk_traces` walks it side by side with a trace file in corpus order,
+so that scoring the traces of a corpus holds one instance at a time.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from functools import partial
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .codec import ExtractionResult
 from .generator import TaskInstance, TaskKind, parse_instance_id
@@ -191,18 +196,30 @@ def read_jsonl(path: str | Path, convert: Callable[[dict], object] | None = None
 
 def _objects(path: str | Path, lines: Iterable[str], convert: Callable[[dict], object] | None) -> Iterator:
     """:func:`read_jsonl` over the text lines of the file ``path``."""
+    for number, line in _numbered(lines):
+        obj = _located(path, number, json.loads, line)
+        yield obj if convert is None else _located(path, number, convert, obj)
+
+
+def _numbered(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
+    """(line number, stripped text) of each line that is not blank."""
     for number, line in enumerate(lines, 1):
         line = line.strip()
         if line:
-            try:
-                obj = json.loads(line)
-                if convert is not None:
-                    obj = convert(obj)
-            except KeyError as exc:
-                raise ValueError(f"{path}:{number}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from exc
-            yield obj
+            yield number, line
+
+
+def _located(path: str | Path, number: int, convert: Callable, *args):
+    """``convert(*args)`` for line ``number`` of the file ``path``: the
+    ``ValueError``, ``TypeError`` or ``KeyError`` (a missing key, which is
+    named) that it raises becomes a ``ValueError`` prefixed with
+    ``<path>:<number>:``."""
+    try:
+        return convert(*args)
+    except KeyError as exc:
+        raise ValueError(f"{path}:{number}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:{number}: {exc}") from exc
 
 
 def atomic_write_text(path: str | Path, writer: Callable | str) -> None:
@@ -230,8 +247,8 @@ def unique_ids(convert: Callable, id_of: Callable[[object], str]) -> Callable:
     every lookup by instance id would keep only one of them."""
     seen = set()
 
-    def checked(obj):
-        item = convert(obj)
+    def checked(obj, *args):
+        item = convert(obj, *args)
         ident = id_of(item)
         if ident in seen:
             raise ValueError(f"duplicate instance id {ident!r}")
@@ -253,11 +270,6 @@ def manifest_text(digests: Dict[str, str]) -> str:
     return "".join(f"{digest}  {name}\n" for name, digest in digests.items())
 
 
-def matches_digest(data: bytes, digest: Optional[str]) -> bool:
-    """Whether ``data`` has the SHA-256 hex ``digest``; never without one."""
-    return digest is not None and hashlib.sha256(data).hexdigest() == digest
-
-
 def read_manifest(corpus_dir: str | Path) -> Dict[str, str]:
     """Path -> SHA-256 hex digest, from the manifest in ``corpus_dir``. A
     missing or unreadable manifest lists nothing, and a malformed line is
@@ -270,19 +282,58 @@ def read_manifest(corpus_dir: str | Path) -> Dict[str, str]:
     return {m.group(2): m.group(1) for m in found if m}
 
 
-def load_corpus(path: str | Path) -> list:
-    """The instances of a corpus file; a line that repeats an earlier line's
-    instance id is rejected. When the file's bytes have the SHA-256 that the
-    manifest beside it lists for its name, each graph, which ``generate``
-    validated as it wrote it, is built without validating it again; every
-    other check runs. A file without a matching entry is validated in full."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+def _sha256_of(handle) -> str:
+    """The SHA-256 hex digest of what is left to read of a binary file."""
+    digest = hashlib.sha256()
+    for block in iter(partial(handle.read, 1 << 16), b""):
+        digest.update(block)
+    return digest.hexdigest()
+
+
+class _Digesting(io.RawIOBase):
+    """A binary file that feeds each byte read from it to a hash."""
+
+    def __init__(self, raw, digest):
+        self._raw, self._digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:count])
+        return count
+
+
+def read_corpus(path: str | Path) -> Iterator[TaskInstance]:
+    """The instances of a corpus file, one at a time; a line that repeats an
+    earlier line's instance id is rejected. When the file's bytes have the
+    SHA-256 that the manifest beside it lists for its name, each graph, which
+    ``generate`` validated as it wrote it, is built without validating it
+    again; every other check runs. A file without a matching entry is
+    validated in full.
+
+    The digest is taken in a first pass over the file, and taken again of the
+    bytes that the second pass parses: a trusted file whose bytes changed in
+    between raises ``ValueError`` once it has been read, before a consumer
+    that reads the whole corpus writes anything."""
     where = Path(path)
-    trusted = matches_digest(data, read_manifest(where.parent).get(where.name))
-    convert = partial(instance_from_json, trusted=True) if trusted else instance_from_json
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")  # as a text-mode file iterates
-    return list(_objects(path, lines, unique_ids(convert, attrgetter("id"))))
+    expected = read_manifest(where.parent).get(where.name)
+    with open(path, "rb", buffering=0) as raw:
+        trusted = expected is not None and _sha256_of(raw) == expected
+        raw.seek(0)
+        digest = hashlib.sha256()
+        convert = partial(instance_from_json, trusted=True) if trusted else instance_from_json
+        # lines split as a text-mode file splits them
+        with io.TextIOWrapper(io.BufferedReader(_Digesting(raw, digest)), encoding="utf-8") as lines:
+            yield from _objects(path, lines, unique_ids(convert, attrgetter("id")))
+    if trusted and digest.hexdigest() != expected:
+        raise ValueError(f"{path}: its bytes changed while it was read")
+
+
+def load_corpus(path: str | Path) -> list:
+    """The instances of a corpus file, as :func:`read_corpus` reads them."""
+    return list(read_corpus(path))
 
 
 def _stage_to_json(record: StageRecord) -> dict:
@@ -409,3 +460,41 @@ def load_traces(path: str | Path, corpus: Optional[Iterable[TaskInstance]] = Non
     graphs = None if corpus is None else {instance.id: instance.graph for instance in corpus}
     convert = partial(trace_from_json, graphs=graphs)
     return list(read_jsonl(path, unique_ids(convert, attrgetter("instance_id"))))
+
+
+def walk_traces(
+    path: str | Path, corpus: Iterable[TaskInstance]
+) -> Iterator[Tuple[TaskInstance, PipelineTrace]]:
+    """Each instance of ``corpus`` that the trace file ``path`` holds a trace
+    for, with that trace, in corpus order; one instance and one trace are
+    held at a time, plus the instance ids. ``run`` writes traces in corpus
+    order, and the walk needs them so: a file may leave instances out, but a
+    trace whose instance the walk has passed, or that ``corpus`` does not
+    hold, raises ``ValueError`` prefixed with ``<path>:<line number>:``.
+
+    A trace loads as :func:`load_traces` loads it given the corpus, and fails
+    with the same message. A fault in ``corpus`` is met where the walk reaches
+    it, and the rest of ``corpus`` is read after the last trace, so a corpus
+    that fails to load fails the walk too."""
+    instances = iter(corpus)
+    passed = set()  # ids of the instances walked past
+    convert = unique_ids(trace_from_json, attrgetter("instance_id"))
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, line in _numbered(handle):
+            obj = _located(path, number, json.loads, line)
+            ident = obj.get("instance_id") if type(obj) is dict else None
+            instance = None
+            for candidate in instances:
+                passed.add(candidate.id)
+                if candidate.id == ident:
+                    instance = candidate
+                    break
+            # the line's own fault, if it has one, comes first
+            trace = _located(path, number, convert, obj, None if instance is None else {ident: instance.graph})
+            if instance is None and ident in passed:
+                raise ValueError(f"{path}:{number}: trace for instance {ident!r} is out of corpus order")
+            if instance is None:
+                raise ValueError(f"{path}:{number}: trace for unknown instance {ident!r}")
+            yield instance, trace
+    for _ in instances:  # read and check the rest
+        pass

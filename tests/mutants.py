@@ -3,8 +3,10 @@ scorer, the dataset filter, graph equality, the loaders (and the stages
 that the trace loader replays a line through), the instance id parser, the
 fault injector's labels, the parameter extractor, the node id bound on a
 graph reply, the digest check that lets a corpus load skip graph validation,
-the rule that lets a graph file or a trace's ``file`` record read as its
-corpus graph, or the number grammar of a graph file line is wrong?
+the walk that pairs a trace file with its corpus, the JSONL writer, the
+check that a completion's content is text, the rule that lets a graph file
+or a trace's ``file`` record read as its corpus graph, or the number grammar
+of a graph file line is wrong?
 
 Each mutant below replaces one exact piece of one line of ``src/graphstage/``.
 For each, the script copies the repository's ``src/``, ``tests/``,
@@ -16,8 +18,8 @@ runs first, so a killed mutant is usually seen within seconds. The unmutated
 copy runs first of all and must pass, or no verdict would mean anything.
 
 Run from the repository root (standard library only; pytest does not
-collect this file; CI runs it on one Python version with every mutant named
-but 9, which survives until ``retained_fraction`` is decided)::
+collect this file; CI runs it on one Python version with every mutant
+named)::
 
     python tests/mutants.py          # every mutant, a few minutes
     python tests/mutants.py 0 13     # the named mutants only
@@ -63,7 +65,6 @@ MUTANTS = (
                       "and none of its records holds None"),
     Mutant("8", "dataset.py", 'Category.CORRECT and record["answer_match"]:',
            "Category.CORRECT:", "test_dataset.py"),
-    Mutant("9", "dataset.py", "len(kept) / len(traces)", "len(kept) / len(corpus)", "test_dataset.py"),
     Mutant("13", "graphs.py", "and a.weight_kind == b.weight_kind", "and True", "test_graphs.py"),
     Mutant("trace-format", "serialize.py", "if version != TRACE_FORMAT:",
            "if version > TRACE_FORMAT:", "test_serialize.py"),
@@ -99,9 +100,17 @@ MUTANTS = (
     Mutant("positional-anchor", "codec.py", 'r"(?:G" + ', 'r"(?:" + ', "test_codec.py"),
     Mutant("task-text", "evaluation.py", "if trace.task_text != instance.task_text:", "if False:",
            "test_evaluation.py"),
-    Mutant("manifest-digest", "serialize.py",
-           "return digest is not None and hashlib.sha256(data).hexdigest() == digest",
-           "return digest is not None", "test_manifest.py"),
+    Mutant("manifest-digest", "serialize.py", "trusted = expected is not None and _sha256_of(raw) == expected",
+           "trusted = expected is not None", "test_manifest.py"),
+    Mutant("corpus-recheck", "serialize.py", "if trusted and digest.hexdigest() != expected:", "if False:",
+           "test_walk.py"),
+    Mutant("walk-order", "serialize.py", "if instance is None and ident in passed:", "if False:", "test_walk.py"),
+    Mutant("walk-rest", "serialize.py", "    for _ in instances:", "    for _ in ():", "test_walk.py"),
+    Mutant("write-count", "serialize.py", "count = 0", "count = 1", "test_cli.py"),
+    Mutant("raw-utf8", "serialize.py", "ensure_ascii=False, separators", "ensure_ascii=True, separators",
+           "test_serialize.py"),
+    Mutant("trusted-empty", "graphs.py", "if us else 0", "if us else 1", "test_graphs.py"),
+    Mutant("content-type", "backends.py", "if not isinstance(content, str):", "if False:", "test_backends.py"),
     Mutant("reuse-exact-int", "graphs.py",
            "all(map(operator.eq, rows, graph.edges)) and list(map(type, flat)).count(int) == len(flat)",
            "all(map(operator.eq, rows, graph.edges))", "test_serialize.py"),

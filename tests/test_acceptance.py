@@ -36,6 +36,7 @@ from graphstage import (
     extract_tool_name,
     generate_corpus,
     graphs_equal,
+    pair_traces,
     render_edge_list,
     run_corpus,
     score_trace,
@@ -267,9 +268,9 @@ def test_criterion_5_end_to_end_oracle_soundness(tmp_path):
             atomic_write_text(tmp_path / inst.graph_file, format_el_graph(inst.graph))
     backend = OracleBackend(corpus)
     traces = run_corpus(corpus, backend, workers=4, base_dir=tmp_path)
-    records = evaluate_traces(traces, corpus)
+    records = evaluate_traces(pair_traces(traces, corpus))
     assert all(r["category"] == Category.CORRECT for r in records)
-    report = aggregate(records, corpus)
+    report = aggregate(records)
     for row in report["rows"]:
         assert row["answer_acc"] == 100.0
         assert row["graph_acc"] == 100.0
@@ -311,14 +312,14 @@ def fault_run(tmp_path_factory):
     plan = FaultPlan(drop_graph_edges=0.2, wrong_tool_name=0.2, swap_parameters=0.2)
     fault = FaultBackend(oracle, plan, seed=66)
     traces = run_corpus(corpus, fault, workers=4)
-    entries, stats = build_dataset(traces, corpus)
+    entries, stats = build_dataset(pair_traces(traces, corpus))
     return corpus, traces, entries, stats
 
 
 def _entries_by_instance(corpus, traces):
     """Instance id -> the entries that build_dataset keeps from its trace alone."""
     by_id = {inst.id: inst for inst in corpus}
-    return {t.instance_id: build_dataset([t], [by_id[t.instance_id]])[0] for t in traces}
+    return {t.instance_id: build_dataset(pair_traces([t], [by_id[t.instance_id]]))[0] for t in traces}
 
 
 def test_criterion_6_dataset_filter_soundness(fault_run):
@@ -416,8 +417,8 @@ def test_criterion_9_live_endpoint_run(tmp_path):
         )
     )
     traces = run_corpus(corpus, backend, workers=4)
-    records = evaluate_traces(traces, corpus)
-    report = aggregate(records, corpus)
+    records = evaluate_traces(pair_traces(traces, corpus))
+    report = aggregate(records)
     assert len(report["rows"]) == 20
     _passed(
         "criterion 9: live 100-instance run completed; overall answer accuracy "

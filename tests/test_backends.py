@@ -370,6 +370,18 @@ class TestHttpBackend:
         with pytest.raises(BackendError):
             backend.complete("x")
 
+    @pytest.mark.parametrize("content", [None, 5, ["x"], {"a": 1}], ids=["null", "number", "list", "object"])
+    def test_content_that_is_not_a_string_is_a_backend_error(self, stub_server, content):
+        """A refusal's ``null``, or content parts, fail the stage's call: the
+        run goes on and returns every trace."""
+        corpus = _corpus(per_kind=1)[:5]
+        _StubHandler.script = [(200, {"choices": [{"message": {"content": content}}]})] * 20
+        traces = run_corpus(corpus, HttpBackend(CompletionConfig(endpoint=stub_server, retry_count=0)))
+        assert [t.instance_id for t in traces] == [i.id for i in corpus]
+        called = [stage for t in traces for stage in t.stages if stage.instruction]
+        assert called and all(stage.parsed.reason == "backend error: malformed completion body: "
+                              f"content is {type(content).__name__}, not a string" for stage in called)
+
     def test_unreachable_endpoint(self):
         backend = HttpBackend(
             CompletionConfig(endpoint="http://127.0.0.1:1/v1/chat/completions", retry_count=1)
@@ -653,6 +665,65 @@ def test_a_body_over_the_cap_is_not_read(framing):
         # a whole echo stays within a cap a thousand tokens wide
         assert HttpBackend(CompletionConfig(endpoint=endpoint, max_new_tokens=1000)).complete(prompt) == prompt
     assert server.connections == 3  # the connection closes after each body over the cap
+
+
+class _CannedHandler(socketserver.StreamRequestHandler):
+    """Reads one request, answers with the server's ``response`` bytes as
+    they are, and closes the connection."""
+
+    def handle(self):
+        self.rfile.readline()
+        length = 0
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        self.rfile.read(length)
+        self.wfile.write(self.server.response)
+
+
+def _edited(data, rng):
+    """``data`` with one to three bytes deleted, inserted or replaced."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        at, edit = rng.randrange(len(data)), rng.randrange(3)
+        if edit == 0:
+            del data[at]
+        elif edit == 1:
+            data.insert(at, rng.randrange(256))
+        else:
+            data[at] = rng.randrange(256)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("framing", ["content-length", "chunked"])
+def test_an_edited_response_gives_text_or_a_backend_error(framing):
+    """Seeded byte edits of a valid response: each call returns a string or
+    raises BackendError, and none waits on bytes that never come."""
+    rng = random.Random(18)
+    valid = _FRAMINGS[framing][0](json.dumps(_ok("API_name: edge_count")).encode())
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _CannedHandler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    outcomes = {"text": 0, "error": 0}
+    try:
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+        backend = HttpBackend(CompletionConfig(endpoint=endpoint, retry_count=0, timeout_ms=5000))
+        for _ in range(200):
+            server.response = _edited(valid, rng)
+            start = time.perf_counter()
+            try:
+                assert isinstance(backend.complete("x"), str), server.response
+                outcomes["text"] += 1
+            except BackendError:
+                outcomes["error"] += 1
+            assert time.perf_counter() - start < 1.0, server.response
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert outcomes["text"] and outcomes["error"]
 
 
 class TestEventLoopRuns:

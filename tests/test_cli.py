@@ -288,6 +288,12 @@ def test_fault_flags_need_the_fault_backend(tmp_path, capsys, backend, fault_fla
     assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "corpus.sha256"]
 
 
+def test_generate_reports_the_instances_it_wrote(tmp_path, capsys):
+    assert run_cli("generate", "--count", "2", "--size", "both", "--seed", "3", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out == f"wrote 40 instances to {tmp_path / 'corpus.jsonl'}\n"
+    assert len((tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines()) == 40
+
+
 def test_truncated_corpus_line_is_reported_with_file_and_line(tmp_path, capsys):
     out = tmp_path / "d"
     assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "4", "--out", str(out)) == 0
@@ -329,7 +335,7 @@ def test_trace_for_an_instance_missing_from_the_corpus_is_an_error(tmp_path, cap
     capsys.readouterr()
     target = out / ("alpaca.json" if command == "build-dataset" else "eval")
     assert run_cli(command, "--traces", str(traces), "--corpus", str(corpus), "--out", str(target)) == 1
-    assert capsys.readouterr().err == "error: trace for unknown instance 'edge_count-d-wl-00001'\n"
+    assert capsys.readouterr().err == f"error: {traces}:2: trace for unknown instance 'edge_count-d-wl-00001'\n"
     assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "corpus.sha256", "traces.jsonl"]
 
 

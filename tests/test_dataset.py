@@ -12,6 +12,7 @@ from graphstage import (
     SizeClass,
     TaskKind,
     build_dataset,
+    pair_traces,
     default_registry,
     export_alpaca,
     generate_instance,
@@ -37,7 +38,7 @@ def _corpus(per_kind=2):
 
 def _retained(trace, inst) -> bool:
     """Whether build_dataset keeps the trace's instance."""
-    _, stats = build_dataset([trace], [inst])
+    _, stats = build_dataset(pair_traces([trace], [inst]))
     return stats["retained_instances"] == 1
 
 
@@ -123,7 +124,7 @@ def test_build_dataset_oracle_counts_and_order():
     corpus = _corpus(2)
     backend = OracleBackend(corpus)
     traces = run_corpus(corpus, backend)
-    entries, stats = build_dataset(traces, corpus)
+    entries, stats = build_dataset(pair_traces(traces, corpus))
     assert stats["retained_instances"] == len(corpus)
     assert stats["retained_fraction"] == 1.0
     expected_entries = sum(2 if not i.kind.parametric else 3 for i in corpus)
@@ -144,13 +145,13 @@ def test_instance_whose_gold_answer_disagrees_with_its_tool_is_dropped():
     corpus = _corpus(1)
     traces = run_corpus(corpus, OracleBackend(corpus))
     edited = [dataclasses.replace(corpus[0], gold_answer=Answer.value(-1)), *corpus[1:]]
-    entries, stats = build_dataset(traces, edited)
+    entries, stats = build_dataset(pair_traces(traces, edited))
     assert stats["retained_instances"] == len(corpus) - 1
     assert {entry["input"] for entry in entries} == {inst.task_text for inst in corpus[1:]}
 
 
 def test_build_dataset_empty():
-    entries, stats = build_dataset([], [])
+    entries, stats = build_dataset([])
     assert entries == [] and stats["traces"] == 0
 
 
@@ -159,14 +160,14 @@ def test_orphan_trace_raises():
     backend = OracleBackend(corpus)
     trace = run_pipeline(corpus[0], backend)
     with pytest.raises(OrphanTrace):
-        build_dataset([trace], corpus[1:])
+        build_dataset(pair_traces([trace], corpus[1:]))
 
 
 def test_repeated_trace_id_raises():
     inst = _corpus(1)[0]
     trace = run_pipeline(inst, OracleBackend([inst]))
     with pytest.raises(ValueError, match=f"^duplicate instance id '{inst.id}'$"):
-        build_dataset([trace, trace], [inst])
+        build_dataset(pair_traces([trace, trace], [inst]))
 
 
 def _reexecute_matches(trace, instance) -> bool:
@@ -200,7 +201,7 @@ def test_fault_retention_matches_reexecution():
     plan = FaultPlan(drop_graph_edges=0.3, wrong_tool_name=0.3, swap_parameters=0.3)
     fault = FaultBackend(oracle, plan, seed=13)
     traces = run_corpus(corpus, fault)
-    _, stats = build_dataset(traces, corpus)
+    _, stats = build_dataset(pair_traces(traces, corpus))
     by_id = {i.id: i for i in corpus}
     survivors = sum(_reexecute_matches(t, by_id[t.instance_id]) for t in traces)
     assert stats["retained_instances"] == survivors
@@ -213,7 +214,7 @@ def test_export_alpaca_shape_and_idempotence(tmp_path):
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
     traces = run_corpus(corpus, backend)
-    entries, _ = build_dataset(traces, corpus)
+    entries, _ = build_dataset(pair_traces(traces, corpus))
     out = tmp_path / "alpaca.json"
     export_alpaca(entries, out)
     first = out.read_bytes()

@@ -24,6 +24,7 @@ from graphstage import (
     build_dataset,
     evaluate_traces,
     generate_instance,
+    pair_traces,
     render_report,
     run_corpus,
     run_pipeline,
@@ -97,7 +98,7 @@ def test_trace_of_another_task_text_is_rejected():
     other = dataclasses.replace(inst, task_text=inst.task_text + " ")
     message = f"^trace '{inst.id}' was run on another task text than the corpus holds$"
     with pytest.raises(ValueError, match=message):
-        evaluate_traces([trace], [other])
+        evaluate_traces(pair_traces([trace], [other]))
 
 
 def _fault_records(plan, per_kind=3, seed=21):
@@ -153,7 +154,7 @@ def test_matching_implies_correct_category():
     plan = FaultPlan(drop_graph_edges=0.4, wrong_tool_name=0.4, swap_parameters=0.4, emit_garbage=0.2)
     corpus, traces, fault, by_id = _fault_records(plan, per_kind=4)
     retained = {t.instance_id for t in traces
-                if build_dataset([t], [by_id[t.instance_id]])[1]["retained_instances"]}
+                if build_dataset(pair_traces([t], [by_id[t.instance_id]]))[1]["retained_instances"]}
     assert retained and len(retained) < len(traces)
     for trace in traces:
         record = score_trace(trace, by_id[trace.instance_id])
@@ -169,8 +170,8 @@ def test_aggregate_all_correct():
     corpus = _corpus(2)
     backend = OracleBackend(corpus)
     traces = run_corpus(corpus, backend)
-    records = evaluate_traces(traces, corpus)
-    report = aggregate(records, corpus)
+    records = evaluate_traces(pair_traces(traces, corpus))
+    report = aggregate(records)
     assert len(report["rows"]) == 20
     for row in report["rows"]:
         assert row["answer_acc"] == 100.0
@@ -190,40 +191,40 @@ def test_aggregate_overall_is_unweighted_mean():
     oracle = OracleBackend(corpus)
     fault = FaultBackend(oracle, FaultPlan(drop_graph_edges=0.5), seed=3)
     traces = run_corpus(corpus, fault)
-    records = evaluate_traces(traces, corpus)
-    report = aggregate(records, corpus)
+    records = evaluate_traces(pair_traces(traces, corpus))
+    report = aggregate(records)
     mean = sum(r["answer_acc"] for r in report["rows"]) / len(report["rows"])
     assert report["overall"]["wl"]["answer_acc"] == pytest.approx(mean)
 
 
 def test_aggregate_empty_raises():
     with pytest.raises(EmptyInput):
-        aggregate([], [])
+        aggregate([])
 
 
 def test_unknown_instance_raises_orphan_trace():
     corpus = _corpus(1)
     trace = run_pipeline(corpus[0], OracleBackend(corpus))
     with pytest.raises(OrphanTrace, match="trace for unknown instance"):
-        evaluate_traces([trace], corpus[1:])
-    record = score_trace(trace, corpus[0])
-    with pytest.raises(OrphanTrace, match="record for unknown instance"):
-        aggregate([record], corpus[1:])
+        evaluate_traces(pair_traces([trace], corpus[1:]))
+    record = dict(score_trace(trace, corpus[0]), instance_id="edge_count-x-wl-00000")
+    with pytest.raises(ValueError, match="malformed instance id 'edge_count-x-wl-00000'"):
+        aggregate([record])
 
 
 def test_repeated_trace_id_raises():
     inst = _corpus(1)[0]
     trace = run_pipeline(inst, OracleBackend([inst]))
     with pytest.raises(ValueError, match=f"^duplicate instance id '{inst.id}'$"):
-        aggregate(evaluate_traces([trace, trace], [inst]), [inst])
+        aggregate(evaluate_traces(pair_traces([trace, trace], [inst])))
 
 
 def test_report_rendering_and_roundtrip():
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
     traces = run_corpus(corpus, backend)
-    records = evaluate_traces(traces, corpus)
-    report = aggregate(records, corpus)
+    records = evaluate_traces(pair_traces(traces, corpus))
+    report = aggregate(records)
     txt = render_report(report, "txt")
     md = render_report(report, "md")
     assert "Overall" in txt and "100.0" in txt and "n/a" in txt

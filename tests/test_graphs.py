@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphstage import WeightKind, build_graph, canonical_edge_set, graphs_equal
-from graphstage.graphs import InvalidEdge, WeightMismatch, holds
+from graphstage.graphs import InvalidEdge, WeightMismatch, flat_columns, holds, trusted_graph
+from graphstage.serialize import edges_to_json
 
 from conftest import random_test_graph
 from oracles import max_referenced_node
@@ -16,6 +17,21 @@ def test_triangle_builds():
     assert g.node_count == 3
     assert len(g.edges) == 3
     assert g.weight_kind is WeightKind.NONE
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("weight_kind", list(WeightKind))
+def test_trusted_graph_is_what_build_graph_makes_of_the_same_columns(directed, weight_kind):
+    """The columns of a corpus line's edges, which build_graph accepted when
+    they were written, edgeless ones included, give one graph either way."""
+    rng = random.Random(19)
+    width = 2 if weight_kind is WeightKind.NONE else 3
+    for p in (0.0, 0.3, 0.7) * 10:
+        written = random_test_graph(rng, directed, weight_kind, n_min=1, p=p)
+        columns = flat_columns(edges_to_json(written), width)
+        built = build_graph(directed, None, columns, weight_kind, columns=True)
+        assert trusted_graph(directed, columns, weight_kind) == built
+        assert built.node_count == (1 + max(max(e[:2]) for e in written.edges) if written.edges else 0)
 
 
 @pytest.mark.parametrize(

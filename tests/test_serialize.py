@@ -17,7 +17,7 @@ from graphstage.backends import CompletionConfig, FaultBackend, FaultPlan, HttpB
 from graphstage.cli import main
 from graphstage.codec import ExtractionResult, extract_file_path
 from graphstage.dataset import build_dataset
-from graphstage.evaluation import evaluate_traces
+from graphstage.evaluation import evaluate_traces, pair_traces
 from graphstage.generator import ALL_KINDS, GenConfig, SizeClass, generate_corpus, parse_instance_id
 from graphstage.graphs import WeightKind, build_graph
 from graphstage.pipeline import (
@@ -134,6 +134,24 @@ def test_backend_error_traces_round_trip(corpus):
             assert stage["error"] == record.parsed.reason[len("backend error: "):]
             assert list(stage) == ["instruction", "raw_output", "latency_ms", "error"]
     _assert_round_trips(traces)
+
+
+class _NonAsciiReplies:
+    """A backend whose every reply holds text beyond ASCII."""
+
+    def complete(self, prompt):
+        return "Graphe: (0, 1) — réponse ✓ 🙂"
+
+
+def test_a_reply_beyond_ascii_is_written_as_its_utf8_bytes(corpus, tmp_path):
+    (trace,) = run_corpus(corpus[:1], _NonAsciiReplies())
+    path = tmp_path / "traces.jsonl"
+    write_jsonl(path, [trace_to_json(trace)])
+    data = path.read_bytes()
+    reply = b'"raw_output": "Graphe: (0, 1) \xe2\x80\x94 r\xc3\xa9ponse \xe2\x9c\x93 \xf0\x9f\x99\x82"'
+    assert data.count(reply) == len(trace.stages) and b"\\u" not in data
+    assert data == (dump_line(trace_to_json(trace)) + "\n").encode("utf-8")
+    _assert_round_trips([trace])
 
 
 def test_trace_line_stores_only_what_the_loader_cannot_rebuild(corpus, corpus_dir, tmp_path):
@@ -610,8 +628,8 @@ def test_edited_reply_is_what_a_format_5_line_loads_scores_and_exports(corpus, c
     line["stages"][1]["raw_output"] = f"API_name: {other}"
     edited = trace_from_json(line)
     assert edited.stages[1].parsed == ExtractionResult(name=other)
-    (record,) = evaluate_traces([edited], [corpus[index]])
+    (record,) = evaluate_traces(pair_traces([edited], [corpus[index]]))
     assert record["category"] == "NameMismatch"
-    entries, stats = build_dataset([*traces[:index], edited, *traces[index + 1:]], corpus)
+    entries, stats = build_dataset(pair_traces([*traces[:index], edited, *traces[index + 1:]], corpus))
     assert stats["retained_instances"] == len(corpus) - 1
     assert corpus[index].task_text not in {e["input"] for e in entries}
