@@ -30,7 +30,7 @@ oracle = OracleBackend(corpus)
 plan = FaultPlan(drop_graph_edges=0.25, wrong_tool_name=0.25, swap_parameters=0.25)
 fault = FaultBackend(oracle, plan, seed=1)
 
-traces = run_corpus(corpus, fault)
+traces = list(run_corpus(corpus, fault))
 entries, stats = build_dataset(pair_traces(traces, corpus))
 print(
     f"retained {stats['retained_instances']}/{stats['traces']} instances "

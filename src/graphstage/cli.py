@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -50,6 +51,7 @@ from .serialize import (  # noqa: F401
     load_traces,
     manifest_text,
     read_corpus,
+    read_corpus_checked,
     trace_to_json,
     walk_traces,
     write_jsonl,
@@ -149,7 +151,7 @@ def _write_graph_file(corpus_dir: Path, instance) -> Optional[str]:
 def _backend_for(args):
     """The function that makes the backend from the corpus. Every backend
     setting is checked here, so a bad one is reported before the corpus is
-    read; only the oracle needs the corpus."""
+    read; only the oracle and fault backends need the corpus."""
     if args.backend == "oracle":
         return OracleBackend
     if args.backend == "fault":
@@ -167,17 +169,22 @@ def _backend_for(args):
 
 
 def _cmd_run(args) -> int:
+    """Each trace is written as its turn in corpus order comes. Over HTTP the
+    corpus is read as the run goes, after a full check when the manifest
+    does not vouch for it; the oracle and fault backends look instances up
+    by id (ROADMAP item 3), so they load it whole."""
     make_backend = _backend_for(args)
-    corpus = load_corpus(args.corpus)
+    corpus = read_corpus_checked(args.corpus) if args.backend == "http" else load_corpus(args.corpus)
     backend = make_backend(corpus)
     base_dir = Path(args.corpus).parent
-    traces = run_corpus(corpus, backend, workers=args.workers, base_dir=base_dir)
-    write_jsonl(args.out, (trace_to_json(t) for t in traces))
+    # closed at once when a write fails, which stops the lanes of an HTTP run
+    with closing(run_corpus(corpus, backend, workers=args.workers, base_dir=base_dir)) as traces:
+        count = write_jsonl(args.out, map(trace_to_json, traces))
     if args.fault_labels:
         atomic_write_text(
             args.fault_labels, json.dumps(backend.injected, indent=2, sort_keys=True) + "\n"
         )
-    print(f"wrote {len(traces)} traces to {args.out}")
+    print(f"wrote {count} traces to {args.out}")
     return 0
 
 

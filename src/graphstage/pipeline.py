@@ -20,10 +20,11 @@ backend and the corpus directory's files, where an EL instance's own graph
 file reads as the instance's graph while its bytes are the ones ``generate``
 wrote; the trace loader replays the stages on a stored trace. Over a
 blocking backend, or a replay, the coroutine never suspends, and
-:func:`run_blocking` runs it to the end in one step. With an HTTP backend,
-:func:`run_corpus` awaits it on an event loop, one coroutine per connection,
+:func:`run_blocking` runs it to the end in one step. :func:`run_corpus`
+yields the traces of a corpus in its order, one at a time. With an HTTP
+backend it awaits the coroutine on an event loop, one lane per connection,
 and :func:`run_pipeline` is a one-instance :func:`run_corpus`. That loop, and
-the one each blocking HTTP call runs on, starts in :func:`run_on_loop`.
+the one each blocking HTTP call runs on, comes from :func:`_event_loop`.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from __future__ import annotations
 import os
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .codec import (
     ExtractionResult,
@@ -336,12 +339,13 @@ def run_pipeline(instance: TaskInstance, backend, *, base_dir: str | Path = ".")
     one-instance :func:`run_corpus`: over one keep-alive connection, on an
     event loop of its own. Each call starts that loop and connection anew,
     so a caller with many instances should use :func:`run_corpus`, which
-    keeps one of each for the whole list: over a local stub, a loop of ``run_pipeline``
+    keeps one of each for the whole run: over a local stub, a loop of ``run_pipeline``
     took 2.01 ms per WL instance against 0.35 ms through ``run_corpus``."""
     from .backends import HttpBackend  # backends imports this module
 
     if isinstance(backend, HttpBackend):
-        return run_corpus([instance], backend, base_dir=base_dir)[0]
+        (trace,) = run_corpus([instance], backend, base_dir=base_dir)
+        return trace
 
     async def complete(prompt: str) -> str:  # blocks, so the pipeline never suspends
         return backend.complete(prompt)
@@ -349,60 +353,141 @@ def run_pipeline(instance: TaskInstance, backend, *, base_dir: str | Path = ".")
     return run_blocking(_pipeline(instance, complete, Path(base_dir)))
 
 
+# a lane takes no instance this many times the lanes or more past the next
+# trace in corpus order, so a stalled lane holds back that many traces at most
+WINDOW_PER_LANE = 4
+
+
 def run_corpus(
-    instances: Sequence[TaskInstance],
+    instances: Iterable[TaskInstance],
     backend,
     *,
     workers: int = 1,
     base_dir: str | Path = ".",
-) -> List[PipelineTrace]:
-    """Run the pipeline over many instances, preserving corpus order. EL
-    graph files are read under ``base_dir`` as :func:`run_pipeline` reads them.
+) -> Iterator[PipelineTrace]:
+    """The traces of ``instances``, yielded one at a time in their order, as
+    each one's turn comes; ``instances`` is read as the run goes. EL graph
+    files are read under ``base_dir`` as :func:`run_pipeline` reads them.
+    A caller that wants a list writes ``list(run_corpus(...))``.
 
     An :class:`~graphstage.backends.HttpBackend` runs the pipelines as
     coroutines on one event loop in the calling thread, over ``workers``
-    keep-alive connections with as many requests in flight. Any other backend
-    runs serially in the calling thread, whatever ``workers`` says: its work
-    is pure Python, which threads would only slow down. Each of its instances
-    goes through :func:`run_pipeline`, looked up by this module's name, where
-    the benchmark's tracer times it.
+    keep-alive connections with as many requests in flight
+    (:func:`_http_lanes`). Any other backend runs serially in the calling
+    thread, whatever ``workers`` says: its work is pure Python, which threads
+    would only slow down. Each of its instances goes through
+    :func:`run_pipeline`, looked up by this module's name, where the
+    benchmark's tracer times it.
     """
     from .backends import HttpBackend  # backends imports this module
 
-    if not isinstance(backend, HttpBackend):
-        return [run_pipeline(i, backend, base_dir=base_dir) for i in instances]
+    if isinstance(backend, HttpBackend):
+        yield from _http_lanes(iter(instances), backend, max(workers, 1), Path(base_dir))
+        return
+    for instance in instances:
+        yield run_pipeline(instance, backend, base_dir=base_dir)
+
+
+def _http_lanes(instances: Iterator[TaskInstance], backend, workers: int, base_dir: Path) -> Iterator[PipelineTrace]:
+    """:func:`run_corpus` over an HTTP backend. Each of ``workers`` lanes is
+    a coroutine with a connection of its own, which takes the next instance
+    from ``instances`` when the last one's trace is done. The lanes take
+    instances in their order, and a finished trace waits in a reorder buffer
+    until the traces before it are given out; a lane takes no instance
+    :data:`WINDOW_PER_LANE` times ``workers`` or more past the next trace to
+    give out, so the buffer stays that small whatever a stalled lane does.
+
+    The loop runs only while the caller waits for a trace that is not done.
+    When the caller stops, or a lane raises, the lanes are cancelled, and
+    their connections and the loop are closed."""
     import asyncio  # only HTTP runs need it, and it takes tens of ms to import
 
-    traces: List[Optional[PipelineTrace]] = [None] * len(instances)
-    todo = iter(enumerate(instances))
+    todo = enumerate(instances)  # the lanes share it, so they take instances in order
+    finished: Dict[int, PipelineTrace] = {}  # the reorder buffer, by corpus index
+    room = asyncio.Semaphore(WINDOW_PER_LANE * workers)  # instances a lane may still take
+    progress = asyncio.Event()  # a lane finished an instance, or ended
 
     async def lane():
-        # one connection, one request in flight; the lanes share the queue
         connection = backend.connection()
         try:
-            for index, instance in todo:
-                traces[index] = await _pipeline(instance, connection.complete, Path(base_dir))
+            while True:
+                await room.acquire()
+                taken = next(todo, None)
+                if taken is None:
+                    return
+                index, instance = taken
+                finished[index] = await _pipeline(instance, connection.complete, base_dir)
+                progress.set()
         finally:
             connection.close()
 
-    async def run_lanes():
-        await asyncio.gather(*(lane() for _ in range(min(max(workers, 1), len(instances)))))
+    async def finished_at(index: int, lanes) -> bool:
+        """Whether the instance at ``index`` has its trace, once it has; False
+        once the lanes have ended without it."""
+        while index not in finished:
+            for task in lanes:
+                if task.done():
+                    task.result()  # a lane's error ends the run
+            if all(task.done() for task in lanes):
+                return False
+            progress.clear()
+            await progress.wait()
+        return True
 
-    run_on_loop(run_lanes())
-    return traces
+    with _event_loop() as (loop, run):
+        lanes = [loop.create_task(lane()) for _ in range(workers)]
+        for task in lanes:
+            task.add_done_callback(lambda _: progress.set())
+        for index in count():
+            if index not in finished and not run(finished_at(index, lanes)):
+                return
+            room.release()
+            yield finished.pop(index)
 
 
 def run_on_loop(coroutine):
-    """The result of a coroutine run to the end on an event loop of its own:
-    in the calling thread, or, when that thread already runs an event loop
-    (a notebook's) on which :func:`asyncio.run` cannot start, in a thread of
-    its own."""
+    """The result of a coroutine run to the end on an event loop of its own
+    (:func:`_event_loop`)."""
+    with _event_loop() as (_, run):
+        return run(coroutine)
+
+
+@contextmanager
+def _event_loop():
+    """A new event loop, and the function that runs an awaitable to its end
+    on it: in the calling thread, or, when that thread already runs an event
+    loop (a notebook's), on which another cannot run, in a thread of its own.
+    Between two runs the loop stands still. On exit every task left on it is
+    cancelled and run to its end, as :func:`asyncio.run` ends, and the loop
+    is closed."""
     import asyncio
     from concurrent.futures import ThreadPoolExecutor
 
     try:
         asyncio.get_running_loop()
     except RuntimeError:
-        return asyncio.run(coroutine)
-    with ThreadPoolExecutor(max_workers=1) as side:
-        return side.submit(asyncio.run, coroutine).result()
+        side = None
+    else:
+        side = ThreadPoolExecutor(max_workers=1)
+    loop = asyncio.new_event_loop()
+
+    def run(awaitable):
+        if side is None:
+            return loop.run_until_complete(awaitable)
+        return side.submit(loop.run_until_complete, awaitable).result()
+
+    try:
+        yield loop, run
+    finally:
+        try:
+            left = asyncio.all_tasks(loop)
+            for task in left:
+                task.cancel()
+            if left:
+                run(asyncio.gather(*left, return_exceptions=True))
+            run(loop.shutdown_asyncgens())
+            run(loop.shutdown_default_executor())
+        finally:
+            loop.close()
+            if side is not None:
+                side.shutdown()

@@ -40,6 +40,9 @@ which the corpus load validated, loads as that graph without building it again.
 :func:`read_corpus` reads a corpus one instance at a time, and
 :func:`walk_traces` walks it side by side with a trace file in corpus order,
 so that scoring the traces of a corpus holds one instance at a time.
+:func:`read_corpus_checked` reads it one instance at a time for a run over
+HTTP, after checking in full a corpus that the manifest does not vouch for,
+so that a fault in it stops the run before the first request.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .codec import ExtractionResult
-from .generator import TaskInstance, TaskKind, parse_instance_id
+from .generator import SizeClass, TaskInstance, TaskKind, parse_instance_id
 from .graphs import Graph, WeightKind, build_graph, flat_columns, holds, trusted_graph
 from .pipeline import BACKEND_ERROR, FILE_READ_ERROR, PipelineTrace, StageRecord, run_blocking, run_stages
 from .tools import Answer
@@ -317,8 +320,7 @@ def read_corpus(path: str | Path) -> Iterator[TaskInstance]:
     bytes that the second pass parses: a trusted file whose bytes changed in
     between raises ``ValueError`` once it has been read, before a consumer
     that reads the whole corpus writes anything."""
-    where = Path(path)
-    expected = read_manifest(where.parent).get(where.name)
+    expected = _listed_digest(path)
     with open(path, "rb", buffering=0) as raw:
         trusted = expected is not None and _sha256_of(raw) == expected
         raw.seek(0)
@@ -329,6 +331,29 @@ def read_corpus(path: str | Path) -> Iterator[TaskInstance]:
             yield from _objects(path, lines, unique_ids(convert, attrgetter("id")))
     if trusted and digest.hexdigest() != expected:
         raise ValueError(f"{path}: its bytes changed while it was read")
+
+
+def _listed_digest(path: str | Path) -> Optional[str]:
+    """The SHA-256 that the manifest beside the corpus file ``path`` lists
+    for its name, if it lists one."""
+    where = Path(path)
+    return read_manifest(where.parent).get(where.name)
+
+
+def read_corpus_checked(path: str | Path) -> Iterator[TaskInstance]:
+    """The instances of a corpus file, as :func:`read_corpus` reads them, for
+    a consumer that acts on each one as it comes, as a run sends it to an
+    endpoint. A file whose bytes have the SHA-256 that the manifest lists,
+    which ``generate`` wrote, is read as it goes. Any other file is read and
+    checked in full first, so that a fault in it raises ``ValueError`` here,
+    before the first instance is given out."""
+    expected = _listed_digest(path)
+    with open(path, "rb") as raw:
+        vouched = expected is not None and _sha256_of(raw) == expected
+    if not vouched:
+        for _ in read_corpus(path):
+            pass
+    return read_corpus(path)
 
 
 def load_corpus(path: str | Path) -> list:
@@ -382,6 +407,17 @@ def _file_graph(file: dict, kind: TaskKind, gold: Optional[Graph]) -> Extraction
     return ExtractionResult(graph=graph_from_edges(edges, directed, kind.weight_kind))
 
 
+def _trace_head(obj: dict) -> Tuple[str, TaskKind, SizeClass]:
+    """The instance id of a format-5 trace line, and the kind and size class
+    that it names, which :func:`trace_from_json` checks before anything else:
+    another format, or an id that is missing or malformed, raises."""
+    version = obj["format"] if "format" in obj else 1
+    if version != TRACE_FORMAT:
+        raise ValueError(f"unknown trace format {version!r}")
+    instance_id = obj["instance_id"]
+    return (instance_id, *parse_instance_id(instance_id)[:2])
+
+
 def trace_from_json(obj: dict, graphs: Optional[Mapping[str, Graph]] = None) -> PipelineTrace:
     """A format-5 trace line, replayed through the pipeline's own
     stages (:func:`~graphstage.pipeline.run_stages`) on its stored replies,
@@ -394,11 +430,7 @@ def trace_from_json(obj: dict, graphs: Optional[Mapping[str, Graph]] = None) -> 
     edge array of exact ints are those of its instance's graph gives that
     graph object instead of a rebuilt one; with or without ``graphs``, a
     line loads as the same trace or fails with the same message."""
-    version = obj["format"] if "format" in obj else 1
-    if version != TRACE_FORMAT:
-        raise ValueError(f"unknown trace format {version!r}")
-    instance_id = obj["instance_id"]
-    kind, size = parse_instance_id(instance_id)[:2]
+    instance_id, kind, size = _trace_head(obj)
     gold = None if graphs is None else graphs.get(instance_id)  # a well-formed id: a hashable str
     task_text = obj["task_text"]
     if type(task_text) is not str:
@@ -473,23 +505,28 @@ def walk_traces(
     hold, raises ``ValueError`` prefixed with ``<path>:<line number>:``.
 
     A trace loads as :func:`load_traces` loads it given the corpus, and fails
-    with the same message. A fault in ``corpus`` is met where the walk reaches
-    it, and the rest of ``corpus`` is read after the last trace, so a corpus
-    that fails to load fails the walk too."""
+    with the same message. A line's format and instance id are checked before
+    the walk looks for its instance, which it does not look for once passed:
+    the corpus is not read further to report such a fault of the line. A
+    fault in ``corpus`` is met where the walk reaches it, and the rest of
+    ``corpus`` is read after the last trace, so a corpus that fails to load
+    fails the walk too."""
     instances = iter(corpus)
     passed = set()  # ids of the instances walked past
     convert = unique_ids(trace_from_json, attrgetter("instance_id"))
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in _numbered(handle):
             obj = _located(path, number, json.loads, line)
-            ident = obj.get("instance_id") if type(obj) is dict else None
+            # a fault of the line's own id comes before the corpus is read
+            # on, and an instance walked past is not looked for
+            ident = _located(path, number, _trace_head, obj)[0]
             instance = None
-            for candidate in instances:
+            for candidate in () if ident in passed else instances:
                 passed.add(candidate.id)
                 if candidate.id == ident:
                     instance = candidate
                     break
-            # the line's own fault, if it has one, comes first
+            # the line's other faults come before its place in the corpus
             trace = _located(path, number, convert, obj, None if instance is None else {ident: instance.graph})
             if instance is None and ident in passed:
                 raise ValueError(f"{path}:{number}: trace for instance {ident!r} is out of corpus order")

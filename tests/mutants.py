@@ -3,10 +3,12 @@ scorer, the dataset filter, graph equality, the loaders (and the stages
 that the trace loader replays a line through), the instance id parser, the
 fault injector's labels, the parameter extractor, the node id bound on a
 graph reply, the digest check that lets a corpus load skip graph validation,
-the walk that pairs a trace file with its corpus, the JSONL writer, the
-check that a completion's content is text, the rule that lets a graph file
-or a trace's ``file`` record read as its corpus graph, or the number grammar
-of a graph file line is wrong?
+the full check of a corpus that an HTTP run streams without that digest, the
+walk that pairs a trace file with its corpus, the reorder buffer that gives
+out an HTTP run's traces in corpus order, the JSONL writer, the check that a
+completion's content is text, the rule that lets a graph file or a trace's
+``file`` record read as its corpus graph, or the number grammar of a graph
+file line is wrong?
 
 Each mutant below replaces one exact piece of one line of ``src/graphstage/``.
 For each, the script copies the repository's ``src/``, ``tests/``,
@@ -106,6 +108,11 @@ MUTANTS = (
            "test_walk.py"),
     Mutant("walk-order", "serialize.py", "if instance is None and ident in passed:", "if False:", "test_walk.py"),
     Mutant("walk-rest", "serialize.py", "    for _ in instances:", "    for _ in ():", "test_walk.py"),
+    Mutant("walk-id-first", "serialize.py", "ident = _located(path, number, _trace_head, obj)[0]",
+           'ident = obj.get("instance_id") if type(obj) is dict else None', "test_walk.py"),
+    Mutant("reorder", "pipeline.py", "yield finished.pop(index)", "yield finished.pop(next(iter(finished)))",
+           "test_run_stream.py"),
+    Mutant("corpus-precheck", "serialize.py", "    if not vouched:", "    if False:", "test_run_stream.py"),
     Mutant("write-count", "serialize.py", "count = 0", "count = 1", "test_cli.py"),
     Mutant("raw-utf8", "serialize.py", "ensure_ascii=False, separators", "ensure_ascii=True, separators",
            "test_serialize.py"),

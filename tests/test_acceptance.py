@@ -267,7 +267,7 @@ def test_criterion_5_end_to_end_oracle_soundness(tmp_path):
         if inst.graph_file is not None:
             atomic_write_text(tmp_path / inst.graph_file, format_el_graph(inst.graph))
     backend = OracleBackend(corpus)
-    traces = run_corpus(corpus, backend, workers=4, base_dir=tmp_path)
+    traces = list(run_corpus(corpus, backend, workers=4, base_dir=tmp_path))
     records = evaluate_traces(pair_traces(traces, corpus))
     assert all(r["category"] == Category.CORRECT for r in records)
     report = aggregate(records)
@@ -311,7 +311,7 @@ def fault_run(tmp_path_factory):
     oracle = OracleBackend(corpus)
     plan = FaultPlan(drop_graph_edges=0.2, wrong_tool_name=0.2, swap_parameters=0.2)
     fault = FaultBackend(oracle, plan, seed=66)
-    traces = run_corpus(corpus, fault, workers=4)
+    traces = list(run_corpus(corpus, fault, workers=4))
     entries, stats = build_dataset(pair_traces(traces, corpus))
     return corpus, traces, entries, stats
 
@@ -363,7 +363,7 @@ def test_criterion_7_error_taxonomy_fidelity():
         config = GenConfig(count=per_kind, seed=77, sizes="wl", kinds=kinds)
         corpus = list(generate_corpus(config))
         fault = FaultBackend(OracleBackend(corpus), plan, seed=7)
-        traces = run_corpus(corpus, fault, workers=4)
+        traces = list(run_corpus(corpus, fault, workers=4))
         by_id = {inst.id: inst for inst in corpus}
         labeled = 0
         for trace in traces:
@@ -416,7 +416,7 @@ def test_criterion_9_live_endpoint_run(tmp_path):
             api_key=os.environ.get("GRAPHSTAGE_API_KEY", ""),
         )
     )
-    traces = run_corpus(corpus, backend, workers=4)
+    traces = list(run_corpus(corpus, backend, workers=4))
     records = evaluate_traces(pair_traces(traces, corpus))
     report = aggregate(records)
     assert len(report["rows"]) == 20

@@ -324,7 +324,7 @@ def _exchanges(backend, via, calls=3):
     connections. A stage's recorded backend error is raised again."""
     if via == "complete":
         return [(f"call {k}", backend.complete(f"call {k}")) for k in range(calls)]
-    traces = run_corpus(_corpus(1)[:calls], backend, workers=2)
+    traces = list(run_corpus(_corpus(1)[:calls], backend, workers=2))
     stages = [s for t in traces for s in t.stages if s.prompt]
     for stage in stages:
         if not stage.raw_output:
@@ -376,7 +376,7 @@ class TestHttpBackend:
         run goes on and returns every trace."""
         corpus = _corpus(per_kind=1)[:5]
         _StubHandler.script = [(200, {"choices": [{"message": {"content": content}}]})] * 20
-        traces = run_corpus(corpus, HttpBackend(CompletionConfig(endpoint=stub_server, retry_count=0)))
+        traces = list(run_corpus(corpus, HttpBackend(CompletionConfig(endpoint=stub_server, retry_count=0))))
         assert [t.instance_id for t in traces] == [i.id for i in corpus]
         called = [stage for t in traces for stage in t.stages if stage.instruction]
         assert called and all(stage.parsed.reason == "backend error: malformed completion body: "
@@ -438,7 +438,7 @@ class TestHttpBackend:
             endpoint = f"http://127.0.0.1:{silent.getsockname()[1]}/v1/chat/completions"
             backend = HttpBackend(CompletionConfig(endpoint=endpoint, retry_count=0, timeout_ms=200))
             start = time.perf_counter()
-            traces = run_corpus(_corpus(1)[:4], backend, workers=4)
+            traces = list(run_corpus(_corpus(1)[:4], backend, workers=4))
             elapsed = time.perf_counter() - start
         reasons = {s.parsed.reason for t in traces for s in t.stages if s.prompt}
         assert reasons == {"backend error: no response after 1 attempt(s): timed out"}
@@ -764,7 +764,7 @@ class TestEventLoopRuns:
 
         async def in_a_notebook():  # asyncio.run refuses a thread whose loop runs
             backend = HttpBackend(CompletionConfig(endpoint=keepalive_server))
-            return run_corpus(instances, backend, workers=4, base_dir=tmp_path)
+            return list(run_corpus(instances, backend, workers=4, base_dir=tmp_path))
 
         traces = asyncio.run(in_a_notebook())
         stored["in a running loop"] = [json.loads(json.dumps(trace_to_json(t))) for t in traces]

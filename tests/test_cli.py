@@ -294,6 +294,16 @@ def test_generate_reports_the_instances_it_wrote(tmp_path, capsys):
     assert len((tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines()) == 40
 
 
+@pytest.mark.parametrize("backend", [["oracle"], ["fault", "--fault-garbage", "0.5", "--seed", "2"]])
+def test_run_reports_the_traces_it_wrote(tmp_path, capsys, backend):
+    assert run_cli("generate", "--count", "2", "--size", "both", "--seed", "3", "--out", str(tmp_path)) == 0
+    traces = tmp_path / "traces.jsonl"
+    capsys.readouterr()
+    assert run_cli("run", "--corpus", str(tmp_path / "corpus.jsonl"), "--backend", *backend, "--out", str(traces)) == 0
+    assert capsys.readouterr().out == f"wrote 40 traces to {traces}\n"
+    assert len(traces.read_text(encoding="utf-8").splitlines()) == 40
+
+
 def test_truncated_corpus_line_is_reported_with_file_and_line(tmp_path, capsys):
     out = tmp_path / "d"
     assert run_cli("generate", "--tasks", "edge_count:directed", "--count", "4", "--out", str(out)) == 0

@@ -123,7 +123,7 @@ def test_parse_failure_rejects():
 def test_build_dataset_oracle_counts_and_order():
     corpus = _corpus(2)
     backend = OracleBackend(corpus)
-    traces = run_corpus(corpus, backend)
+    traces = list(run_corpus(corpus, backend))
     entries, stats = build_dataset(pair_traces(traces, corpus))
     assert stats["retained_instances"] == len(corpus)
     assert stats["retained_fraction"] == 1.0
@@ -143,7 +143,7 @@ def test_instance_whose_gold_answer_disagrees_with_its_tool_is_dropped():
     ``gold_answer`` is not what the tool returns: only that instance is
     dropped."""
     corpus = _corpus(1)
-    traces = run_corpus(corpus, OracleBackend(corpus))
+    traces = list(run_corpus(corpus, OracleBackend(corpus)))
     edited = [dataclasses.replace(corpus[0], gold_answer=Answer.value(-1)), *corpus[1:]]
     entries, stats = build_dataset(pair_traces(traces, edited))
     assert stats["retained_instances"] == len(corpus) - 1
@@ -200,7 +200,7 @@ def test_fault_retention_matches_reexecution():
     oracle = OracleBackend(corpus)
     plan = FaultPlan(drop_graph_edges=0.3, wrong_tool_name=0.3, swap_parameters=0.3)
     fault = FaultBackend(oracle, plan, seed=13)
-    traces = run_corpus(corpus, fault)
+    traces = list(run_corpus(corpus, fault))
     _, stats = build_dataset(pair_traces(traces, corpus))
     by_id = {i.id: i for i in corpus}
     survivors = sum(_reexecute_matches(t, by_id[t.instance_id]) for t in traces)
@@ -213,7 +213,7 @@ def test_fault_retention_matches_reexecution():
 def test_export_alpaca_shape_and_idempotence(tmp_path):
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
-    traces = run_corpus(corpus, backend)
+    traces = list(run_corpus(corpus, backend))
     entries, _ = build_dataset(pair_traces(traces, corpus))
     out = tmp_path / "alpaca.json"
     export_alpaca(entries, out)

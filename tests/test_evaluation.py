@@ -105,7 +105,7 @@ def _fault_records(plan, per_kind=3, seed=21):
     corpus = _corpus(per_kind, seed=seed)
     oracle = OracleBackend(corpus)
     fault = FaultBackend(oracle, plan, seed=seed)
-    traces = run_corpus(corpus, fault)
+    traces = list(run_corpus(corpus, fault))
     by_id = {i.id: i for i in corpus}
     return corpus, traces, fault, by_id
 
@@ -169,7 +169,7 @@ def test_matching_implies_correct_category():
 def test_aggregate_all_correct():
     corpus = _corpus(2)
     backend = OracleBackend(corpus)
-    traces = run_corpus(corpus, backend)
+    traces = list(run_corpus(corpus, backend))
     records = evaluate_traces(pair_traces(traces, corpus))
     report = aggregate(records)
     assert len(report["rows"]) == 20
@@ -190,7 +190,7 @@ def test_aggregate_overall_is_unweighted_mean():
     corpus = _corpus(2)
     oracle = OracleBackend(corpus)
     fault = FaultBackend(oracle, FaultPlan(drop_graph_edges=0.5), seed=3)
-    traces = run_corpus(corpus, fault)
+    traces = list(run_corpus(corpus, fault))
     records = evaluate_traces(pair_traces(traces, corpus))
     report = aggregate(records)
     mean = sum(r["answer_acc"] for r in report["rows"]) / len(report["rows"])
@@ -222,7 +222,7 @@ def test_repeated_trace_id_raises():
 def test_report_rendering_and_roundtrip():
     corpus = _corpus(1)
     backend = OracleBackend(corpus)
-    traces = run_corpus(corpus, backend)
+    traces = list(run_corpus(corpus, backend))
     records = evaluate_traces(pair_traces(traces, corpus))
     report = aggregate(records)
     txt = render_report(report, "txt")

@@ -188,7 +188,7 @@ def test_an_edited_graph_file_fails_as_without_its_instance_graph(tmp_path):
     want = _outcome(read_el_graph_file, path, inst.kind.weight_kind)
     assert want[0] == "raised" and "self-loop" in want[2]
     assert _outcome(read_el_graph_file, path, inst.kind.weight_kind, inst.graph) == want
-    traces = run_corpus([inst], OracleBackend([inst]), base_dir=corpus_dir)
+    traces = list(run_corpus([inst], OracleBackend([inst]), base_dir=corpus_dir))
     assert traces[0].stages[0].parsed.reason == f"file read: {want[2]}"
 
 
@@ -201,7 +201,7 @@ def test_a_run_reads_no_manifest(tmp_path, monkeypatch):
     # without a manifest, each graph file still reads as its instance's graph
     bare = _without_manifest(corpus_dir, tmp_path)
     for base_dir in (corpus_dir, bare):
-        traces = run_corpus(el, OracleBackend(el), base_dir=base_dir)
+        traces = list(run_corpus(el, OracleBackend(el), base_dir=base_dir))
         assert all(t.stages[0].parsed.graph is i.graph and t.tool_error is None for t, i in zip(traces, el))
         assert run_pipeline(el[0], OracleBackend(el), base_dir=base_dir).stages[0].parsed.graph is el[0].graph
     assert reads == []

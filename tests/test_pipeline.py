@@ -252,7 +252,7 @@ def test_run_corpus_runs_in_process_backends_serially_in_order(faults):
     runs = {}
     for workers in (1, 8):
         backend = OnThread()
-        traces = run_corpus(corpus, backend, workers=workers)
+        traces = list(run_corpus(corpus, backend, workers=workers))
         assert backend.threads == {threading.get_ident()}
         assert [t.instance_id for t in traces] == [i.id for i in corpus]
         runs[workers] = _without_latency(traces), getattr(backend.backend, "injected", None)
@@ -306,7 +306,7 @@ def test_number_answers_that_do_not_parse_are_syntax_errors():
                 return "node=" + "9" * 5000
             return oracle.complete(prompt)
 
-    traces = run_corpus(corpus, BadNumbers())
+    traces = list(run_corpus(corpus, BadNumbers()))
     failed = [traces[0].stage(StageKind.GRAPH), traces[1].stage(StageKind.PARAMS)]
     assert [not record.parsed.ok for record in failed] == [True, True]
     for trace, inst in zip(traces, corpus):
@@ -342,7 +342,7 @@ def test_a_graph_reply_naming_a_huge_node_id_is_a_syntax_error_of_every_kind():
                 return oracle.complete(prompt)
 
         start = time.perf_counter()
-        traces = run_corpus(corpus, NamingNode())
+        traces = list(run_corpus(corpus, NamingNode()))
         assert time.perf_counter() - start < 10.0  # a few ms per trace, tools included, below the bound
         for trace, inst in zip(traces, corpus):
             category = score_trace(trace, inst)["category"]

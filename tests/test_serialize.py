@@ -101,7 +101,7 @@ def test_instruction_table_holds_each_distinct_text_once():
 
 
 def test_oracle_traces_of_both_sizes_round_trip(corpus, corpus_dir):
-    traces = run_corpus(corpus, OracleBackend(corpus), base_dir=corpus_dir)
+    traces = list(run_corpus(corpus, OracleBackend(corpus), base_dir=corpus_dir))
     assert {i.size_class for i in corpus} == {SizeClass.WL, SizeClass.EL}
     assert [t.task_text for t in traces] == [i.task_text for i in corpus]
     _assert_round_trips(traces)
@@ -110,14 +110,14 @@ def test_oracle_traces_of_both_sizes_round_trip(corpus, corpus_dir):
 @pytest.mark.parametrize("mode", FAULT_MODES)
 def test_fault_traces_round_trip(corpus, corpus_dir, mode):
     backend = FaultBackend(OracleBackend(corpus), FaultPlan(**{mode: 1.0}), seed=3)
-    traces = run_corpus(corpus, backend, base_dir=corpus_dir)
+    traces = list(run_corpus(corpus, backend, base_dir=corpus_dir))
     assert any(mode in stages.values() for stages in backend.injected.values())
     _assert_round_trips(traces)
 
 
 def test_parameter_stage_without_a_call_round_trips_with_an_empty_key(corpus, corpus_dir):
     backend = FaultBackend(OracleBackend(corpus), FaultPlan(emit_garbage=1.0), seed=3)
-    traces = run_corpus(corpus, backend, base_dir=corpus_dir)
+    traces = list(run_corpus(corpus, backend, base_dir=corpus_dir))
     uncalled = [(t, r) for t in traces for r in t.stages if not r.prompt]
     assert uncalled and all(r.stage is StageKind.PARAMS and not r.instruction_text for _, r in uncalled)
     for trace, _ in uncalled:
@@ -127,7 +127,7 @@ def test_parameter_stage_without_a_call_round_trips_with_an_empty_key(corpus, co
 
 def test_backend_error_traces_round_trip(corpus):
     config = CompletionConfig(endpoint="http://127.0.0.1:1/v1/chat/completions", retry_count=0)
-    traces = run_corpus(corpus[:4], HttpBackend(config))
+    traces = list(run_corpus(corpus[:4], HttpBackend(config)))
     assert all(r.parsed.reason.startswith("backend error: ") for t in traces for r in t.stages)
     for trace in traces:
         for stage, record in zip(trace_to_json(trace)["stages"], trace.stages):
@@ -163,7 +163,7 @@ def test_trace_line_stores_only_what_the_loader_cannot_rebuild(corpus, corpus_di
         if inst.graph_file and inst is not missing:
             (base / inst.graph_file).write_bytes((corpus_dir / inst.graph_file).read_bytes())
     backend = FaultBackend(OracleBackend(corpus), FaultPlan(emit_garbage=0.5), seed=3)
-    traces = run_corpus(corpus, backend, base_dir=base)
+    traces = list(run_corpus(corpus, backend, base_dir=base))
     assert {len(t.stages) for t in traces} == {2, 3}
     files = []
     for trace in traces:
@@ -395,7 +395,7 @@ _STAGE_TRAPS = (
     ],
 )
 def test_malformed_trace_line_names_file_and_line(corpus, corpus_dir, tmp_path, edit, message):
-    traces = run_corpus(corpus[:2], OracleBackend(corpus), base_dir=corpus_dir)
+    traces = list(run_corpus(corpus[:2], OracleBackend(corpus), base_dir=corpus_dir))
     lines = [trace_to_json(t) for t in traces]
     edit(lines[1])
     path = tmp_path / "traces.jsonl"
@@ -618,7 +618,7 @@ def test_frozen_format_5_file_loads_and_dumps_byte_for_byte():
 
 
 def test_edited_reply_is_what_a_format_5_line_loads_scores_and_exports(corpus, corpus_dir):
-    traces = run_corpus(corpus, OracleBackend(corpus), base_dir=corpus_dir)
+    traces = list(run_corpus(corpus, OracleBackend(corpus), base_dir=corpus_dir))
     # a kind without parameters, so that naming another such tool sends no parameter stage either
     index, trace = next(
         (n, t) for n, t in enumerate(traces) if not t.stages[0].parsed.graph.weighted and not corpus[n].kind.parametric

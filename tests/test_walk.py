@@ -2,8 +2,9 @@
 side, one instance at a time (``serialize.walk_traces``): a trace file over
 part of a corpus scores as the whole-file loaders score it, a trace out of
 corpus order or of an instance the corpus lacks is named with its file and
-line, the corpus after the last trace is still checked, and the walk holds
-less than the corpus file's size."""
+line, a trace line's own id fault is named before the corpus is read on, the
+corpus after the last trace is still checked, and the walk holds less than
+the corpus file's size."""
 
 import json
 import tracemalloc
@@ -85,6 +86,24 @@ def test_a_malformed_corpus_line_after_the_last_trace_still_fails(chain, tmp_pat
     assert main([command, "--traces", str(first), "--corpus", str(broken), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {broken}:{len(lines)}: Unterminated string")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "evaluate"])
+def test_a_trace_line_without_its_id_is_named_before_the_corpus_is_read_on(tmp_path, capsys, command):
+    """The line's own id fault is reported, not the malformed corpus line
+    that reading on to look for its instance would meet."""
+    corpus, traces = _chain(tmp_path, count=1)
+    lines = _lines(corpus)
+    assert len(lines) == 20
+    corpus.write_text("".join([*lines[:-1], lines[-1][:40] + "\n"]), encoding="utf-8")
+    trace_lines = _lines(traces)
+    first = json.loads(trace_lines[0])
+    del first["instance_id"]
+    traces.write_text("".join([json.dumps(first) + "\n", *trace_lines[1:]]), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / ("alpaca.json" if command == "build-dataset" else "eval")
+    assert main([command, "--traces", str(traces), "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {traces}:1: missing key 'instance_id'\n"
 
 
 def test_a_trusted_corpus_whose_bytes_change_while_read_fails(chain, tmp_path, monkeypatch):
